@@ -48,20 +48,29 @@ std::vector<int> DrsPolicy::decide(const sim::WindowStats& last_window,
 
   // Greedy marginal-gain water-filling: hand each consumer to the queue
   // whose expected in-system count drops the most. The M/M/c L(m) curve is
-  // convex in m, so greedy is optimal for the separable objective.
+  // convex in m, so greedy is optimal for the separable objective. A
+  // hand-out changes only the winner's marginal gain, so gains are cached
+  // and only the winner's is recomputed: O(J + B) cost() calls per decide
+  // instead of O(J * B). Same expression, same strict-> scan with the
+  // lowest j winning ties, so the allocation matches the naive loop's.
   std::vector<int> allocation(j_count, 0);
+  auto marginal_gain = [&](std::size_t j) {
+    return cost(j, allocation[j]) - cost(j, allocation[j] + 1);
+  };
+  gains_.resize(j_count);
+  for (std::size_t j = 0; j < j_count; ++j) gains_[j] = marginal_gain(j);
   for (int consumer = 0; consumer < budget; ++consumer) {
     double best_gain = 0.0;
     std::size_t best_j = j_count;
     for (std::size_t j = 0; j < j_count; ++j) {
-      const double gain = cost(j, allocation[j]) - cost(j, allocation[j] + 1);
-      if (gain > best_gain) {
-        best_gain = gain;
+      if (gains_[j] > best_gain) {
+        best_gain = gains_[j];
         best_j = j;
       }
     }
     if (best_j == j_count) break;  // no queue benefits from more consumers
     ++allocation[best_j];
+    gains_[best_j] = marginal_gain(best_j);
   }
   return allocation;
 }

@@ -44,6 +44,7 @@ class DrsPolicy final : public rl::Policy {
   DrsConfig config_;
   std::vector<double> service_rates_;  // mu_j = 1 / mean service time
   std::vector<Ewma> arrival_rate_;     // lambda_j estimates (req/s)
+  std::vector<double> gains_;          // decide() scratch: marginal gains
 };
 
 }  // namespace miras::baselines

@@ -180,6 +180,12 @@ class ThreadPool {
   /// body or with a single-worker pool — those cases run inline, in
   /// ascending index order, with zero dispatch cost. No heap allocations on
   /// any path: the body is passed by reference, not type-erased.
+  ///
+  /// The default chunk suits many cheap, evenly sized bodies. Pass
+  /// `chunk = 1` when each body is a whole episode, grid cell or shard
+  /// (hundreds of microseconds or more, uneven in cost): one claim per
+  /// index is then free, and a default chunk of several uneven units can
+  /// leave threads idle behind the last, slowest chunk.
   template <typename Body>
   void parallel_for(std::size_t count, Body&& body, std::size_t chunk = 0) {
     if (count == 0) return;

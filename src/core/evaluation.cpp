@@ -37,14 +37,23 @@ double EvaluationTrace::mean_response_time() const {
   return mean_of(response_time_series());
 }
 
-double EvaluationTrace::tail_mean_response_time(std::size_t count) const {
-  const std::vector<double> series = response_time_series();
+namespace {
+
+/// Mean of the last min(count, size) entries of `series`; 0 when empty.
+double tail_mean(const std::vector<double>& series, std::size_t count) {
+  MIRAS_EXPECTS(count > 0);
   if (series.empty()) return 0.0;
   const std::size_t tail = std::min(count, series.size());
   double total = 0.0;
   for (std::size_t i = series.size() - tail; i < series.size(); ++i)
     total += series[i];
   return total / static_cast<double>(tail);
+}
+
+}  // namespace
+
+double EvaluationTrace::tail_mean_response_time(std::size_t count) const {
+  return tail_mean(response_time_series(), count);
 }
 
 const GridCell& GridResult::cell(std::size_t scenario, std::size_t policy,
@@ -75,6 +84,7 @@ GridResult EvaluationHarness::run(const std::vector<PolicySpec>& policies,
   MIRAS_EXPECTS(!policies.empty());
   MIRAS_EXPECTS(!scenarios.empty());
   MIRAS_EXPECTS(!seeds.empty());
+  MIRAS_EXPECTS(tail_windows > 0);
 
   GridResult result;
   result.num_policies = policies.size();
@@ -111,8 +121,12 @@ GridResult EvaluationHarness::run(const std::vector<PolicySpec>& policies,
     cell.trace.policy_name = policies[policy_index].label;
     spare_systems_.release(std::move(system));
   };
+  // Cells are claimed one at a time. The default chunk would hand out one
+  // whole (scenario, policy) block of replications per claim, and blocks
+  // differ in cost by policy, so a pass would end with threads idle behind
+  // the slowest block. One atomic claim per ~1 ms cell costs nothing.
   if (pool_ != nullptr) {
-    pool_->parallel_for(result.cells.size(), run_cell);
+    pool_->parallel_for(result.cells.size(), run_cell, /*chunk=*/1);
   } else {
     for (std::size_t i = 0; i < result.cells.size(); ++i) run_cell(i);
   }
@@ -128,12 +142,12 @@ GridResult EvaluationHarness::run(const std::vector<PolicySpec>& policies,
       summary.replications = seeds.size();
       for (std::size_t k = 0; k < seeds.size(); ++k) {
         const EvaluationTrace& trace = result.cell(s, p, k).trace;
+        const std::vector<double> series = trace.response_time_series();
         summary.aggregate_reward.add(trace.aggregate_reward());
-        summary.tail_response_time.add(
-            trace.tail_mean_response_time(tail_windows));
-        summary.final_total_wip.add(trace.total_wip_series().back());
+        summary.tail_response_time.add(tail_mean(series, tail_windows));
+        summary.final_total_wip.add(sum_of(trace.windows.back().wip));
         RunningStats windows;
-        for (const double rt : trace.response_time_series()) windows.add(rt);
+        for (const double rt : series) windows.add(rt);
         summary.response_time.merge(windows);
       }
       result.summaries.push_back(std::move(summary));
@@ -149,21 +163,23 @@ EvaluationTrace run_scenario(sim::MicroserviceSystem& env, rl::Policy& policy,
   trace.policy_name = policy.name();
   trace.windows.reserve(scenario.steps);
 
-  const std::vector<double> initial_state = env.reset();
+  env.reset();
   if (!scenario.burst.counts.empty()) env.inject_burst(scenario.burst);
 
   policy.begin_episode();
-  sim::WindowStats last_window = rl::initial_window_stats(
+  const sim::WindowStats initial = rl::initial_window_stats(
       env.observe_wip(), env.ensemble().num_workflows(),
       env.ensemble().num_task_types());
-  (void)initial_state;
 
+  // Each window's stats are moved into the trace and the next decide()
+  // reads them there: no per-window copy.
   for (std::size_t step = 0; step < scenario.steps; ++step) {
+    const sim::WindowStats& last_window =
+        step == 0 ? initial : trace.windows.back();
     const std::vector<int> allocation =
         policy.decide(last_window, env.consumer_budget());
-    const sim::StepResult result = env.step(allocation);
-    trace.windows.push_back(result.stats);
-    last_window = result.stats;
+    sim::StepResult result = env.step(allocation);
+    trace.windows.push_back(std::move(result.stats));
   }
   return trace;
 }

@@ -48,8 +48,9 @@ struct EvaluationTrace {
   /// EXPERIMENTS.md).
   double mean_response_time() const;
 
-  /// Mean response time over the tail (last `count` windows) — the "long-
-  /// term return" the paper emphasises.
+  /// Mean response time over the tail (last `count` windows, or all of
+  /// them when fewer) — the "long-term return" the paper emphasises. 0 for
+  /// an empty trace. `count` must be positive (ContractViolation otherwise).
   double tail_mean_response_time(std::size_t count) const;
 };
 
@@ -127,8 +128,8 @@ class EvaluationHarness {
 
   /// Runs every (scenario, policy, seed) cell. Replication k of every cell
   /// uses system seed seeds[k], so all policies and scenarios face the same
-  /// arrival trace per replication. `tail_windows` sizes the tail-mean
-  /// response-time summary.
+  /// arrival trace per replication. `tail_windows` (positive) sizes the
+  /// tail-mean response-time summary.
   GridResult run(const std::vector<PolicySpec>& policies,
                  const std::vector<ScenarioSpec>& scenarios,
                  const std::vector<std::uint64_t>& seeds,

@@ -8,7 +8,9 @@
 #include "baselines/queueing.h"
 #include "baselines/simple.h"
 #include "common/contracts.h"
+#include "common/rng.h"
 #include "rl/action.h"
+#include "workflows/generated.h"
 #include "workflows/ligo.h"
 #include "workflows/msd.h"
 
@@ -128,6 +130,124 @@ TEST(Drs, BeginEpisodeResetsEstimates) {
   drs.begin_episode();
   const auto alloc = drs.decide(stats_with({0, 0, 0, 0}, {0, 0, 0, 0}, 3), 14);
   EXPECT_EQ(total(alloc), 0);
+}
+
+// Reference water-filling: re-evaluates both costs of every queue on every
+// hand-out, at the estimates `drs` holds now. decide() caches the gains;
+// its allocations must match this loop exactly, ties included.
+std::vector<int> naive_water_fill(const DrsPolicy& drs, std::size_t j_count,
+                                  int budget) {
+  std::vector<int> allocation(j_count, 0);
+  for (int consumer = 0; consumer < budget; ++consumer) {
+    double best_gain = 0.0;
+    std::size_t best_j = j_count;
+    for (std::size_t j = 0; j < j_count; ++j) {
+      const double gain =
+          drs.cost(j, allocation[j]) - drs.cost(j, allocation[j] + 1);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best_j = j;
+      }
+    }
+    if (best_j == j_count) break;
+    ++allocation[best_j];
+  }
+  return allocation;
+}
+
+// Decides `stats` at every budget 0..2C on copies of `drs` (so each sees the
+// same estimate update) and checks each against the reference. Returns the
+// allocations, indexed by budget.
+std::vector<std::vector<int>> expect_matches_reference(
+    const DrsPolicy& drs, const sim::WindowStats& stats, int capacity) {
+  const std::size_t j_count = stats.task_arrivals.size();
+  std::vector<std::vector<int>> allocations;
+  for (int budget = 0; budget <= 2 * capacity; ++budget) {
+    DrsPolicy trial = drs;
+    allocations.push_back(trial.decide(stats, budget));
+    EXPECT_EQ(allocations.back(), naive_water_fill(trial, j_count, budget))
+        << "budget " << budget;
+  }
+  return allocations;
+}
+
+// Per type, one of four regimes: silent, light, heavy, or far beyond any
+// budget (unstable at every allocation).
+sim::WindowStats random_window(Rng& rng, std::size_t j_count) {
+  static constexpr std::int64_t kScales[] = {0, 10, 100, 5000};
+  std::vector<std::size_t> arrivals(j_count);
+  for (std::size_t& a : arrivals) {
+    const std::int64_t scale = kScales[rng.uniform_int(0, 3)];
+    a = static_cast<std::size_t>(rng.uniform_int(0, scale));
+  }
+  return stats_with(std::vector<double>(j_count, 1.0), arrivals, 1);
+}
+
+void expect_random_histories_match(const workflows::Ensemble& ensemble,
+                                   int capacity, std::uint64_t seed) {
+  Rng rng(seed);
+  DrsPolicy drs(ensemble);
+  for (int window = 0; window < 12; ++window) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    const sim::WindowStats stats =
+        random_window(rng, ensemble.num_task_types());
+    expect_matches_reference(drs, stats, capacity);
+    (void)drs.decide(stats, capacity);  // advance the EWMA history
+  }
+}
+
+TEST(Drs, MatchesReferenceOnRandomHistories) {
+  expect_random_histories_match(workflows::make_msd_ensemble(),
+                                workflows::kMsdConsumerBudget, 11);
+  expect_random_histories_match(workflows::make_ligo_ensemble(),
+                                workflows::kLigoConsumerBudget, 12);
+  workflows::GeneratedOptions options;
+  options.num_task_types = 24;
+  options.num_workflows = 6;
+  options.consumer_budget = 32;
+  expect_random_histories_match(workflows::make_generated_ensemble(options),
+                                options.consumer_budget, 13);
+}
+
+TEST(Drs, MatchesReferenceOnExactTies) {
+  // Types 0 and 1 are identical and see identical traffic, so whenever
+  // they hold equal allocations their gains tie bit-for-bit and type 0
+  // must win: type 1 never gets ahead of type 0.
+  workflows::Ensemble ensemble("twins");
+  for (const double mean : {4.0, 4.0, 2.0})
+    ensemble.add_task_type("t", workflows::ServiceTimeModel::exponential(mean));
+  DrsPolicy drs(ensemble);
+  const int capacity = 10;
+  for (int window = 0; window < 3; ++window) {
+    const auto allocations = expect_matches_reference(
+        drs, stats_with({1, 1, 1}, {20, 20, 5}, 1), capacity);
+    std::size_t ties_broken = 0;
+    for (std::size_t b = 0; b < allocations.size(); ++b) {
+      const std::vector<int>& alloc = allocations[b];
+      EXPECT_GE(alloc[0], alloc[1]);
+      if (b + 1 < allocations.size() && alloc[0] == alloc[1] &&
+          allocations[b + 1][0] == alloc[0] + 1)
+        ++ties_broken;
+    }
+    EXPECT_GT(ties_broken, 0u);
+    (void)drs.decide(stats_with({1, 1, 1}, {20, 20, 5}, 1), capacity);
+  }
+}
+
+TEST(Drs, MatchesReferenceWhenEveryQueueIsUnstable) {
+  // No budget up to 2C stabilises any queue: every consumer still lowers
+  // the backlog-growth penalty, so the whole budget is handed out.
+  const auto ensemble = workflows::make_msd_ensemble();
+  const int capacity = workflows::kMsdConsumerBudget;
+  DrsPolicy drs(ensemble);
+  const sim::WindowStats flood =
+      stats_with({9, 9, 9, 9}, {90000, 70000, 80000, 60000}, 3);
+  const auto allocations = expect_matches_reference(drs, flood, capacity);
+  (void)drs.decide(flood, 0);
+  for (std::size_t j = 0; j < 4; ++j)
+    EXPECT_GT(drs.cost(j, 2 * capacity), 1e6);  // unstable even at 2C
+  for (std::size_t budget = 0; budget < allocations.size(); ++budget)
+    EXPECT_EQ(total(allocations[budget]), static_cast<int>(budget));
 }
 
 // -------------------------------------------------------------------- HEFT

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "baselines/simple.h"
 #include "common/contracts.h"
 #include "workflows/msd.h"
@@ -71,6 +74,81 @@ TEST(Evaluation, TailMeanUsesLastWindows) {
   EXPECT_DOUBLE_EQ(trace.tail_mean_response_time(2), 3.5);
   EXPECT_DOUBLE_EQ(trace.mean_response_time(), 2.5);
   EXPECT_DOUBLE_EQ(trace.tail_mean_response_time(100), 2.5);
+}
+
+TEST(Evaluation, TailMeanOfZeroWindowsRejected) {
+  auto system = make_msd_system();
+  baselines::UniformPolicy uniform(4);
+  const auto trace = run_scenario(system, uniform, ScenarioConfig{{}, 4});
+  EXPECT_THROW((void)trace.tail_mean_response_time(0), ContractViolation);
+  EXPECT_TRUE(std::isfinite(trace.tail_mean_response_time(1)));
+}
+
+TEST(Evaluation, GridRejectsZeroTailWindows) {
+  const EvaluationHarness harness([](std::uint64_t seed) {
+    sim::SystemConfig config;
+    config.consumer_budget = workflows::kMsdConsumerBudget;
+    config.seed = seed;
+    return std::make_unique<sim::MicroserviceSystem>(
+        workflows::make_msd_ensemble(), config);
+  });
+  const std::vector<PolicySpec> policies = {
+      {"uniform", [] { return std::make_unique<baselines::UniformPolicy>(4); }}};
+  const std::vector<ScenarioSpec> scenarios = {{"calm", ScenarioConfig{{}, 3}}};
+  EXPECT_THROW((void)harness.run(policies, scenarios, {1, 2}, 0),
+               ContractViolation);
+  const GridResult grid = harness.run(policies, scenarios, {1, 2}, 1);
+  EXPECT_TRUE(std::isfinite(grid.summary(0, 0).tail_response_time.mean()));
+}
+
+void expect_same_stats(const sim::WindowStats& a, const sim::WindowStats& b) {
+  EXPECT_EQ(a.wip, b.wip);
+  EXPECT_EQ(a.reward, b.reward);
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.mean_response_time, b.mean_response_time);
+  EXPECT_EQ(a.overall_mean_response_time, b.overall_mean_response_time);
+  EXPECT_EQ(a.task_arrivals, b.task_arrivals);
+  EXPECT_EQ(a.task_completions, b.task_completions);
+  EXPECT_EQ(a.allocation, b.allocation);
+}
+
+/// Uniform allocation that keeps a copy of every WindowStats it is shown.
+class RecordingPolicy final : public rl::Policy {
+ public:
+  std::string name() const override { return "recording"; }
+  std::vector<int> decide(const sim::WindowStats& last_window,
+                          int budget) override {
+    seen.push_back(last_window);
+    return uniform_.decide(last_window, budget);
+  }
+  std::vector<sim::WindowStats> seen;
+
+ private:
+  baselines::UniformPolicy uniform_{4};
+};
+
+TEST(Evaluation, DecideSeesThePreviousWindow) {
+  const sim::BurstSpec burst{{30, 20, 10}};
+  auto system = make_msd_system(17);
+  RecordingPolicy recorder;
+  const auto trace = run_scenario(system, recorder, ScenarioConfig{burst, 6});
+  ASSERT_EQ(recorder.seen.size(), 6u);
+
+  // Call 0 sees the post-burst state with zeroed history.
+  auto reference = make_msd_system(17);
+  reference.reset();
+  reference.inject_burst(burst);
+  const sim::WindowStats initial = rl::initial_window_stats(
+      reference.observe_wip(), reference.ensemble().num_workflows(),
+      reference.ensemble().num_task_types());
+  EXPECT_GT(sum_of(initial.wip), 0.0);
+  expect_same_stats(recorder.seen[0], initial);
+  // Call k sees exactly window k - 1.
+  for (std::size_t k = 1; k < recorder.seen.size(); ++k) {
+    SCOPED_TRACE("call " + std::to_string(k));
+    expect_same_stats(recorder.seen[k], trace.windows[k - 1]);
+  }
 }
 
 TEST(Evaluation, ZeroStepsRejected) {
