@@ -65,7 +65,7 @@ struct BenchRecord {
   double bytes_per_op = 0.0;
   std::int64_t iterations = 0;
   /// Every other user counter the benchmark attached (events_per_sec,
-  /// shards, cpus, speedup, ...), serialised as first-class JSON fields so
+  /// cpus, speedup, ...), serialised as first-class JSON fields so
   /// CI floor checks can read them without parsing benchmark names.
   std::vector<std::pair<std::string, double>> extra;
 };

@@ -38,13 +38,6 @@ struct BenchOptions {
   /// Result tables are byte-identical for every value — only wall time
   /// changes. Timing goes to stderr so stdout stays comparable.
   std::size_t threads = 1;
-  /// Event-engine shards for the real system (--shards N): 1 = the serial
-  /// engine, >= 2 = the sharded engine (sim/shard.h), whose trajectory is
-  /// deterministic but distinct from serial. Incompatible with the
-  /// checkpoint flags: checkpoints capture the serial engine's two-stream
-  /// rng snapshot, which sharded mode (one stream per task/workflow type)
-  /// cannot fit.
-  int shards = 1;
   /// Save a training checkpoint after every N outer iterations (0 = off).
   std::size_t checkpoint_every = 0;
   /// Where checkpoints land; empty means a per-section default path.
@@ -58,55 +51,61 @@ struct BenchOptions {
   /// collection schedule; results are bit-identical for any N and across
   /// repeated runs (dist/learner.h).
   std::size_t collectors = 0;
-  /// Transport for --collectors: "pipe" (socketpairs) or "file"
-  /// (append-only spool files). Empty = unset; resolves to pipe when
-  /// collectors are on, refused when given without --collectors.
-  std::string transport;
   /// Chaos knob (--dist-kill-after N): SIGKILL collector 0 once N batches
   /// have been folded, exercising the respawn path mid-run. The trace must
   /// come out identical anyway. 0 = off.
   std::size_t dist_kill_after = 0;
 };
 
+/// Parses the flags above. `--help` prints the usage line and exits 0; an
+/// unknown argument or a flag missing its value prints it to stderr and
+/// exits 2, so a mistyped or retired flag never silently runs the default.
 inline BenchOptions parse_options(int argc, char** argv) {
+  const auto usage = [argv](std::ostream& out) {
+    out << "usage: " << argv[0]
+        << " [--full] [--csv] [--seed N] [--dataset msd|ligo]"
+           " [--threads N] [--checkpoint-every N]"
+           " [--checkpoint-path FILE] [--resume FILE]"
+           " [--collectors N] [--dist-kill-after N]\n";
+  };
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << argv[0] << ": " << arg << " needs a value\n";
+      usage(std::cerr);
+      std::exit(2);
+    };
     if (arg == "--full") {
       options.full = true;
     } else if (arg == "--csv") {
       options.csv = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--dataset" && i + 1 < argc) {
-      options.dataset = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--seed") {
+      options.seed = std::strtoull(value(), nullptr, 10);
+    } else if (arg == "--dataset") {
+      options.dataset = value();
+    } else if (arg == "--threads") {
+      options.threads = std::strtoull(value(), nullptr, 10);
       if (options.threads == 0)
         options.threads = common::ThreadPool::hardware_threads();
-    } else if (arg == "--shards" && i + 1 < argc) {
-      options.shards = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      if (options.shards < 1) options.shards = 1;
-    } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      options.checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--checkpoint-path" && i + 1 < argc) {
-      options.checkpoint_path = argv[++i];
-    } else if (arg == "--resume" && i + 1 < argc) {
-      options.resume = argv[++i];
-    } else if (arg == "--collectors" && i + 1 < argc) {
-      options.collectors = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--transport" && i + 1 < argc) {
-      options.transport = argv[++i];
-    } else if (arg == "--dist-kill-after" && i + 1 < argc) {
-      options.dist_kill_after = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--checkpoint-every") {
+      options.checkpoint_every = std::strtoull(value(), nullptr, 10);
+    } else if (arg == "--checkpoint-path") {
+      options.checkpoint_path = value();
+    } else if (arg == "--resume") {
+      options.resume = value();
+    } else if (arg == "--collectors") {
+      options.collectors = std::strtoull(value(), nullptr, 10);
+    } else if (arg == "--dist-kill-after") {
+      options.dist_kill_after = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--full] [--csv] [--seed N] [--dataset msd|ligo]"
-                   " [--threads N] [--shards N] [--checkpoint-every N]"
-                   " [--checkpoint-path FILE] [--resume FILE]"
-                   " [--collectors N] [--transport pipe|file]"
-                   " [--dist-kill-after N]\n";
+      usage(std::cout);
       std::exit(0);
+    } else {
+      std::cerr << argv[0] << ": unknown argument '" << arg << "'\n";
+      usage(std::cerr);
+      std::exit(2);
     }
   }
   return options;

@@ -46,11 +46,7 @@ void run_fig6(const std::string& name, workflows::Ensemble ensemble,
   sim::SystemConfig system_config;
   system_config.consumer_budget = budget;
   system_config.seed = options.seed;
-  system_config.shards = options.shards;
   sim::MicroserviceSystem system(std::move(ensemble), system_config);
-  // The sharded engine's barriers run on the same pool as the gradient
-  // work; with shards == 1 this is a no-op.
-  system.set_thread_pool(pool);
 
   out << "\n=== Figure 6 (" << name << "): " << config.outer_iterations
       << " iterations x " << config.real_steps_per_iteration
@@ -126,42 +122,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Checkpoints persist the serial engine's two-stream rng snapshot; the
-  // sharded engine keeps one stream per task/workflow type, which that
-  // shape cannot hold (sim/system.h). Refuse the combination rather than
-  // fail mid-run.
-  if (options.shards >= 2 &&
-      (options.checkpoint_every > 0 || !options.checkpoint_path.empty() ||
-       !options.resume.empty())) {
-    std::cerr << "fig6: --shards >= 2 does not support checkpointing; drop "
-                 "--checkpoint-every/--checkpoint-path/--resume or run with "
-                 "--shards 1\n";
-    return 2;
-  }
-
   // Distributed-collection flag validation, mirroring the checkpoint
   // refusals above: unsupported combinations exit 2 up front instead of
   // failing mid-run.
-  if (options.collectors == 0 &&
-      (!options.transport.empty() || options.dist_kill_after > 0)) {
-    std::cerr << "fig6: --transport/--dist-kill-after require "
-                 "--collectors N with N >= 1\n";
-    return 2;
-  }
-  if (!options.transport.empty() && options.transport != "pipe" &&
-      options.transport != "file") {
-    std::cerr << "fig6: unknown --transport '" << options.transport
-              << "' (expected pipe or file)\n";
+  if (options.collectors == 0 && options.dist_kill_after > 0) {
+    std::cerr << "fig6: --dist-kill-after requires --collectors N with "
+                 "N >= 1\n";
     return 2;
   }
   if (options.collectors > 0 && sections.size() > 1) {
     std::cerr << "fig6: --collectors applies to one training run; pick it "
                  "with --dataset msd|ligo\n";
-    return 2;
-  }
-  if (options.collectors > 0 && options.shards >= 2) {
-    std::cerr << "fig6: --collectors and --shards >= 2 are incompatible; "
-                 "collector processes run the serial event engine\n";
     return 2;
   }
 
@@ -178,14 +149,9 @@ int main(int argc, char** argv) {
     pool_options.collectors = options.collectors;
     pool_options.config_fingerprint = fingerprint;
     pool_options.kill_collector_after = options.dist_kill_after;
-    dist::SpawnFn spawn =
-        options.transport == "file"
-            ? dist::make_fork_file_spawner("fig6_dist_spool", section.config,
-                                           factory, fingerprint)
-            : dist::make_fork_pipe_spawner(section.config, factory,
-                                           fingerprint);
-    collector_pool = std::make_unique<dist::CollectorPool>(pool_options,
-                                                           std::move(spawn));
+    collector_pool = std::make_unique<dist::CollectorPool>(
+        pool_options,
+        dist::make_fork_pipe_spawner(section.config, factory, fingerprint));
   }
 
   // The two training traces are independent; run them concurrently with

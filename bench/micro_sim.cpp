@@ -1,30 +1,24 @@
 // Microbenchmarks of the discrete-event emulator (google-benchmark):
 // raw typed-event-queue throughput, window-step throughput for MSD and LIGO
-// under steady and burst load, sharded-engine event throughput and window
-// stepping on a generated 128-task-type ensemble, reset-reuse cycles, and
-// per-thread episode scaling on pooled systems. Every benchmark reports
-// bytes_per_op; the serial steady-state event-stepping path must report
-// exactly 0, sharded arms a bounded high-watermark total (see
-// BM_GeneratedEventThroughput). Pass `--json <path>` to dump records with
-// all user counters (events_per_sec, shards, cpus, ...) — the
-// BENCH_sim.json CI artifact.
+// under steady and burst load, event throughput and window stepping on a
+// generated 128-task-type ensemble, reset-reuse cycles, and per-thread
+// episode scaling on pooled systems. Every benchmark reports bytes_per_op;
+// the steady-state event-stepping paths must report exactly 0. Pass
+// `--json <path>` to dump records with all user counters (events_per_sec,
+// cpus, ...) — the BENCH_sim.json CI artifact.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bench_json.h"
+#include "common/contracts.h"
 #include "common/object_pool.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "sim/shard.h"
 #include "sim/system.h"
 #include "workflows/generated.h"
 #include "workflows/ligo.h"
@@ -41,10 +35,9 @@ std::unique_ptr<sim::MicroserviceSystem> make_msd_system(std::uint64_t seed) {
       workflows::make_msd_ensemble(), config);
 }
 
-// The 128-task-type scenario the sharded arms run: short lognormal services
-// and a consumer budget large enough that the cluster completes thousands
-// of tasks per simulated second — the regime where one serial event loop is
-// the bottleneck the sharded engine exists to break.
+// The 128-task-type scenario the generated arms run: short lognormal
+// services and a consumer budget large enough that the cluster completes
+// thousands of tasks per simulated second.
 constexpr int kGeneratedBudget = 2048;
 
 workflows::Ensemble make_generated_bench_ensemble() {
@@ -108,119 +101,54 @@ std::vector<int> proportional_allocation(const workflows::Ensemble& ensemble,
   return allocation;
 }
 
-std::unique_ptr<sim::MicroserviceSystem> make_generated_system(int shards) {
+sim::SystemConfig generated_config() {
   sim::SystemConfig config;
   config.consumer_budget = kGeneratedBudget;
   config.seed = 1;
-  config.shards = shards;
+  return config;
+}
+
+std::unique_ptr<sim::MicroserviceSystem> make_generated_system(
+    const sim::SystemConfig& config) {
   return std::make_unique<sim::MicroserviceSystem>(
       make_generated_bench_ensemble(), config);
 }
 
-void attach_shard_counters(benchmark::State& state, int shards) {
-  state.counters["shards"] = benchmark::Counter(static_cast<double>(shards));
-  state.counters["cpus"] = benchmark::Counter(
-      static_cast<double>(std::thread::hardware_concurrency()));
+// Warm-up that pushes every loaded task type's request ring to at least
+// `depth` queued requests, then drains the backlog. A workflow burst fills
+// only the root types' rings: downstream types drain as fast as upstream
+// feeds them, so their rings would still grow on rare steady-state peaks
+// long after the warm-up. Here a type gets no consumers until its queue
+// reaches `depth`, so work piles up at the first unfilled type on every
+// DAG path; from the next window on it is served at twice its steady
+// allocation, so its pile drains fast. The piles also push the dependency
+// slab and the event heap past their steady watermarks. The system must be
+// fresh (no consumers yet, so WIP is queue length), with a budget of at
+// least twice `steady`'s total and short windows.
+void fill_every_queue(sim::MicroserviceSystem& system,
+                      const std::vector<int>& steady, double depth) {
+  std::vector<int> allocation(steady.size(), 0);
+  std::vector<bool> filled(steady.size());
+  for (std::size_t j = 0; j < steady.size(); ++j) filled[j] = steady[j] == 0;
+  for (int window = 0;; ++window) {
+    MIRAS_EXPECTS(window < 1000);  // every loaded type is reachable
+    const std::vector<double> wip = system.observe_wip();
+    bool all_filled = true;
+    for (std::size_t j = 0; j < steady.size(); ++j) {
+      filled[j] = filled[j] || wip[j] >= depth;
+      allocation[j] = filled[j] ? 2 * steady[j] : 0;
+      all_filled = all_filled && filled[j];
+    }
+    if (all_filled) break;
+    (void)system.step(allocation);
+  }
+  while (system.live_tasks() > static_cast<std::uint64_t>(kGeneratedBudget))
+    (void)system.step(allocation);
+  (void)system.step(steady);
 }
 
-// What one completion looked like to the pre-rewrite engine: a value-
-// returned result whose ready-node list lives on the heap.
-struct LegacyCompletion {
-  std::vector<std::size_t> ready_nodes;
-  std::size_t workflow_type = 0;
-  double arrival_time = 0.0;
-  bool workflow_complete = false;
-};
-
-// The pre-rewrite event queue, reproduced verbatim from git history
-// (engine.h/.cpp before the typed-core rewrite): a std::priority_queue of
-// 48-byte entries that own a std::function, drained by *copying* the top
-// entry before pop — for captures past the 16-byte small buffer that is a
-// second allocation per event, on top of the one schedule() makes.
-class LegacyEventQueue {
- public:
-  using Handler = std::function<void()>;
-
-  sim::SimTime now() const { return now_; }
-
-  void schedule(sim::SimTime when, Handler handler) {
-    heap_.push(Entry{when, next_seq_++, std::move(handler)});
-  }
-
-  void run_until(sim::SimTime until) {
-    while (!heap_.empty() && heap_.top().time <= until) {
-      Entry entry = heap_.top();  // the pre-rewrite copy-before-pop
-      heap_.pop();
-      now_ = entry.time;
-      entry.handler();
-    }
-    now_ = until;
-  }
-
- private:
-  struct Entry {
-    sim::SimTime time;
-    std::uint64_t seq;
-    Handler handler;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  sim::SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-};
-
-// The pre-rewrite engine's per-event steady-state pattern, reproduced from
-// git history: try_dispatch scheduled `[this, task_type, request]` (40
-// bytes of capture — off libstdc++'s 16-byte std::function small buffer,
-// so one heap allocation per scheduled event), run_until copied that
-// closure back out on drain (a second), and handle_task_complete looked
-// the instance up in an unordered_map and copied a CompletionResult by
-// value, heap-allocating its ready-node list (a third). This is the
-// reference the typed core's steady-state throughput claim in
-// BENCH_sim.json is measured against; the new path is
-// BM_TypedEventQueueScheduleRun on the identical schedule pattern.
-void BM_LegacyEventDispatch(benchmark::State& state) {
-  LegacyEventQueue events;  // long-lived, like the old engine's member
-  std::uint64_t counter = 0;
-  // The old DependencyService: live instances in an unordered_map, one
-  // hash lookup per completion. ~300 live instances matches the burst
-  // backlogs the steady benches run under.
-  std::unordered_map<std::uint64_t, LegacyCompletion> instances;
-  for (std::uint64_t id = 0; id < 300; ++id) {
-    LegacyCompletion completion;
-    completion.ready_nodes = {3, 5};
-    instances.emplace(id, std::move(completion));
-  }
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    const sim::SimTime base = events.now();
-    for (int i = 0; i < 1000; ++i) {
-      const std::uint64_t instance = static_cast<std::uint64_t>(i) % 300;
-      const std::size_t node = static_cast<std::size_t>(i) & 7;
-      events.schedule(
-          base + static_cast<double>(i % 97),
-          [&counter, &instances, instance, node] {
-            const LegacyCompletion completion =
-                instances.find(instance)->second;
-            counter += completion.ready_nodes.size() + node + instance;
-          });
-    }
-    events.run_until(base + 100.0);
-    benchmark::DoNotOptimize(counter);
-  }
-  bench::record_bytes_per_op(state, alloc0);
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_LegacyEventDispatch);
-
-// Typed queue on the same schedule/run pattern: POD events, no closures.
-// The queue lives across iterations (heap capacity reused), like the one
+// Typed queue on a fixed schedule/run pattern: 1000 POD events per
+// iteration, no closures. The queue lives across iterations (heap capacity reused), like the one
 // inside MicroserviceSystem.
 void BM_TypedEventQueueScheduleRun(benchmark::State& state) {
   sim::TypedEventQueue events;
@@ -265,28 +193,26 @@ void BM_SimEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventThroughput);
 
-// Sharded-engine event throughput on the generated 128-type ensemble.
-// Arg 1 runs the serial engine on the identical ensemble (the baseline the
-// CI ≥1.5x floor at 4 shards is asserted against); args >= 2 run the
-// sharded engine on a thread pool with one worker per shard. The serial
-// arm must report exactly 0 bytes/op (the preserved steady-state
-// contract); sharded arms may grow a high-watermark buffer a few KB past
-// the warm-up's peak, so CI bounds their TOTAL bytes instead — a real
-// per-event leak would be megabytes per iteration. events_per_sec is a
-// rate counter (events executed / wall second); shards and cpus ride along
-// so the floor check can tell a 1-CPU recording from a multicore one.
+// Event throughput on the generated 128-type ensemble: the same raw
+// stepping path as BM_SimEventThroughput at ~100x the event rate per
+// simulated second. bytes_per_op must be exactly 0 at any run length.
+// events_per_sec is a rate counter (events executed / second).
 void BM_GeneratedEventThroughput(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  auto system = make_generated_system(shards);
-  common::ThreadPool pool(static_cast<std::size_t>(shards));
-  if (shards >= 2) system->set_thread_pool(&pool);
-  // Warm up: allocate consumers in proportion to per-type load (the system
-  // is stable under this allocation — queues stay bounded), push every
-  // pooled structure (slabs, rings, heaps, barrier scratch) past its steady
-  // watermark with a burst, and drain it.
-  (void)system->step(
-      proportional_allocation(system->ensemble(), kGeneratedBudget));
-  system->inject_burst(sim::BurstSpec{std::vector<std::size_t>(32, 50)});
+  // The measured loop never applies an allocation, so window length,
+  // start-up delay and budget headroom only shape the warm-up.
+  sim::SystemConfig config = generated_config();
+  config.window_length = 1.0;
+  config.startup_delay_min = 0.0;
+  config.startup_delay_max = 0.0;
+  config.consumer_budget = 2 * kGeneratedBudget;
+  auto system = make_generated_system(config);
+  // Warm up: fill every ring, then serve under consumers in proportion to
+  // per-type load (the system is stable under this allocation — queues
+  // stay bounded) until the backlog is gone.
+  fill_every_queue(*system,
+                   proportional_allocation(system->ensemble(),
+                                           kGeneratedBudget),
+                   128.0);
   system->run_for(200.0);
   std::uint64_t executed = system->executed_events();
   const std::uint64_t alloc0 = bench::allocation_mark();
@@ -300,27 +226,16 @@ void BM_GeneratedEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(events);
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
-  attach_shard_counters(state, shards);
 }
-BENCHMARK(BM_GeneratedEventThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GeneratedEventThroughput)->Unit(benchmark::kMillisecond);
 
 // Full window steps (allocation applied, stats packed) on the same
-// ensemble — the ≥2x-at-4-shards window-step throughput target from
-// ROADMAP item 2 reads off this arm's ns_per_op ratio vs /1.
+// ensemble.
 void BM_GeneratedWindowStep(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  auto system = make_generated_system(shards);
-  common::ThreadPool pool(static_cast<std::size_t>(shards));
-  if (shards >= 2) system->set_thread_pool(&pool);
+  auto system = make_generated_system(generated_config());
   const std::vector<int> allocation =
       proportional_allocation(system->ensemble(), kGeneratedBudget);
-  (void)system->step(allocation);  // warm pools and barrier scratch
+  (void)system->step(allocation);  // warm the pools
   const std::uint64_t alloc0 = bench::allocation_mark();
   std::uint64_t executed = system->executed_events();
   for (auto _ : state) benchmark::DoNotOptimize(system->step(allocation));
@@ -330,15 +245,8 @@ void BM_GeneratedWindowStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
-  attach_shard_counters(state, shards);
 }
-BENCHMARK(BM_GeneratedWindowStep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GeneratedWindowStep)->Unit(benchmark::kMillisecond);
 
 void BM_MsdWindowStep(benchmark::State& state) {
   auto system = make_msd_system(1);

@@ -1,7 +1,6 @@
 #include "dist/transport.h"
 
 #include <errno.h>
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -74,61 +73,6 @@ make_socketpair_streams() {
     throw_errno("socketpair failed");
   return {std::make_unique<FdStream>(fds[0], fds[0]),
           std::make_unique<FdStream>(fds[1], fds[1])};
-}
-
-// --------------------------------------------------------- FileQueueStream
-
-FileQueueStream::FileQueueStream(std::string in_path, std::string out_path,
-                                 pid_t peer_pid)
-    : in_path_(std::move(in_path)),
-      out_path_(std::move(out_path)),
-      peer_pid_(peer_pid) {}
-
-FileQueueStream::~FileQueueStream() {
-  if (in_fd_ >= 0) ::close(in_fd_);
-  if (out_fd_ >= 0) ::close(out_fd_);
-}
-
-bool FileQueueStream::peer_alive() const {
-  if (peer_pid_ <= 0) return true;  // unknown peer: never declare it dead
-  return ::kill(peer_pid_, 0) == 0 || errno != ESRCH;
-}
-
-void FileQueueStream::send(const void* data, std::size_t size) {
-  if (out_fd_ < 0) {
-    out_fd_ = ::open(out_path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (out_fd_ < 0) throw_errno("open spool for append failed");
-  }
-  persist::write_all_fd(out_fd_, data, size);
-}
-
-RecvResult FileQueueStream::recv_some(void* data, std::size_t max,
-                                      int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    // Liveness is sampled *before* the read: if the peer was already gone
-    // and the read that follows still finds nothing, every byte it ever
-    // wrote has been drained, so kClosed cannot lose data.
-    const bool alive = peer_alive();
-    if (in_fd_ < 0) {
-      in_fd_ = ::open(in_path_.c_str(), O_RDONLY);
-      if (in_fd_ < 0 && errno != ENOENT) throw_errno("open spool failed");
-    }
-    if (in_fd_ >= 0) {
-      if (::lseek(in_fd_, static_cast<off_t>(read_offset_), SEEK_SET) < 0)
-        throw_errno("seek spool failed");
-      const std::size_t n = persist::read_some_fd(in_fd_, data, max);
-      if (n > 0) {
-        read_offset_ += n;
-        return {RecvStatus::kData, n};
-      }
-    }
-    if (!alive) return {RecvStatus::kClosed, 0};
-    if (std::chrono::steady_clock::now() >= deadline)
-      return {RecvStatus::kTimeout, 0};
-    ::usleep(2000);
-  }
 }
 
 // ---------------------------------------------------------- LoopbackStream

@@ -2,10 +2,10 @@
 //
 // The checkpoint container (checkpoint.h) assumes it holds a whole file; the
 // distributed actor-learner wire (src/dist/) instead streams an unbounded
-// sequence of messages over pipes, sockets, or append-only spool files. A
-// frame wraps one message payload so the receiver can (a) find message
-// boundaries in a byte stream delivered in arbitrary-size chunks, and
-// (b) detect corruption before acting on a payload:
+// sequence of messages over pipes or sockets. A frame wraps one message
+// payload so the receiver can (a) find message boundaries in a byte stream
+// delivered in arbitrary-size chunks, and (b) detect corruption before
+// acting on a payload:
 //
 //   offset 0  magic        u32  kFrameMagic ("MFR0" little-endian)
 //   offset 4  payload_len  u32
@@ -23,7 +23,7 @@
 // next plausible header.
 //
 // The raw-fd helpers at the bottom retry EINTR and short reads/writes; they
-// are what the pipe/file transports build on.
+// are what the pipe transport builds on.
 #pragma once
 
 #include <cstddef>

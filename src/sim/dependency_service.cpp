@@ -27,6 +27,7 @@ DependencyService::DependencyService(const workflows::Ensemble* ensemble)
     for (std::size_t n = 0; n < graph.num_nodes(); ++n)
       preds[n] = graph.in_degree(n);
     preds_template_.push_back(std::move(preds));
+    max_nodes_ = std::max(max_nodes_, graph.num_nodes());
   }
 }
 
@@ -40,7 +41,7 @@ DependencyService::NewInstance DependencyService::create_instance(
     free_.pop_back();
   } else {
     index = slots_.size();
-    slots_.emplace_back();
+    slots_.emplace_back().remaining_preds.reserve(max_nodes_);
   }
   Slot& slot = slots_[index];
   ++slot.generation;  // a recycled slot's new id never matches the old one

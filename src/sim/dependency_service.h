@@ -66,6 +66,10 @@ class DependencyService {
   Slot& lookup(std::uint64_t id);
 
   const workflows::Ensemble* ensemble_;
+  // Largest workflow's node count: every new slot reserves this much
+  // remaining_preds storage, so a slot recycled for a bigger workflow than
+  // it held before still does not allocate.
+  std::size_t max_nodes_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::size_t> free_;  // LIFO of vacant slot indices
   std::size_t live_ = 0;

@@ -7,8 +7,7 @@
 // dispatches them through a caller-supplied callback (a switch in
 // MicroserviceSystem) — zero per-event allocations at steady state. The
 // closure-based std::function queue that used to live beside it is gone;
-// tests and benches run on the typed queue too, so the sharded engine has a
-// single representation to maintain.
+// tests and benches run on the typed queue too.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +40,6 @@ struct Event {
   std::uint64_t instance = 0;
   std::uint32_t target = 0;
   std::uint32_t node = 0;
-  /// Extra payload word. The sharded engine stores the workflow type of a
-  /// kTaskComplete here so the completion can be routed to the shard that
-  /// homes the instance's dependency state; the serial engine leaves it 0.
-  std::uint32_t aux = 0;
   EventType type = EventType::kWindowBoundary;
 };
 
@@ -60,10 +55,8 @@ class BasicEventQueue {
   ///
   /// Boundary-equal contract: `when == now_` is explicitly accepted, and the
   /// entry runs in the current sweep if one is active (it sorts after every
-  /// already-executed event by seq). This matters beyond handlers scheduling
-  /// follow-ups "now": a cross-shard merge delivers work stamped at exactly
-  /// the sub-window boundary the receiving shard's clock has already
-  /// advanced to, so the sharded engine relies on equality being legal.
+  /// already-executed event by seq), so handlers may schedule follow-ups
+  /// "now".
   void schedule(SimTime when, Entry entry) {
     MIRAS_EXPECTS(when >= now_);
     entry.time = when;

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "common/contracts.h"
-#include "sim/shard.h"
 
 namespace miras::sim {
 
@@ -45,35 +44,8 @@ MicroserviceSystem::MicroserviceSystem(workflows::Ensemble ensemble,
   MIRAS_EXPECTS(config_.consumer_budget > 0);
   MIRAS_EXPECTS(config_.startup_delay_min >= 0.0);
   MIRAS_EXPECTS(config_.startup_delay_max >= config_.startup_delay_min);
-  MIRAS_EXPECTS(config_.shards >= 1);
   ensemble_.validate();
-  if (config_.shards >= 2) {
-    // The cluster resets itself on construction (drawing the first arrival
-    // gaps); calling reset() again here would advance the arrival streams a
-    // second time and break reseed ≡ fresh-construction.
-    sharded_ = std::make_unique<ShardedCluster>(&ensemble_, config_);
-  } else {
-    reset();
-  }
-}
-
-MicroserviceSystem::~MicroserviceSystem() = default;
-
-void MicroserviceSystem::set_thread_pool(common::ThreadPool* pool) {
-  if (sharded_ != nullptr) sharded_->set_thread_pool(pool);
-}
-
-SimTime MicroserviceSystem::now() const {
-  return sharded_ != nullptr ? sharded_->now() : events_.now();
-}
-
-const SystemCounters& MicroserviceSystem::counters() const {
-  return sharded_ != nullptr ? sharded_->counters() : counters_;
-}
-
-std::uint64_t MicroserviceSystem::executed_events() const {
-  return sharded_ != nullptr ? sharded_->executed_events()
-                             : events_.executed_events();
+  reset();
 }
 
 std::size_t MicroserviceSystem::state_dim() const {
@@ -85,7 +57,6 @@ std::size_t MicroserviceSystem::action_dim() const {
 }
 
 std::vector<double> MicroserviceSystem::reset() {
-  if (sharded_ != nullptr) return sharded_->reset();
   events_.reset();
   dependency_service_.clear();
   for (auto& queue : queues_) queue.clear();
@@ -103,11 +74,6 @@ std::vector<double> MicroserviceSystem::reset() {
 }
 
 bool MicroserviceSystem::reseed(std::uint64_t seed) {
-  if (sharded_ != nullptr) {
-    config_.seed = seed;
-    sharded_->reseed(seed);
-    return true;
-  }
   // Replay the constructor's seeding exactly: seed the system rng, hand the
   // workload the first split — the same draw the member initialiser made —
   // then reset. A reseeded system and a freshly constructed one are
@@ -153,7 +119,6 @@ void MicroserviceSystem::handle_arrival(std::size_t workflow_type,
 }
 
 void MicroserviceSystem::inject_burst(const BurstSpec& burst) {
-  if (sharded_ != nullptr) return sharded_->inject_burst(burst);
   MIRAS_EXPECTS(burst.counts.size() == ensemble_.num_workflows());
   for (std::size_t w = 0; w < burst.counts.size(); ++w)
     for (std::size_t i = 0; i < burst.counts[w]; ++i)
@@ -237,14 +202,12 @@ void MicroserviceSystem::apply_allocation(const std::vector<int>& allocation) {
 }
 
 void MicroserviceSystem::run_for(double seconds) {
-  if (sharded_ != nullptr) return sharded_->run_for(seconds);
   MIRAS_EXPECTS(seconds >= 0.0);
   events_.run_until(events_.now() + seconds,
                     [this](Event&& event) { dispatch(event); });
 }
 
 StepResult MicroserviceSystem::step(const std::vector<int>& allocation) {
-  if (sharded_ != nullptr) return sharded_->step(allocation);
   std::fill(window_arrivals_.begin(), window_arrivals_.end(), 0);
   std::fill(window_completed_.begin(), window_completed_.end(), 0);
   std::fill(window_response_sum_.begin(), window_response_sum_.end(), 0.0);
@@ -289,7 +252,6 @@ StepResult MicroserviceSystem::step(const std::vector<int>& allocation) {
 }
 
 std::vector<double> MicroserviceSystem::observe_wip() const {
-  if (sharded_ != nullptr) return sharded_->observe_wip();
   std::vector<double> wip(ensemble_.num_task_types());
   for (std::size_t j = 0; j < wip.size(); ++j)
     wip[j] = static_cast<double>(queues_[j].size() + pools_[j].busy());
@@ -297,7 +259,6 @@ std::vector<double> MicroserviceSystem::observe_wip() const {
 }
 
 std::uint64_t MicroserviceSystem::live_tasks() const {
-  if (sharded_ != nullptr) return sharded_->live_tasks();
   std::uint64_t live = 0;
   for (std::size_t j = 0; j < queues_.size(); ++j)
     live += queues_[j].size() + static_cast<std::uint64_t>(pools_[j].busy());

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,13 +23,7 @@
 #include "sim/workload.h"
 #include "workflows/ensemble.h"
 
-namespace miras::common {
-class ThreadPool;
-}
-
 namespace miras::sim {
-
-class ShardedCluster;
 
 struct SystemConfig {
   /// Control-window length in seconds (§VI-A2: the paper settles on 30 s).
@@ -42,19 +35,6 @@ struct SystemConfig {
   double startup_delay_max = 10.0;
   /// Master seed; the whole trajectory is a deterministic function of it.
   std::uint64_t seed = 1;
-  /// Event-engine shard count. 1 (the default) is the serial engine,
-  /// bit-identical to every release since the typed-event rewrite; >= 2
-  /// engages the sharded engine (sim/shard.h), whose trajectory is a
-  /// deterministic function of (seed, ensemble, window_length,
-  /// sync_quantum) — identical for every shard count >= 2 and thread
-  /// count, but intentionally distinct from the serial trajectory (see
-  /// DESIGN.md §2c for why exact equivalence is impossible).
-  int shards = 1;
-  /// Sub-window length (seconds) between cross-shard merge barriers in
-  /// sharded mode; 0 picks window_length / 60 (0.5 s at the paper's 30 s
-  /// window). Part of the sharded trajectory's defining tuple — changing
-  /// it changes the trajectory, changing shard/thread counts does not.
-  double sync_quantum = 0.0;
 };
 
 /// Internal accounting counters exposed for conservation tests.
@@ -76,7 +56,7 @@ class MicroserviceSystem final : public Env {
   MicroserviceSystem& operator=(const MicroserviceSystem&) = delete;
   MicroserviceSystem(MicroserviceSystem&&) = delete;
   MicroserviceSystem& operator=(MicroserviceSystem&&) = delete;
-  ~MicroserviceSystem() override;  // out-of-line: ShardedCluster is incomplete
+  ~MicroserviceSystem() override = default;
 
   // Env interface -----------------------------------------------------------
   std::size_t state_dim() const override;
@@ -92,14 +72,6 @@ class MicroserviceSystem final : public Env {
   bool reseed(std::uint64_t seed) override;
 
   // Extras ------------------------------------------------------------------
-  /// Sharded mode runs its shards on `pool` workers (nullptr = serial, the
-  /// default); results are bit-identical either way. No effect when
-  /// shards == 1.
-  void set_thread_pool(common::ThreadPool* pool);
-
-  /// The sharded engine behind this system, or nullptr when shards == 1.
-  const ShardedCluster* sharded_cluster() const { return sharded_.get(); }
-
   /// Injects `burst.counts[i]` requests of each workflow type i at the
   /// current instant (call between reset() and the first step()).
   void inject_burst(const BurstSpec& burst);
@@ -114,9 +86,9 @@ class MicroserviceSystem final : public Env {
 
   const workflows::Ensemble& ensemble() const { return ensemble_; }
   const SystemConfig& config() const { return config_; }
-  SimTime now() const;
-  const SystemCounters& counters() const;
-  std::uint64_t executed_events() const;
+  SimTime now() const { return events_.now(); }
+  const SystemCounters& counters() const { return counters_; }
+  std::uint64_t executed_events() const { return events_.executed_events(); }
 
   /// Live tasks anywhere in the system (queued + in service), for
   /// conservation checks: tasks_enqueued == tasks_completed + live_tasks().
@@ -129,21 +101,14 @@ class MicroserviceSystem final : public Env {
   /// Event-queue contents are NOT part of this snapshot: checkpoints are
   /// taken at iteration boundaries, where the next operation is a reset()
   /// that rebuilds the queue from scratch.
-  /// Sharded mode does not support rng snapshots (its stream state is one
-  /// Rng per task type and workflow type, which the fixed two-stream
-  /// snapshot shape cannot hold); checkpointing requires shards == 1, and
-  /// both methods enforce that. fig6 refuses --shards combined with the
-  /// checkpoint flags for the same reason.
   struct RngSnapshot {
     RngState system;
     RngState workload;
   };
   RngSnapshot rng_snapshot() const {
-    MIRAS_EXPECTS(sharded_ == nullptr);
     return {rng_.state(), workload_.rng_state()};
   }
   void restore_rng_snapshot(const RngSnapshot& snapshot) {
-    MIRAS_EXPECTS(sharded_ == nullptr);
     rng_.set_state(snapshot.system);
     workload_.set_rng_state(snapshot.workload);
   }
@@ -163,10 +128,6 @@ class MicroserviceSystem final : public Env {
   workflows::Ensemble ensemble_;
   SystemConfig config_;
   Rng rng_;
-
-  // Engaged when config_.shards >= 2; every Env operation then delegates to
-  // it and the serial members below sit idle.
-  std::unique_ptr<ShardedCluster> sharded_;
 
   TypedEventQueue events_;
   DependencyService dependency_service_;

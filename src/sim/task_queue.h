@@ -16,10 +16,6 @@ struct TaskRequest {
   std::uint64_t workflow_instance = 0;  // owning workflow request
   std::size_t node = 0;                 // node index within the workflow DAG
   SimTime enqueue_time = 0.0;
-  /// Owning workflow type. The serial engine resolves everything through
-  /// the single DependencyService and leaves this 0; the sharded engine
-  /// needs it to route the task's completion to the instance's home shard.
-  std::uint32_t workflow_type = 0;
 };
 
 class TaskQueue {

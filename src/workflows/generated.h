@@ -1,8 +1,7 @@
 // Seeded procedural workflow-ensemble generator. MSD and LIGO pin the
-// paper-scale scenarios (4 and 9 task types); the sharded simulator exists
-// to run clusters far past that, so benches and property tests need
-// ensembles with 64-256 task types that are still a pure deterministic
-// function of a seed. Random DAG topologies with a guaranteed predecessor
+// paper-scale scenarios (4 and 9 task types); benches and property tests
+// that run clusters far past that need ensembles with 64-256 task types
+// that are still a pure deterministic function of a seed. Random DAG topologies with a guaranteed predecessor
 // edge per non-first node (no disconnected floaters), lognormal service
 // means, and arrival rates normalised so the offered load hits a target
 // fraction of the consumer budget.

@@ -57,6 +57,32 @@ TEST(System, StepAdvancesClockByWindow) {
   EXPECT_DOUBLE_EQ(system.now(), 60.0);
 }
 
+TEST(System, RunForAdvancesClockWithoutWindowAccounting) {
+  MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
+  system.reset();
+  EXPECT_DOUBLE_EQ(system.now(), 0.0);
+  system.run_for(50.0);
+  EXPECT_DOUBLE_EQ(system.now(), 50.0);
+  EXPECT_GT(system.executed_events(), 0u);
+  EXPECT_EQ(system.counters().tasks_enqueued,
+            system.counters().tasks_completed + system.live_tasks());
+
+  // With consumers up, raw stepping completes tasks and still conserves.
+  (void)system.step({4, 4, 3, 3});
+  const std::uint64_t events_before = system.executed_events();
+  const std::uint64_t completed_before = system.counters().tasks_completed;
+  system.run_for(50.0);
+  EXPECT_DOUBLE_EQ(system.now(), 130.0);
+  EXPECT_GT(system.executed_events(), events_before);
+  EXPECT_GT(system.counters().tasks_completed, completed_before);
+  EXPECT_EQ(system.counters().tasks_enqueued,
+            system.counters().tasks_completed + system.live_tasks());
+
+  system.run_for(0.0);
+  EXPECT_DOUBLE_EQ(system.now(), 130.0);
+  EXPECT_THROW(system.run_for(-1.0), ContractViolation);
+}
+
 TEST(System, RewardIsOneMinusTotalWip) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
