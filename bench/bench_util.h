@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -46,10 +46,10 @@ struct BenchOptions {
   /// The resumed run continues bit-identically to one that never stopped.
   std::string resume;
   /// Collector processes for distributed data collection (--collectors N).
-  /// 0 = the in-process engine, byte-identical to previous behaviour.
-  /// N >= 1 forks N collectors that execute the same fixed seed-sharded
-  /// collection schedule; results are bit-identical for any N and across
-  /// repeated runs (dist/learner.h).
+  /// 0 = the in-process engine. N >= 1 forks N collectors that execute the
+  /// same fixed seed-sharded collection schedule; results are bit-identical
+  /// to the in-process engine for any N and across repeated runs
+  /// (dist/learner.h).
   std::size_t collectors = 0;
   /// Chaos knob (--dist-kill-after N): SIGKILL collector 0 once N batches
   /// have been folded, exercising the respawn path mid-run. The trace must
@@ -58,8 +58,10 @@ struct BenchOptions {
 };
 
 /// Parses the flags above. `--help` prints the usage line and exits 0; an
-/// unknown argument or a flag missing its value prints it to stderr and
-/// exits 2, so a mistyped or retired flag never silently runs the default.
+/// unknown argument, a flag missing its value, a numeric flag whose value
+/// is not a plain non-negative integer, or a --dataset other than msd|ligo
+/// prints it to stderr and exits 2, so a mistyped or retired flag never
+/// silently runs the default.
 inline BenchOptions parse_options(int argc, char** argv) {
   const auto usage = [argv](std::ostream& out) {
     out << "usage: " << argv[0]
@@ -68,44 +70,61 @@ inline BenchOptions parse_options(int argc, char** argv) {
            " [--checkpoint-path FILE] [--resume FILE]"
            " [--collectors N] [--dist-kill-after N]\n";
   };
+  const auto reject = [&](const std::string& message) {
+    std::cerr << argv[0] << ": " << message << "\n";
+    usage(std::cerr);
+    std::exit(2);
+  };
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 < argc) return argv[++i];
-      std::cerr << argv[0] << ": " << arg << " needs a value\n";
-      usage(std::cerr);
-      std::exit(2);
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) reject(arg + " needs a value");
+      return argv[++i];
+    };
+    // Digits only: no sign, blank, trailing junk or overflow.
+    const auto number = [&]() -> std::uint64_t {
+      const std::string text = value();
+      const bool digits =
+          !text.empty() &&
+          text.find_first_not_of("0123456789") == std::string::npos;
+      errno = 0;
+      const std::uint64_t parsed =
+          digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+      if (!digits || errno == ERANGE)
+        reject(arg + " needs a non-negative integer, got '" + text + "'");
+      return parsed;
     };
     if (arg == "--full") {
       options.full = true;
     } else if (arg == "--csv") {
       options.csv = true;
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
+      options.seed = number();
     } else if (arg == "--dataset") {
       options.dataset = value();
+      if (options.dataset != "msd" && options.dataset != "ligo")
+        reject("--dataset must be msd or ligo, got '" + options.dataset +
+               "'");
     } else if (arg == "--threads") {
-      options.threads = std::strtoull(value(), nullptr, 10);
+      options.threads = number();
       if (options.threads == 0)
         options.threads = common::ThreadPool::hardware_threads();
     } else if (arg == "--checkpoint-every") {
-      options.checkpoint_every = std::strtoull(value(), nullptr, 10);
+      options.checkpoint_every = number();
     } else if (arg == "--checkpoint-path") {
       options.checkpoint_path = value();
     } else if (arg == "--resume") {
       options.resume = value();
     } else if (arg == "--collectors") {
-      options.collectors = std::strtoull(value(), nullptr, 10);
+      options.collectors = number();
     } else if (arg == "--dist-kill-after") {
-      options.dist_kill_after = std::strtoull(value(), nullptr, 10);
+      options.dist_kill_after = number();
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       std::exit(0);
     } else {
-      std::cerr << argv[0] << ": unknown argument '" << arg << "'\n";
-      usage(std::cerr);
-      std::exit(2);
+      reject("unknown argument '" + arg + "'");
     }
   }
   return options;

@@ -3,8 +3,8 @@
 // instantiates the DRS/HEFT/MONAD baselines, and replays every burst
 // scenario against identically-seeded systems.
 //
-// With --threads N the two trainings run concurrently, MIRAS collects its
-// real episodes and synthetic rollouts on the pool (seed-sharded), and the
+// With --threads N the two trainings run concurrently, MIRAS runs its
+// seed-sharded real episodes and gradient blocks on the pool, and the
 // evaluation grid runs one cell per (scenario, policy) on the pool. The
 // result tables are byte-identical for every thread count: parallel work is
 // decomposed into seed-sharded units merged in index order, never by
@@ -62,14 +62,7 @@ inline void run_comparison(const ComparisonSetup& setup,
             << setup.miras_config.real_steps_per_iteration
             << " real steps)\n";
   core::MirasAgent miras(&train_system, setup.miras_config);
-  miras.enable_parallel_collection(
-      pool.get(), [&setup](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-        sim::SystemConfig config;
-        config.consumer_budget = setup.budget;
-        config.seed = seed;
-        return std::make_unique<sim::MicroserviceSystem>(setup.make_ensemble(),
-                                                         config);
-      });
+  miras.enable_parallel_training(pool.get());
 
   // --- Model-free comparator with the same real-step budget; independent
   // of the MIRAS training, so it overlaps with it on the pool.

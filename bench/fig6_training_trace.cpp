@@ -23,22 +23,6 @@
 namespace miras {
 namespace {
 
-/// Per-episode environment builder for the sharded/distributed collection
-/// path. Pure in the seed, so collectors reconstruct identical episodes.
-core::EnvFactory make_collection_factory(const std::string& name,
-                                         int budget) {
-  const bool msd = (name == "MSD");
-  return [msd, budget](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-    sim::SystemConfig env_config;
-    env_config.consumer_budget = budget;
-    env_config.seed = seed;
-    return std::make_unique<sim::MicroserviceSystem>(
-        msd ? workflows::make_msd_ensemble()
-            : workflows::make_ligo_ensemble(),
-        env_config);
-  };
-}
-
 void run_fig6(const std::string& name, workflows::Ensemble ensemble,
               int budget, core::MirasConfig config,
               const bench::BenchOptions& options, common::ThreadPool* pool,
@@ -52,18 +36,12 @@ void run_fig6(const std::string& name, workflows::Ensemble ensemble,
       << " iterations x " << config.real_steps_per_iteration
       << " real steps, eval over " << config.eval_steps << " steps\n";
   core::MirasAgent agent(&system, config);
-  // Gradient work shares the section pool (nested parallel_for is fine —
-  // the section thread participates). Deterministic: the trace is
-  // byte-identical at any --threads value.
+  // The agent's work shares the section pool (nested parallel_for is fine
+  // — the section thread participates), and distributed collection runs
+  // the same fixed seed-sharded schedule: the trace is byte-identical at
+  // any --threads or --collectors value.
   agent.enable_parallel_training(pool);
-  if (backend != nullptr) {
-    // Distributed collection executes the same fixed seed-sharded schedule
-    // as the in-process parallel engine, so the trace does not depend on
-    // the collector count — only on having left sequential mode.
-    agent.enable_parallel_collection(pool,
-                                     make_collection_factory(name, budget));
-    agent.enable_distributed_collection(backend);
-  }
+  agent.enable_distributed_collection(backend);
   Table table({"iteration", "real_steps_total", "dataset_size",
                "model_train_loss", "eval_aggregate_reward"});
   bench::train_with_checkpoints(
@@ -143,8 +121,10 @@ int main(int argc, char** argv) {
     const Fig6Section& section = sections.front();
     const std::uint64_t fingerprint =
         core::config_fingerprint(section.config);
+    sim::SystemConfig system_config;
+    system_config.consumer_budget = section.budget;
     const core::EnvFactory factory =
-        make_collection_factory(section.name, section.budget);
+        core::system_factory(section.ensemble, system_config);
     dist::PoolOptions pool_options;
     pool_options.collectors = options.collectors;
     pool_options.config_fingerprint = fingerprint;

@@ -2,12 +2,23 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/contracts.h"
 #include "rl/action.h"
 #include "sim/system.h"
 
 namespace miras::core {
+
+EnvFactory system_factory(workflows::Ensemble ensemble,
+                          sim::SystemConfig config) {
+  return [ensemble = std::move(ensemble),
+          config](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
+    sim::SystemConfig episode_config = config;
+    episode_config.seed = seed;
+    return std::make_unique<sim::MicroserviceSystem>(ensemble, episode_config);
+  };
+}
 
 CollectionBehavior pick_collection_behavior(const MirasConfig& config,
                                             Rng& rng) {
@@ -55,6 +66,22 @@ void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
   system->inject_burst(burst);
 }
 
+std::vector<double> behavior_weights(CollectionBehavior behavior,
+                                     const std::vector<double>& state,
+                                     std::size_t action_dim, Rng& rng,
+                                     rl::ExplorationSnapshot* snapshot) {
+  switch (behavior) {
+    case CollectionBehavior::kRandom:
+      return random_simplex_weights(action_dim, rng);
+    case CollectionBehavior::kDemo:
+      return demo_proportional_weights(state, rng);
+    case CollectionBehavior::kPolicy:
+      MIRAS_EXPECTS(snapshot != nullptr);
+      return snapshot->act(state, rng);
+  }
+  return random_simplex_weights(action_dim, rng);
+}
+
 std::vector<int> collection_allocation(const std::vector<double>& weights,
                                        int budget,
                                        const rl::DdpgConfig& config) {
@@ -100,18 +127,9 @@ CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
   episode.index = spec.index;
   episode.transitions.reserve(spec.length);
   for (std::size_t step = 0; step < spec.length; ++step) {
-    std::vector<double> weights;
-    switch (chosen) {
-      case CollectionBehavior::kRandom:
-        weights = random_simplex_weights(env->action_dim(), ep_rng);
-        break;
-      case CollectionBehavior::kDemo:
-        weights = demo_proportional_weights(state, ep_rng);
-        break;
-      case CollectionBehavior::kPolicy:
-        weights = snapshot->act(state, ep_rng);
-        break;
-    }
+    const std::vector<double> weights =
+        behavior_weights(chosen, state, env->action_dim(), ep_rng,
+                         snapshot ? &*snapshot : nullptr);
     const std::vector<int> allocation =
         collection_allocation(weights, env->consumer_budget(), config.ddpg);
     const sim::StepResult result = env->step(allocation);

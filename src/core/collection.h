@@ -1,6 +1,6 @@
 // Seed-sharded real-environment episode collection, shared between the
-// in-process parallel engine (MirasAgent + ThreadPool) and the distributed
-// actor-learner topology (src/dist/).
+// in-process engine (MirasAgent, inline or on a ThreadPool) and the
+// distributed actor-learner topology (src/dist/).
 //
 // The unit of work is one EpisodeSpec: an episode is a pure function of
 // (spec.seed, random_actions, the learner's BehaviorSnapshot, MirasConfig,
@@ -22,6 +22,8 @@
 #include "envmodel/dataset.h"
 #include "rl/ddpg.h"
 #include "sim/env.h"
+#include "sim/system.h"
+#include "workflows/ensemble.h"
 
 namespace miras::core {
 
@@ -42,9 +44,20 @@ struct CollectedEpisode {
   std::size_t constraint_violations = 0;
 };
 
-/// Builds an isolated environment for one collection episode; must be pure
-/// in the seed (see MirasAgent::EnvFactory).
+/// Builds an isolated environment for one collection episode; the seed is
+/// the episode's shard seed, so the episode's arrivals are a function of the
+/// decomposition, not of any shared stream. A factory must be pure in the
+/// seed (the seed enters only as the environment's master seed): collection
+/// recycles environments across episodes via Env::reseed(), which is only
+/// equivalent to construction under that contract.
 using EnvFactory = std::function<std::unique_ptr<sim::Env>(std::uint64_t)>;
+
+/// The collection factory of a real environment: each call builds a
+/// MicroserviceSystem over `ensemble` with `config`, its seed replaced by
+/// the episode seed. MirasAgent derives its own factory this way; callers
+/// that need one before any agent exists (collector spawners) use it too.
+EnvFactory system_factory(workflows::Ensemble ensemble,
+                          sim::SystemConfig config);
 
 /// Draws the episode behaviour from the configured episode-type fractions.
 CollectionBehavior pick_collection_behavior(const MirasConfig& config,
@@ -62,6 +75,13 @@ std::vector<double> demo_proportional_weights(const std::vector<double>& state,
 /// `env` (MicroserviceSystem only; other envs are left untouched).
 void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
                                    Rng& rng);
+
+/// Simplex weights of one step under `behavior`. kPolicy acts through
+/// `snapshot`, which must then be non-null.
+std::vector<double> behavior_weights(CollectionBehavior behavior,
+                                     const std::vector<double>& state,
+                                     std::size_t action_dim, Rng& rng,
+                                     rl::ExplorationSnapshot* snapshot);
 
 /// Weight-to-allocation mapping shared by collection, synthetic training,
 /// and the model-free trainer; mirrors DdpgAgent::act_allocation (including

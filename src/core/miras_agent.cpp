@@ -10,12 +10,11 @@
 #include "common/logging.h"
 #include "envmodel/synthetic_env.h"
 #include "persist/checkpoint.h"
-#include "rl/action.h"
 #include "sim/system.h"
 
 namespace miras::core {
 
-MirasAgent::MirasAgent(sim::Env* env, MirasConfig config)
+MirasAgent::MirasAgent(sim::MicroserviceSystem* env, MirasConfig config)
     : env_(env),
       config_(std::move(config)),
       rng_(config_.seed),
@@ -23,110 +22,38 @@ MirasAgent::MirasAgent(sim::Env* env, MirasConfig config)
       model_(env->state_dim(), env->action_dim(), config_.model),
       refiner_(&model_, config_.refiner),
       agent_(env->state_dim(), env->action_dim(), env->consumer_budget(),
-             config_.ddpg) {
+             config_.ddpg),
+      env_factory_(system_factory(env->ensemble(), env->config())) {
   MIRAS_EXPECTS(env != nullptr);
   MIRAS_EXPECTS(config_.rollout_length > 0);
   MIRAS_EXPECTS(config_.reset_interval > 0);
 }
 
+void MirasAgent::enable_parallel_training(common::ThreadPool* pool) {
+  // One pool serves the episode shards and the gradient blocks (nested
+  // parallel_for is deadlock-free — the caller participates).
+  pool_ = pool;
+  model_.enable_parallel_training(pool);
+  refiner_.enable_parallel(pool);
+  agent_.enable_parallel_training(pool);
+}
+
 void MirasAgent::enable_parallel_collection(common::ThreadPool* pool,
                                             EnvFactory make_env) {
   MIRAS_EXPECTS(make_env != nullptr);
-  pool_ = pool;
   env_factory_ = std::move(make_env);
   // Environments pooled under the previous factory may not match the new
   // one; drop them so every reused env descends from this factory.
   env_pool_.clear();
-  // Collection and training share the thread budget: one pool serves the
-  // episode shards and the gradient blocks (nested parallel_for is
-  // deadlock-free — the caller participates).
   enable_parallel_training(pool);
 }
 
-void MirasAgent::enable_parallel_training(common::ThreadPool* pool,
-                                          std::size_t shards) {
-  model_.enable_parallel_training(pool, shards);
-  refiner_.enable_parallel(pool);
-  agent_.enable_parallel_training(pool, shards);
-}
-
 void MirasAgent::enable_distributed_collection(CollectionBackend* backend) {
-  MIRAS_EXPECTS(backend == nullptr || env_factory_ != nullptr);
   collection_backend_ = backend;
-}
-
-void MirasAgent::for_each_shard(
-    std::size_t count, const std::function<void(std::size_t)>& body) {
-  if (pool_ != nullptr) {
-    pool_->parallel_for(count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
-
-namespace {
-// Local alias keeping the historical call sites readable.
-std::vector<int> to_allocation(const std::vector<double>& weights, int budget,
-                               const rl::DdpgConfig& config) {
-  return collection_allocation(weights, budget, config);
-}
-}  // namespace
-
-MirasAgent::Behavior MirasAgent::pick_behavior(Rng& rng) {
-  return pick_collection_behavior(config_, rng);
-}
-
-std::vector<double> MirasAgent::behavior_weights(
-    Behavior behavior, const std::vector<double>& state, Rng& rng,
-    rl::ExplorationSnapshot* snapshot) {
-  switch (behavior) {
-    case Behavior::kRandom:
-      return random_simplex_weights(env_->action_dim(), rng);
-    case Behavior::kDemo:
-      return demo_proportional_weights(state, rng);
-    case Behavior::kPolicy:
-      return snapshot != nullptr ? snapshot->act(state, rng)
-                                 : agent_.act(state, /*explore=*/true);
-  }
-  return random_simplex_weights(env_->action_dim(), rng);
 }
 
 void MirasAgent::collect_real_interactions(std::size_t steps,
                                            bool random_actions) {
-  if (collection_backend_ != nullptr || env_factory_) {
-    collect_real_interactions_sharded(steps, random_actions);
-    return;
-  }
-  std::vector<double> state = env_->reset();
-  maybe_inject_collection_burst(config_, env_, rng_);
-  agent_.resample_exploration();
-  Behavior behavior = random_actions ? Behavior::kRandom : pick_behavior(rng_);
-  for (std::size_t step = 0; step < steps; ++step) {
-    const std::vector<double> weights =
-        behavior_weights(behavior, state, rng_, nullptr);
-    const std::vector<int> allocation =
-        to_allocation(weights, env_->consumer_budget(), config_.ddpg);
-    const sim::StepResult result = env_->step(allocation);
-
-    dataset_.add(envmodel::Transition{state, allocation, result.state,
-                                      result.reward});
-    // The policy itself trains on synthetic transitions (Algorithm 2), but
-    // its state normaliser should track the real distribution.
-    agent_.observe_state_only(state);
-    state = result.state;
-
-    if ((step + 1) % config_.reset_interval == 0 && step + 1 < steps) {
-      state = env_->reset();
-      maybe_inject_collection_burst(config_, env_, rng_);
-      agent_.resample_exploration();
-      behavior =
-          random_actions ? Behavior::kRandom : pick_behavior(rng_);
-    }
-  }
-}
-
-void MirasAgent::collect_real_interactions_sharded(std::size_t steps,
-                                                   bool random_actions) {
   // The shard structure — episode count, lengths, seeds — is fixed up
   // front from one draw of the agent's stream; worker count never enters.
   const std::uint64_t collection_root = rng_.next_u64();
@@ -141,8 +68,7 @@ void MirasAgent::collect_real_interactions_sharded(std::size_t steps,
 
   // The agent is frozen for the whole phase, so one pre-perturbation
   // behaviour snapshot serves every episode; each episode's perturbation is
-  // still drawn from its own shard stream inside run_shard_episode, exactly
-  // as the per-episode snapshot_exploration() call used to.
+  // drawn from its own shard stream inside run_shard_episode.
   const rl::BehaviorSnapshot behavior = agent_.behavior_snapshot();
   std::vector<CollectedEpisode> episodes;
   if (collection_backend_ != nullptr) {
@@ -150,10 +76,15 @@ void MirasAgent::collect_real_interactions_sharded(std::size_t steps,
     MIRAS_EXPECTS(episodes.size() == specs.size());
   } else {
     episodes.resize(specs.size());
-    for_each_shard(specs.size(), [&](std::size_t e) {
+    const auto run_episode = [&](std::size_t e) {
       episodes[e] = run_shard_episode(specs[e], random_actions, behavior,
                                       config_, env_factory_, &env_pool_);
-    });
+    };
+    if (pool_ != nullptr) {
+      pool_->parallel_for(specs.size(), run_episode);
+    } else {
+      for (std::size_t e = 0; e < specs.size(); ++e) run_episode(e);
+    }
   }
 
   // Serial merge in episode order keeps the dataset's episode chaining and
@@ -162,6 +93,8 @@ void MirasAgent::collect_real_interactions_sharded(std::size_t steps,
   for (CollectedEpisode& episode : episodes) {
     violations += episode.constraint_violations;
     for (envmodel::Transition& transition : episode.transitions) {
+      // The policy itself trains on synthetic transitions (Algorithm 2),
+      // but its state normaliser should track the real distribution.
       agent_.observe_state_only(transition.state);
       dataset_.add(std::move(transition));
     }
@@ -169,53 +102,21 @@ void MirasAgent::collect_real_interactions_sharded(std::size_t steps,
   agent_.record_constraint_violations(violations);
 }
 
-void MirasAgent::train_policy_on_model() {
-  if (env_factory_) {
-    train_policy_on_model_sharded();
-    return;
-  }
-  envmodel::SyntheticEnv synthetic(&model_,
-                                   config_.use_refiner ? &refiner_ : nullptr,
-                                   &dataset_, env_->consumer_budget(),
-                                   rng_.next_u64());
-  for (std::size_t rollout = 0;
-       rollout < config_.synthetic_rollouts_per_iteration; ++rollout) {
-    std::vector<double> state = synthetic.reset();
-    agent_.resample_exploration();
-    // Whole-rollout behaviour selection: the critic's n-step returns then
-    // reflect sustained control by the chosen behaviour, not isolated
-    // deviations inside an unrelated trajectory.
-    const Behavior behavior = pick_behavior(rng_);
-    for (std::size_t t = 0; t < config_.rollout_length; ++t) {
-      const std::vector<double> weights =
-          behavior_weights(behavior, state, rng_, nullptr);
-      const std::vector<int> allocation =
-          to_allocation(weights, env_->consumer_budget(), config_.ddpg);
-      const sim::StepResult result = synthetic.step(allocation);
-      agent_.observe(state, weights, result.reward * config_.reward_scale,
-                     result.state);
-      agent_.update(config_.updates_per_synthetic_step);
-      state = result.state;
-    }
-    agent_.end_episode();
-  }
-}
-
 void MirasAgent::run_synthetic_rollout_batch(
-    std::uint64_t batch_root, std::size_t first, std::size_t count,
+    std::uint64_t batch_root,
     std::vector<std::vector<SyntheticStep>>& rollouts) {
   // Per-lane context: every stochastic draw of lane l — behaviour,
-  // exploration, weights — comes from its own roll_rng, seeded exactly like
-  // the standalone rollout with shard_seed(batch_root, first + l), and the
-  // setup draw order (env seed, behaviour, snapshot, refiner seed) matches
-  // the sequential path draw for draw.
+  // exploration, weights — comes from its own roll_rng, seeded from
+  // shard_seed(batch_root, l), in a fixed setup order: env seed, behaviour,
+  // snapshot, refiner seed.
   struct LaneContext {
     Rng roll_rng{0};
-    Behavior behavior = Behavior::kPolicy;
+    CollectionBehavior behavior = CollectionBehavior::kPolicy;
     std::optional<rl::ExplorationSnapshot> snapshot;
   };
+  const std::size_t count = rollouts.size();
   std::vector<LaneContext> lanes(count);
-  // The refiner's predict_batch scratch is per-chunk state, so each chunk
+  // The refiner's predict_batch scratch is per-batch state, so the batch
   // works on its own copy of the fitted refiner; lend draws come from the
   // per-lane streams, never from this copy's rng.
   envmodel::ModelRefiner refiner = refiner_;
@@ -224,10 +125,10 @@ void MirasAgent::run_synthetic_rollout_batch(
       env_->consumer_budget());
   for (std::size_t l = 0; l < count; ++l) {
     LaneContext& lane = lanes[l];
-    lane.roll_rng = Rng(shard_seed(batch_root, first + l));
+    lane.roll_rng = Rng(shard_seed(batch_root, l));
     const std::uint64_t env_seed = lane.roll_rng.next_u64();
-    lane.behavior = pick_behavior(lane.roll_rng);
-    if (lane.behavior == Behavior::kPolicy)
+    lane.behavior = pick_collection_behavior(config_, lane.roll_rng);
+    if (lane.behavior == CollectionBehavior::kPolicy)
       lane.snapshot = agent_.snapshot_exploration(lane.roll_rng);
     std::uint64_t refiner_seed = 0;
     if (config_.use_refiner) refiner_seed = lane.roll_rng.next_u64();
@@ -235,55 +136,49 @@ void MirasAgent::run_synthetic_rollout_batch(
   }
   synthetic.reset_all();
 
-  for (std::size_t l = 0; l < count; ++l)
-    rollouts[first + l].reserve(config_.rollout_length);
+  for (std::vector<SyntheticStep>& rollout : rollouts)
+    rollout.reserve(config_.rollout_length);
   std::vector<std::vector<int>> allocations(count);
   for (std::size_t t = 0; t < config_.rollout_length; ++t) {
     for (std::size_t l = 0; l < count; ++l) {
       LaneContext& lane = lanes[l];
       const std::vector<double>& state = synthetic.state(l);
       std::vector<double> weights = behavior_weights(
-          lane.behavior, state, lane.roll_rng,
+          lane.behavior, state, env_->action_dim(), lane.roll_rng,
           lane.snapshot ? &*lane.snapshot : nullptr);
-      allocations[l] =
-          to_allocation(weights, env_->consumer_budget(), config_.ddpg);
-      rollouts[first + l].push_back(
-          SyntheticStep{state, std::move(weights), 0.0, {}});
+      allocations[l] = collection_allocation(
+          weights, env_->consumer_budget(), config_.ddpg);
+      rollouts[l].push_back(SyntheticStep{state, std::move(weights), 0.0, {}});
     }
-    // The whole group takes its timestep as one batched model query.
+    // The whole batch takes its timestep as one batched model query.
     synthetic.step_all(allocations);
     for (std::size_t l = 0; l < count; ++l) {
-      SyntheticStep& step = rollouts[first + l].back();
+      SyntheticStep& step = rollouts[l].back();
       step.reward = synthetic.last_reward(l);
       step.next_state = synthetic.state(l);
     }
   }
+
+  std::size_t violations = 0;
+  for (const LaneContext& lane : lanes)
+    if (lane.snapshot) violations += lane.snapshot->constraint_violations();
+  agent_.record_constraint_violations(violations);
 }
 
-void MirasAgent::train_policy_on_model_sharded() {
+void MirasAgent::train_policy_on_model() {
   // Rollouts are *generated* in batches from a frozen policy (each batch
   // snapshots the actor as of the batch start) and *replayed* serially
-  // through observe/update, so the gradient-update sequence is identical
-  // for any worker count. The batch size is config.rollout_batch — an
-  // algorithmic knob, never the thread count. Generation itself advances
-  // lockstep groups of config.lockstep_width lanes (the unit handed to
-  // worker threads); the group boundaries and every lane's rng streams are
-  // functions of the config alone, so neither the width nor the thread
-  // count can change the result.
+  // through observe/update. The batch size is config.rollout_batch — an
+  // algorithmic knob, never the thread count — and each batch advances as
+  // one lockstep group whose lanes' rng streams are functions of the config
+  // alone, so no pool placement can change the result.
   const std::size_t total = config_.synthetic_rollouts_per_iteration;
   const std::size_t batch = std::max<std::size_t>(config_.rollout_batch, 1);
   for (std::size_t start = 0; start < total; start += batch) {
-    const std::size_t count = std::min(batch, total - start);
     const std::uint64_t batch_root = rng_.next_u64();
-    std::vector<std::vector<SyntheticStep>> rollouts(count);
-    const std::size_t width =
-        config_.lockstep_width == 0 ? count : config_.lockstep_width;
-    const std::size_t groups = (count + width - 1) / width;
-    for_each_shard(groups, [&](std::size_t g) {
-      const std::size_t first = g * width;
-      run_synthetic_rollout_batch(batch_root, first,
-                                  std::min(width, count - first), rollouts);
-    });
+    std::vector<std::vector<SyntheticStep>> rollouts(
+        std::min(batch, total - start));
+    run_synthetic_rollout_batch(batch_root, rollouts);
     for (const std::vector<SyntheticStep>& rollout : rollouts) {
       // An episode boundary: flush pending n-step windows and refresh the
       // perturbed actor so parameter-noise adaptation keeps tracking the
@@ -359,17 +254,12 @@ void MirasAgent::save_checkpoint(const std::string& path) const {
   ckpt.add_section("meta", std::move(meta));
 
   // The real environment's rng streams survive reset(), so they are part of
-  // the training trajectory. Only MicroserviceSystem exposes them; other
-  // Envs (tests) checkpoint without an env section.
-  if (const auto* system =
-          dynamic_cast<const sim::MicroserviceSystem*>(env_)) {
-    const sim::MicroserviceSystem::RngSnapshot snapshot =
-        system->rng_snapshot();
-    persist::BinaryWriter env;
-    persist::write_rng_state(env, snapshot.system);
-    persist::write_rng_state(env, snapshot.workload);
-    ckpt.add_section("env", std::move(env));
-  }
+  // the training trajectory.
+  const sim::MicroserviceSystem::RngSnapshot snapshot = env_->rng_snapshot();
+  persist::BinaryWriter env;
+  persist::write_rng_state(env, snapshot.system);
+  persist::write_rng_state(env, snapshot.workload);
+  ckpt.add_section("env", std::move(env));
 
   persist::BinaryWriter dataset;
   dataset_.save_state(dataset);
@@ -423,21 +313,11 @@ void MirasAgent::restore_checkpoint(const std::string& path) {
         " actions / budget " + std::to_string(budget) +
         ", but this agent's environment differs");
 
-  auto* system = dynamic_cast<sim::MicroserviceSystem*>(env_);
-  if (system != nullptr && !ckpt.has_section("env"))
-    throw std::runtime_error(
-        "checkpoint: '" + path +
-        "' has no env section but the environment is a MicroserviceSystem "
-        "whose rng streams must be restored");
-  std::optional<sim::MicroserviceSystem::RngSnapshot> env_snapshot;
-  if (system != nullptr) {
-    persist::BinaryReader env = ckpt.section("env");
-    sim::MicroserviceSystem::RngSnapshot snapshot;
-    snapshot.system = persist::read_rng_state(env);
-    snapshot.workload = persist::read_rng_state(env);
-    env.expect_end();
-    env_snapshot = snapshot;
-  }
+  persist::BinaryReader env = ckpt.section("env");
+  sim::MicroserviceSystem::RngSnapshot env_snapshot;
+  env_snapshot.system = persist::read_rng_state(env);
+  env_snapshot.workload = persist::read_rng_state(env);
+  env.expect_end();
 
   // All validation that can fail happened above or happens inside the
   // sectioned restore_state calls *before* any partial mutation of that
@@ -462,10 +342,10 @@ void MirasAgent::restore_checkpoint(const std::string& path) {
 
   iteration_ = static_cast<std::size_t>(iteration);
   rng_.set_state(rng_state);
-  if (env_snapshot) system->restore_rng_snapshot(*env_snapshot);
+  env_->restore_rng_snapshot(env_snapshot);
 }
 
-MirasAgent MirasAgent::resume(sim::Env* env, MirasConfig config,
+MirasAgent MirasAgent::resume(sim::MicroserviceSystem* env, MirasConfig config,
                               const std::string& path) {
   MirasAgent agent(env, std::move(config));
   agent.restore_checkpoint(path);
@@ -481,7 +361,7 @@ rl::DdpgAgent train_model_free_ddpg(sim::Env& env,
   for (std::size_t step = 0; step < config.total_steps; ++step) {
     const std::vector<double> weights = agent.act(state, /*explore=*/true);
     const std::vector<int> allocation =
-        to_allocation(weights, env.consumer_budget(), config.ddpg);
+        collection_allocation(weights, env.consumer_budget(), config.ddpg);
     const sim::StepResult result = env.step(allocation);
     agent.observe(state, weights, result.reward * config.reward_scale,
                   result.state);

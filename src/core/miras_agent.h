@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "rl/ddpg.h"
 #include "rl/policy.h"
 #include "sim/env.h"
+#include "sim/system.h"
 
 namespace miras::core {
 
@@ -40,50 +40,33 @@ struct IterationTrace {
 
 class MirasAgent {
  public:
-  /// Builds an isolated environment for one collection episode; the seed is
-  /// the episode's shard seed, so the episode's arrivals are a function of
-  /// the decomposition, not of any shared stream. The factory must be pure
-  /// in the seed (the seed enters only as the environment's master seed):
-  /// the agent recycles environments across episodes via Env::reseed(),
-  /// which is only equivalent to construction under that contract.
-  using EnvFactory = ::miras::core::EnvFactory;
+  /// `env` must outlive the agent. Collection episodes run on environments
+  /// the agent builds itself: system_factory(env->ensemble(), env->config())
+  /// with the seed replaced by each episode's shard seed.
+  MirasAgent(sim::MicroserviceSystem* env, MirasConfig config);
 
-  /// `env` must outlive the agent.
-  MirasAgent(sim::Env* env, MirasConfig config);
+  /// Places the work of every iteration on `pool`: real-environment
+  /// collection episodes, and the gradient work — dynamics-model fit
+  /// minibatches, refiner threshold scans, and DDPG updates — through the
+  /// deterministic gradient-block path (train_shards.h). Results are
+  /// bit-identical for any worker count and with no pool at all (nullptr,
+  /// the default), so a run may checkpoint on one pool and resume on
+  /// another. `pool` must outlive the agent.
+  void enable_parallel_training(common::ThreadPool* pool);
 
-  /// Switches the agent to seed-sharded collection: real-environment
-  /// episodes and synthetic-rollout *generation* run as independent shards
-  /// (on `pool` when given, inline otherwise), and their results are merged
-  /// serially in shard order. Bit-identical for any worker count, including
-  /// no pool at all — but note the sharded data-collection schedule differs
-  /// from the default sequential mode (episodes run on factory-built
-  /// environments with per-episode seeds), so enabling this changes the
-  /// trajectory relative to the sequential agent. Gradient work also moves
-  /// onto the pool (see enable_parallel_training) — that part never changes
-  /// results. `pool` (if any) and `make_env` must outlive the agent.
+  /// Replaces the derived collection factory with `make_env` (pure in the
+  /// seed, see EnvFactory) and places the iteration's work on `pool`, which
+  /// (if any) must outlive the agent.
   void enable_parallel_collection(common::ThreadPool* pool,
                                   EnvFactory make_env);
 
   /// Delegates the execution of collection episodes to `backend` (e.g. a
   /// dist::CollectorPool fanning them out to collector processes) instead
-  /// of the local pool. Requires enable_parallel_collection() first: the
-  /// backend executes the *same* fixed seed-sharded schedule, so results
-  /// stay bit-identical to the in-process parallel engine — only placement
-  /// changes. Pass nullptr to revert to local execution. `backend` must
-  /// outlive the agent.
+  /// of the local pool. The backend executes the same fixed seed-sharded
+  /// schedule, so results stay bit-identical — only placement changes.
+  /// Pass nullptr to revert to local execution. `backend` must outlive the
+  /// agent.
   void enable_distributed_collection(CollectionBackend* backend);
-
-  /// Runs the gradient work — dynamics-model fit minibatches, refiner
-  /// threshold scans, and DDPG updates — data-parallel on `pool` via the
-  /// deterministic gradient-block path (train_shards.h): results are
-  /// bit-identical to the inline path for any worker count or shard
-  /// grouping, so this composes freely with sequential *or* parallel
-  /// collection and with checkpoint/resume under a different thread count.
-  /// enable_parallel_collection() also turns this on (one pool serves
-  /// both); call with nullptr to force training back inline. `pool` must
-  /// outlive the agent.
-  void enable_parallel_training(common::ThreadPool* pool,
-                                std::size_t shards = 0);
 
   const MirasConfig& config() const { return config_; }
 
@@ -110,29 +93,23 @@ class MirasAgent {
 
   /// Writes the full training state — dataset, dynamics model, refiner,
   /// DDPG agent, iteration counter, every rng stream (including the real
-  /// environment's, when it is a MicroserviceSystem), and a config
-  /// fingerprint — to `path` atomically (write-to-temp + fsync + rename).
+  /// environment's), and a config fingerprint — to `path` atomically (write-to-temp + fsync + rename).
   /// Call at iteration boundaries: a run resumed from the file continues
   /// bit-identically to one that never stopped.
   void save_checkpoint(const std::string& path) const;
 
   /// Restores the state written by save_checkpoint(). The agent (and its
   /// env) must have been built from the same config as the saved run —
-  /// enforced via the config fingerprint. Works in sequential or parallel
-  /// mode; resume with the same mode as the original run for bit-identity.
+  /// enforced via the config fingerprint. Pool placement is not part of the
+  /// state: resume with any pool, or none.
   void restore_checkpoint(const std::string& path);
 
   /// Convenience: builds an agent for (env, config) and restores `path`
-  /// into it. Call enable_parallel_collection() afterwards if the original
-  /// run used it.
-  static MirasAgent resume(sim::Env* env, MirasConfig config,
+  /// into it.
+  static MirasAgent resume(sim::MicroserviceSystem* env, MirasConfig config,
                            const std::string& path);
 
  private:
-  /// Episode-level behaviour used for exploration and data collection
-  /// (shared with the sharded episode runner in collection.h).
-  using Behavior = CollectionBehavior;
-
   /// One step of a generated synthetic rollout, replayed serially through
   /// the DDPG updates after the batch is generated.
   struct SyntheticStep {
@@ -142,33 +119,19 @@ class MirasAgent {
     std::vector<double> next_state;
   };
 
-  Behavior pick_behavior(Rng& rng);
-  /// kPolicy episodes act through `snapshot` when one is given (parallel
-  /// shards) and through the live agent otherwise (sequential mode).
-  std::vector<double> behavior_weights(Behavior behavior,
-                                       const std::vector<double>& state,
-                                       Rng& rng,
-                                       rl::ExplorationSnapshot* snapshot);
   void collect_real_interactions(std::size_t steps, bool random_actions);
-  void collect_real_interactions_sharded(std::size_t steps,
-                                         bool random_actions);
   void train_policy_on_model();
-  void train_policy_on_model_sharded();
-  /// Generates lanes [first, first+count) of one rollout batch in lockstep:
-  /// lane l is seeded from shard_seed(batch_root, first + l) and consumes
-  /// exactly the draw sequence a standalone rollout with that seed would,
-  /// while the dynamics-model/refiner queries of all lanes run batched
-  /// (SyntheticEnvBatch). Results land in rollouts[first + l]; trajectories
-  /// are bit-identical for any lockstep width or thread count.
+  /// Generates one rollout batch in lockstep, one lane per rollout slot:
+  /// lane l is seeded from shard_seed(batch_root, l) and consumes exactly
+  /// the draw sequence a standalone rollout with that seed would, while the
+  /// dynamics-model/refiner queries of all lanes run batched
+  /// (SyntheticEnvBatch). Results land in rollouts[l]; the lanes' would-be
+  /// constraint violations are folded into the agent in lane order.
   void run_synthetic_rollout_batch(
-      std::uint64_t batch_root, std::size_t first, std::size_t count,
+      std::uint64_t batch_root,
       std::vector<std::vector<SyntheticStep>>& rollouts);
-  /// Runs body(0..count-1) on the pool (or inline without one); results
-  /// must land in index slots.
-  void for_each_shard(std::size_t count,
-                      const std::function<void(std::size_t)>& body);
 
-  sim::Env* env_;
+  sim::MicroserviceSystem* env_;
   MirasConfig config_;
   Rng rng_;
   envmodel::TransitionDataset dataset_;

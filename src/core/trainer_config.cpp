@@ -129,7 +129,6 @@ std::uint64_t config_fingerprint(const MirasConfig& config) {
   out.f64(config.demo_episode_fraction);
   out.boolean(config.use_refiner);
   out.u64(config.rollout_batch);
-  out.u64(config.lockstep_width);
   out.f64(config.collection_burst_probability);
   out.u64(config.collection_burst_max);
   out.u64(config.seed);

@@ -69,26 +69,15 @@ struct MirasConfig {
   /// Lend-Giveback model refinement on/off (ablation).
   bool use_refiner = true;
 
-  /// Synthetic rollouts are *generated* in batches of this many when the
-  /// agent runs in parallel mode (enable_parallel_collection): each batch
-  /// snapshots the current policy, generates its rollouts concurrently from
-  /// per-rollout shard seeds, then replays them serially through the DDPG
+  /// Synthetic rollouts are *generated* in batches of this many: each
+  /// batch snapshots the current policy, advances its rollouts in lockstep
+  /// from per-rollout shard seeds — every lane takes its timestep together
+  /// and the dynamics-model (and refiner) queries of the batch run as one
+  /// batched forward pass — then replays them serially through the DDPG
   /// updates. The batch size is part of the algorithm (larger batches mean
   /// staler behaviour policies within a batch), NOT a function of the
   /// worker count — results are identical for any number of threads.
   std::size_t rollout_batch = 8;
-
-  /// Within one generation batch, rollouts advance in *lockstep* groups of
-  /// this many lanes: every lane takes its timestep together and the
-  /// dynamics-model (and refiner) queries of the whole group run as one
-  /// batched forward pass — one (B x D) GEMM per layer instead of B GEMVs.
-  /// Like rollout_batch this is an algorithmic constant, never derived from
-  /// the worker count, and every lane keeps its own shard-seeded rng
-  /// streams — so results are bit-identical for any width and any number of
-  /// threads (the batched kernels are row-wise bit-identical to the
-  /// per-sample path; see tensor.h). Groups are the unit handed to worker
-  /// threads. 0 means "the whole batch in one group".
-  std::size_t lockstep_width = 8;
 
   /// With this probability, a collection episode starts with a random
   /// request burst (each workflow type gets uniform(0, collection_burst_max)

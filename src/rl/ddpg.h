@@ -120,15 +120,17 @@ struct DdpgConfig {
 class DdpgAgent;
 
 /// Frozen view of a DdpgAgent's exploring behaviour, built by
-/// DdpgAgent::snapshot_exploration() for one collection episode. It owns a
+/// DdpgAgent::snapshot_exploration() for one collection episode or one
+/// synthetic rollout. It owns a
 /// copy of the (perturbed) policy network and the resolved normaliser, so
 /// worker threads can act concurrently while the agent itself is untouched;
 /// every stochastic draw comes from the caller-provided Rng, making the
 /// behaviour a pure function of (snapshot, rng, states).
 class ExplorationSnapshot {
  public:
-  /// Exploring simplex action for `state` (the parallel-collection
-  /// counterpart of DdpgAgent::act(state, /*explore=*/true)).
+  /// Exploring simplex action for `state`: what DdpgAgent::act(state,
+  /// /*explore=*/true) would draw, but from the caller's rng and a frozen
+  /// actor. MirasAgent explores only through snapshots.
   std::vector<double> act(const std::vector<double>& state, Rng& rng);
 
   /// Would-be budget violations observed so far (action-noise mode only);

@@ -1,9 +1,8 @@
 // The headline invariant of miras::persist: a seeded K-iteration training
 // run is bit-identical to a J-iteration run, checkpointed, torn down, and
 // resumed in a "fresh process" (all-new objects) for the remaining K-J
-// iterations. Verified on both ensembles, sequentially and on an 8-thread
-// pool, and across lockstep widths — plus the mid-window contract and the
-// mismatch guards.
+// iterations. Verified on both ensembles, inline and on an 8-thread pool —
+// plus the mid-window contract and the mismatch guards.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -34,22 +33,7 @@ sim::MicroserviceSystem make_system(const std::string& dataset) {
   return sim::MicroserviceSystem(workflows::make_ligo_ensemble(), config);
 }
 
-MirasAgent::EnvFactory make_factory(const std::string& dataset) {
-  const int budget = dataset == "msd" ? workflows::kMsdConsumerBudget
-                                      : workflows::kLigoConsumerBudget;
-  return [dataset, budget](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-    sim::SystemConfig config;
-    config.consumer_budget = budget;
-    config.seed = seed;
-    return std::make_unique<sim::MicroserviceSystem>(
-        dataset == "msd" ? workflows::make_msd_ensemble()
-                         : workflows::make_ligo_ensemble(),
-        config);
-  };
-}
-
-MirasConfig tiny_config(const std::string& dataset,
-                        std::size_t lockstep_width = 0) {
+MirasConfig tiny_config(const std::string& dataset) {
   MirasConfig config;
   config.model.hidden_dims = {12, 12};
   config.model.epochs = 8;
@@ -63,7 +47,6 @@ MirasConfig tiny_config(const std::string& dataset,
   config.rollout_length = dataset == "msd" ? 8 : 6;
   config.synthetic_rollouts_per_iteration = 8;
   config.rollout_batch = 4;
-  if (lockstep_width != 0) config.lockstep_width = lockstep_width;
   config.eval_steps = 6;
   config.seed = dataset == "msd" ? 5 : 9;
   return config;
@@ -90,23 +73,41 @@ void expect_traces_identical(const std::vector<IterationTrace>& resumed,
   }
 }
 
-/// Runs the interrupted-and-resumed variant of a K-iteration run and checks
-/// it against `full_traces`/`full_agent` from the uninterrupted run. The
-/// teardown between save and resume is real: the first system and agent are
-/// destroyed before the resumed ones exist.
-void check_resume(const std::string& dataset, const MirasConfig& config,
-                  common::ThreadPool* pool, bool parallel,
-                  const std::vector<IterationTrace>& full_traces,
-                  const std::vector<double>& full_actor_params,
-                  const std::string& path) {
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) return nullptr;
+  return std::make_unique<common::ThreadPool>(threads);
+}
+
+/// Runs a K-iteration training uninterrupted, then as a J-iteration run that
+/// checkpoints and resumes for the remaining iterations, and checks that
+/// both agree bit for bit. The teardown between save and resume is real:
+/// the first system and agent are destroyed before the resumed ones exist.
+/// `threads` sizes the pool of the uninterrupted run and the first leg,
+/// `resume_threads` the pool of the resumed leg; 0 runs inline.
+void run_bit_identity_case(const std::string& dataset, std::size_t threads,
+                           std::size_t resume_threads) {
+  const MirasConfig config = tiny_config(dataset);
+  const std::unique_ptr<common::ThreadPool> pool = make_pool(threads);
+  const std::unique_ptr<common::ThreadPool> resume_pool =
+      make_pool(resume_threads);
+  const std::string path =
+      temp_path(dataset + "_" + std::to_string(threads) + "_" +
+                std::to_string(resume_threads) + ".ckpt");
   const std::size_t total = config.outer_iterations;
   const std::size_t first_leg = total / 2;
+
+  sim::MicroserviceSystem full_system = make_system(dataset);
+  MirasAgent full_agent(&full_system, config);
+  full_agent.enable_parallel_training(pool.get());
+  std::vector<IterationTrace> full_traces;
+  for (std::size_t i = 0; i < total; ++i)
+    full_traces.push_back(full_agent.run_iteration());
 
   std::vector<IterationTrace> combined;
   {
     sim::MicroserviceSystem system = make_system(dataset);
     MirasAgent agent(&system, config);
-    if (parallel) agent.enable_parallel_collection(pool, make_factory(dataset));
+    agent.enable_parallel_training(pool.get());
     for (std::size_t i = 0; i < first_leg; ++i)
       combined.push_back(agent.run_iteration());
     agent.save_checkpoint(path);
@@ -114,99 +115,39 @@ void check_resume(const std::string& dataset, const MirasConfig& config,
 
   sim::MicroserviceSystem system = make_system(dataset);
   MirasAgent agent = MirasAgent::resume(&system, config, path);
-  if (parallel) agent.enable_parallel_collection(pool, make_factory(dataset));
+  agent.enable_parallel_training(resume_pool.get());
   EXPECT_EQ(agent.iterations_run(), first_leg);
   for (std::size_t i = first_leg; i < total; ++i)
     combined.push_back(agent.run_iteration());
 
   expect_traces_identical(combined, full_traces);
-  EXPECT_EQ(agent.ddpg().actor().get_parameters(), full_actor_params);
+  EXPECT_EQ(agent.ddpg().actor().get_parameters(),
+            full_agent.ddpg().actor().get_parameters());
   std::remove(path.c_str());
-}
-
-void run_bit_identity_case(const std::string& dataset, bool parallel,
-                           std::size_t lockstep_width = 0) {
-  const MirasConfig config = tiny_config(dataset, lockstep_width);
-  std::unique_ptr<common::ThreadPool> pool;
-  if (parallel) pool = std::make_unique<common::ThreadPool>(8);
-
-  sim::MicroserviceSystem full_system = make_system(dataset);
-  MirasAgent full_agent(&full_system, config);
-  if (parallel)
-    full_agent.enable_parallel_collection(pool.get(), make_factory(dataset));
-  std::vector<IterationTrace> full_traces;
-  for (std::size_t i = 0; i < config.outer_iterations; ++i)
-    full_traces.push_back(full_agent.run_iteration());
-
-  check_resume(dataset, config, pool.get(), parallel, full_traces,
-               full_agent.ddpg().actor().get_parameters(),
-               temp_path(dataset + (parallel ? "_par" : "_seq") + ".ckpt"));
 }
 
 TEST(CheckpointResume, MsdSequentialRunResumesBitIdentically) {
-  run_bit_identity_case("msd", /*parallel=*/false);
+  run_bit_identity_case("msd", /*threads=*/0, /*resume_threads=*/0);
 }
 
 TEST(CheckpointResume, LigoSequentialRunResumesBitIdentically) {
-  run_bit_identity_case("ligo", /*parallel=*/false);
+  run_bit_identity_case("ligo", /*threads=*/0, /*resume_threads=*/0);
 }
 
 TEST(CheckpointResume, MsdEightThreadRunResumesBitIdentically) {
-  run_bit_identity_case("msd", /*parallel=*/true);
+  run_bit_identity_case("msd", /*threads=*/8, /*resume_threads=*/8);
 }
 
 TEST(CheckpointResume, LigoEightThreadRunResumesBitIdentically) {
-  run_bit_identity_case("ligo", /*parallel=*/true);
-}
-
-TEST(CheckpointResume, HoldsAcrossLockstepWidths) {
-  // Resume bit-identity must survive any lockstep width (the widths already
-  // produce identical trajectories; a checkpoint must not break that).
-  run_bit_identity_case("msd", /*parallel=*/true, /*lockstep_width=*/2);
-  run_bit_identity_case("msd", /*parallel=*/true, /*lockstep_width=*/5);
+  run_bit_identity_case("ligo", /*threads=*/8, /*resume_threads=*/8);
 }
 
 TEST(CheckpointResume, ParallelTrainingResumesUnderDifferentThreadCount) {
-  // The gradient-block path makes the trained weights independent of the
-  // worker count (train_shards.h), so — unlike parallel *collection*, which
-  // must resume in the same mode — a run trained on an 8-thread pool may be
-  // checkpointed and resumed on a 2-thread pool (or inline) bit-identically.
-  const MirasConfig config = tiny_config("msd");
-  const std::string path = temp_path("train_threads.ckpt");
-  common::ThreadPool pool8(8);
-  common::ThreadPool pool2(2);
-
-  std::vector<IterationTrace> full_traces;
-  std::vector<double> full_actor_params;
-  {
-    sim::MicroserviceSystem system = make_system("msd");
-    MirasAgent agent(&system, config);
-    agent.enable_parallel_training(&pool8);
-    for (std::size_t i = 0; i < config.outer_iterations; ++i)
-      full_traces.push_back(agent.run_iteration());
-    full_actor_params = agent.ddpg().actor().get_parameters();
-  }
-
-  const std::size_t first_leg = config.outer_iterations / 2;
-  std::vector<IterationTrace> combined;
-  {
-    sim::MicroserviceSystem system = make_system("msd");
-    MirasAgent agent(&system, config);
-    agent.enable_parallel_training(&pool8);
-    for (std::size_t i = 0; i < first_leg; ++i)
-      combined.push_back(agent.run_iteration());
-    agent.save_checkpoint(path);
-  }  // fresh-process teardown
-
-  sim::MicroserviceSystem system = make_system("msd");
-  MirasAgent agent = MirasAgent::resume(&system, config, path);
-  agent.enable_parallel_training(&pool2);  // different thread count
-  for (std::size_t i = first_leg; i < config.outer_iterations; ++i)
-    combined.push_back(agent.run_iteration());
-
-  expect_traces_identical(combined, full_traces);
-  EXPECT_EQ(agent.ddpg().actor().get_parameters(), full_actor_params);
-  std::remove(path.c_str());
+  // Pool placement is not part of the training state: a run trained on an
+  // 8-thread pool may be checkpointed and resumed on a 2-thread pool, or
+  // inline, bit-identically.
+  run_bit_identity_case("msd", /*threads=*/8, /*resume_threads=*/2);
+  run_bit_identity_case("ligo", /*threads=*/8, /*resume_threads=*/0);
 }
 
 TEST(CheckpointResume, PendingWindowIsEmptyAtIterationBoundaries) {

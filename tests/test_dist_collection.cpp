@@ -53,25 +53,24 @@ MirasConfig tiny_config(std::uint64_t seed) {
   return config;
 }
 
-EnvFactory make_factory(const EnsembleSetup& setup) {
-  return [setup](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-    sim::SystemConfig config;
-    config.consumer_budget = setup.budget;
-    config.seed = seed;
-    return std::make_unique<sim::MicroserviceSystem>(setup.make_ensemble(),
-                                                     config);
-  };
+sim::SystemConfig learner_system_config(const EnsembleSetup& setup) {
+  sim::SystemConfig config;
+  config.consumer_budget = setup.budget;
+  config.seed = 77;
+  return config;
 }
 
-/// The in-process reference: seed-sharded parallel collection, no backend.
+EnvFactory make_factory(const EnsembleSetup& setup) {
+  return system_factory(setup.make_ensemble(), learner_system_config(setup));
+}
+
+/// The in-process reference: seed-sharded collection, no backend.
 std::vector<IterationTrace> train_in_process(const EnsembleSetup& setup,
                                              common::ThreadPool* pool) {
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = setup.budget;
-  system_config.seed = 77;
-  sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
+  sim::MicroserviceSystem system(setup.make_ensemble(),
+                                 learner_system_config(setup));
   MirasAgent agent(&system, tiny_config(9));
-  agent.enable_parallel_collection(pool, make_factory(setup));
+  agent.enable_parallel_training(pool);
   return agent.train();
 }
 
@@ -79,10 +78,8 @@ std::vector<IterationTrace> train_in_process(const EnsembleSetup& setup,
 std::vector<IterationTrace> train_distributed(const EnsembleSetup& setup,
                                               std::size_t collectors,
                                               common::ThreadPool* pool) {
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = setup.budget;
-  system_config.seed = 77;
-  sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
+  sim::MicroserviceSystem system(setup.make_ensemble(),
+                                 learner_system_config(setup));
   const MirasConfig config = tiny_config(9);
   const EnvFactory factory = make_factory(setup);
   const std::uint64_t fingerprint = config_fingerprint(config);
@@ -92,7 +89,7 @@ std::vector<IterationTrace> train_distributed(const EnsembleSetup& setup,
   dist::CollectorPool backend(
       options, dist::make_thread_spawner(config, factory, fingerprint));
   MirasAgent agent(&system, config);
-  agent.enable_parallel_collection(pool, factory);
+  agent.enable_parallel_training(pool);
   agent.enable_distributed_collection(&backend);
   return agent.train();
 }
@@ -135,12 +132,9 @@ TEST(DistCollection, IdenticalAcrossRepeatedRuns) {
 
 TEST(DistCollection, NullBackendRevertsToLocalExecution) {
   const EnsembleSetup setup = both_ensembles()[0];
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = setup.budget;
-  system_config.seed = 77;
-  sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
+  sim::MicroserviceSystem system(setup.make_ensemble(),
+                                 learner_system_config(setup));
   MirasAgent agent(&system, tiny_config(9));
-  agent.enable_parallel_collection(nullptr, make_factory(setup));
   agent.enable_distributed_collection(nullptr);  // no-op, stays local
   expect_identical_traces(train_in_process(setup, nullptr), agent.train());
 }
@@ -168,25 +162,19 @@ TEST(DistCollection, CheckpointResumeContinuesBitIdentically) {
 
   IterationTrace resumed_second;
   {
-    sim::SystemConfig system_config;
-    system_config.consumer_budget = setup.budget;
-    system_config.seed = 77;
-    sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
+    sim::MicroserviceSystem system(setup.make_ensemble(),
+                                   learner_system_config(setup));
     const auto backend = make_backend();
     MirasAgent agent(&system, config);
-    agent.enable_parallel_collection(nullptr, factory);
     agent.enable_distributed_collection(backend.get());
     (void)agent.run_iteration();
     agent.save_checkpoint(path);
   }
   {
-    sim::SystemConfig system_config;
-    system_config.consumer_budget = setup.budget;
-    system_config.seed = 77;
-    sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
+    sim::MicroserviceSystem system(setup.make_ensemble(),
+                                   learner_system_config(setup));
     const auto backend = make_backend();
     MirasAgent agent(&system, config);
-    agent.enable_parallel_collection(nullptr, factory);
     agent.enable_distributed_collection(backend.get());
     agent.restore_checkpoint(path);
     ASSERT_EQ(agent.iterations_run(), 1u);

@@ -44,24 +44,23 @@ core::MirasConfig tiny_config(std::uint64_t seed) {
   return config;
 }
 
+sim::SystemConfig learner_system_config() {
+  sim::SystemConfig config;
+  config.consumer_budget = workflows::kMsdConsumerBudget;
+  config.seed = 77;
+  return config;
+}
+
 core::EnvFactory msd_factory() {
-  return [](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-    sim::SystemConfig config;
-    config.consumer_budget = workflows::kMsdConsumerBudget;
-    config.seed = seed;
-    return std::make_unique<sim::MicroserviceSystem>(
-        workflows::make_msd_ensemble(), config);
-  };
+  return core::system_factory(workflows::make_msd_ensemble(),
+                              learner_system_config());
 }
 
 std::vector<core::IterationTrace> train_distributed(
     std::size_t collectors, std::size_t first_spawn_dies_after,
     std::size_t* respawns = nullptr) {
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = workflows::kMsdConsumerBudget;
-  system_config.seed = 77;
   sim::MicroserviceSystem system(workflows::make_msd_ensemble(),
-                                 system_config);
+                                 learner_system_config());
   const core::MirasConfig config = tiny_config(9);
   const core::EnvFactory factory = msd_factory();
   const std::uint64_t fingerprint = core::config_fingerprint(config);
@@ -72,7 +71,6 @@ std::vector<core::IterationTrace> train_distributed(
                         make_thread_spawner(config, factory, fingerprint,
                                             first_spawn_dies_after));
   core::MirasAgent agent(&system, config);
-  agent.enable_parallel_collection(nullptr, factory);
   agent.enable_distributed_collection(&backend);
   auto traces = agent.train();
   if (respawns != nullptr) *respawns = backend.respawn_count();
@@ -208,11 +206,8 @@ TEST(DistFailures, CollectorDeathPreservesResultAndRespawns) {
 }
 
 TEST(DistFailures, ConfigFingerprintMismatchRefused) {
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = workflows::kMsdConsumerBudget;
-  system_config.seed = 77;
   sim::MicroserviceSystem system(workflows::make_msd_ensemble(),
-                                 system_config);
+                                 learner_system_config());
   const core::MirasConfig config = tiny_config(9);
   const core::EnvFactory factory = msd_factory();
   const std::uint64_t fingerprint = core::config_fingerprint(config);
@@ -222,7 +217,6 @@ TEST(DistFailures, ConfigFingerprintMismatchRefused) {
   CollectorPool backend(options,
                         make_thread_spawner(config, factory, fingerprint));
   core::MirasAgent agent(&system, config);
-  agent.enable_parallel_collection(nullptr, factory);
   agent.enable_distributed_collection(&backend);
   EXPECT_THROW((void)agent.train(), std::runtime_error);
 }

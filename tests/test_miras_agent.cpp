@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "baselines/simple.h"
+#include "common/thread_pool.h"
 #include "core/evaluation.h"
 #include "rl/action.h"
 #include "workflows/msd.h"
@@ -155,6 +158,34 @@ TEST(ModelFreeDdpg, TrainsWithinBudgetAndActsValidly) {
   EXPECT_GT(agent.updates_performed(), 0u);
   const auto alloc = agent.act_allocation({1.0, 2.0, 3.0, 4.0}, false);
   EXPECT_TRUE(rl::satisfies_budget(alloc, workflows::kMsdConsumerBudget));
+}
+
+TEST(MirasAgent, CountsConstraintViolationsOfSyntheticRollouts) {
+  // Action-space noise leaves the simplex; every exploring act counts as a
+  // would-be violation. Iteration 1 collects with random actions (zero
+  // violations), so a positive tally must come from the synthetic rollouts,
+  // whichever factory and pool the collection runs on.
+  auto system = make_msd_system();
+  MirasConfig config = tiny_miras_config();
+  config.random_first_iteration = true;
+  config.random_episode_fraction = 0.0;
+  config.demo_episode_fraction = 0.0;
+  config.ddpg.exploration = rl::ExplorationMode::kActionNoise;
+  config.ddpg.action_noise_stddev = 0.4;
+  config.ddpg.epsilon_random = 0.0;
+  config.ddpg.epsilon_demo = 0.0;
+  MirasAgent agent(&system, config);
+  common::ThreadPool pool(2);
+  agent.enable_parallel_collection(
+      &pool, [](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
+        sim::SystemConfig env_config;
+        env_config.consumer_budget = workflows::kMsdConsumerBudget;
+        env_config.seed = seed;
+        return std::make_unique<sim::MicroserviceSystem>(
+            workflows::make_msd_ensemble(), env_config);
+      });
+  (void)agent.run_iteration();
+  EXPECT_GT(agent.ddpg().constraint_violations(), 0u);
 }
 
 TEST(MirasAgent, LearnsToBeatFrozenPolicyUnderLoad) {

@@ -1,12 +1,16 @@
 // Determinism under parallelism: the system-level invariant (DESIGN.md §5)
 // that any seed-sharded computation produces bit-identical results for any
 // worker count. Exercised end-to-end on both ensembles, for the evaluation
-// grid and for the MIRAS training loop in parallel-collection mode. Every
-// comparison below is exact double equality — same bits, not tolerances.
+// grid and for the MIRAS training loop. Every comparison below is exact
+// double equality — same bits, not tolerances.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/drs.h"
@@ -108,24 +112,19 @@ MirasConfig tiny_config(std::uint64_t seed) {
   return config;
 }
 
+sim::SystemConfig learner_system_config(const EnsembleSetup& setup) {
+  sim::SystemConfig config;
+  config.consumer_budget = setup.budget;
+  config.seed = 77;
+  return config;
+}
+
 std::vector<IterationTrace> train_sharded(const EnsembleSetup& setup,
-                                          common::ThreadPool* pool,
-                                          std::size_t lockstep_width = 8) {
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = setup.budget;
-  system_config.seed = 77;
-  sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
-  MirasConfig config = tiny_config(9);
-  config.lockstep_width = lockstep_width;
-  MirasAgent agent(&system, config);
-  agent.enable_parallel_collection(
-      pool, [&setup](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-        sim::SystemConfig config;
-        config.consumer_budget = setup.budget;
-        config.seed = seed;
-        return std::make_unique<sim::MicroserviceSystem>(setup.make_ensemble(),
-                                                         config);
-      });
+                                          common::ThreadPool* pool) {
+  sim::MicroserviceSystem system(setup.make_ensemble(),
+                                 learner_system_config(setup));
+  MirasAgent agent(&system, tiny_config(9));
+  agent.enable_parallel_training(pool);
   return agent.train();
 }
 
@@ -150,20 +149,50 @@ TEST(ParallelDeterminism, MirasTrainingIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelDeterminism, MirasTrainingIdenticalAcrossLockstepWidths) {
-  // The lockstep group width only changes how many lanes share a batched
-  // model query (and which groups worker threads pick up) — never the
-  // per-lane rng streams or the numbers. Width 1 is the per-sample path,
-  // width 0 the whole batch in one group; combined with 1-vs-8 threads
-  // this pins lockstep == sequential generation bit for bit.
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ParallelDeterminism, DerivedFactoryMatchesHandWrittenFactory) {
+  // An agent given only (system, config) derives its collection factory
+  // from the system. Training with it inline must equal training on an
+  // 8-thread pool with a factory written out by hand, down to the
+  // checkpoint bytes.
   for (const EnsembleSetup& setup : both_ensembles()) {
     SCOPED_TRACE(setup.name);
-    common::ThreadPool eight(8);
-    const auto per_sample = train_sharded(setup, nullptr, 1);
-    const auto width3 = train_sharded(setup, &eight, 3);
-    const auto whole_batch = train_sharded(setup, &eight, 0);
-    expect_identical_traces(per_sample, width3);
-    expect_identical_traces(per_sample, whole_batch);
+    const std::string derived_path =
+        ::testing::TempDir() + "derived_factory_" + setup.name + ".ckpt";
+    const std::string written_path =
+        ::testing::TempDir() + "written_factory_" + setup.name + ".ckpt";
+
+    sim::MicroserviceSystem derived_system(setup.make_ensemble(),
+                                           learner_system_config(setup));
+    MirasAgent derived(&derived_system, tiny_config(9));
+    const auto derived_traces = derived.train();
+    derived.save_checkpoint(derived_path);
+
+    common::ThreadPool pool8(8);
+    sim::MicroserviceSystem written_system(setup.make_ensemble(),
+                                           learner_system_config(setup));
+    MirasAgent written(&written_system, tiny_config(9));
+    written.enable_parallel_collection(
+        &pool8, [&setup](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
+          sim::SystemConfig config;
+          config.consumer_budget = setup.budget;
+          config.seed = seed;
+          return std::make_unique<sim::MicroserviceSystem>(
+              setup.make_ensemble(), config);
+        });
+    const auto written_traces = written.train();
+    written.save_checkpoint(written_path);
+
+    expect_identical_traces(derived_traces, written_traces);
+    const std::vector<std::uint8_t> derived_bytes = read_file(derived_path);
+    EXPECT_FALSE(derived_bytes.empty());
+    EXPECT_EQ(derived_bytes, read_file(written_path));
+    std::remove(derived_path.c_str());
+    std::remove(written_path.c_str());
   }
 }
 
@@ -172,22 +201,13 @@ TEST(ParallelDeterminism, ShardedCollectionChainsWithinEpisodes) {
   // chaining (each transition's state is the previous next_state) that the
   // dynamics model's multi-step training relies on.
   const EnsembleSetup setup = both_ensembles()[0];
-  sim::SystemConfig system_config;
-  system_config.consumer_budget = setup.budget;
-  system_config.seed = 77;
-  sim::MicroserviceSystem system(setup.make_ensemble(), system_config);
+  sim::MicroserviceSystem system(setup.make_ensemble(),
+                                 learner_system_config(setup));
   MirasConfig config = tiny_config(9);
   config.outer_iterations = 1;
   MirasAgent agent(&system, config);
   common::ThreadPool pool(4);
-  agent.enable_parallel_collection(
-      &pool, [&setup](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
-        sim::SystemConfig env_config;
-        env_config.consumer_budget = setup.budget;
-        env_config.seed = seed;
-        return std::make_unique<sim::MicroserviceSystem>(setup.make_ensemble(),
-                                                         env_config);
-      });
+  agent.enable_parallel_training(&pool);
   (void)agent.run_iteration();
   const auto& data = agent.dataset();
   ASSERT_EQ(data.size(), 40u);
