@@ -80,10 +80,8 @@ void DynamicsModel::compute_normalizers(const TransitionDataset& data) {
   output_norm_ = to_normalizer(out_stats);
 }
 
-void DynamicsModel::enable_parallel_training(common::ThreadPool* pool,
-                                             std::size_t shards) {
+void DynamicsModel::enable_parallel_training(common::ThreadPool* pool) {
   pool_ = pool;
-  grad_shards_ = shards;
 }
 
 double DynamicsModel::fit(const TransitionDataset& data) {
@@ -174,7 +172,7 @@ double DynamicsModel::fit(const TransitionDataset& data) {
           double loss = 0.0;
           for (std::size_t m = 0; m < blocks; ++m) loss += passes_[m].loss;
           // Fused zero + reduce + clip + step: one serial tail per batch
-          // (bit-identical to the unfused sequence, see sharded_adam_step).
+          // (sharded_adam_step).
           network_.sharded_update(passes_, blocks, config_.grad_clip,
                                   optimizer_);
           epoch_loss += loss;

@@ -53,17 +53,14 @@ class DynamicsModel {
   ///
   /// Every minibatch runs through the canonical gradient-block path
   /// (train_shards.h) whether or not a pool is attached, so the learned
-  /// weights are bit-identical across thread counts and shard schedules.
+  /// weights are bit-identical across thread counts.
   double fit(const TransitionDataset& data);
 
   /// Runs fit() minibatches data-parallel on `pool` (nullptr reverts to
-  /// inline execution — same numbers either way). `shards` groups gradient
-  /// blocks into at most that many pool tasks per minibatch (0 = one task
-  /// per block); it is a scheduling knob only and never affects results.
-  /// Deliberately not part of the config fingerprint and never serialised:
-  /// checkpoints resume under any thread count.
-  void enable_parallel_training(common::ThreadPool* pool,
-                                std::size_t shards = 0);
+  /// inline execution — same numbers either way). Deliberately not part of
+  /// the config fingerprint and never serialised: checkpoints resume under
+  /// any thread count.
+  void enable_parallel_training(common::ThreadPool* pool);
 
   /// Mean squared one-step prediction error (in raw state units) on `data`.
   double evaluate(const TransitionDataset& data) const;
@@ -119,10 +116,8 @@ class DynamicsModel {
   Normalizer output_norm_;
   bool fitted_ = false;
 
-  // Parallel-training scheduling knobs (not serialised; see
-  // enable_parallel_training).
+  // Parallel-training pool (not serialised; see enable_parallel_training).
   common::ThreadPool* pool_ = nullptr;
-  std::size_t grad_shards_ = 0;
 
   // fit() scratch, reused across calls: normalised design matrices, the
   // epoch shuffle permutation, and one TrainPass per gradient block.

@@ -82,12 +82,6 @@ Activation activation_from_name(const std::string& name) {
   throw std::invalid_argument("unknown activation: " + name);
 }
 
-Tensor activate(Activation a, const Tensor& pre) {
-  Tensor out;
-  activate_into(a, pre, out);
-  return out;
-}
-
 void activate_into(Activation a, const Tensor& pre, Tensor& out) {
   MIRAS_EXPECTS(&out != &pre);
   out.resize(pre.rows(), pre.cols());
@@ -97,14 +91,6 @@ void activate_into(Activation a, const Tensor& pre, Tensor& out) {
 void activate_inplace(Activation a, Tensor& values) {
   activate_kernel(a, values.data(), values.data(), values.rows(),
                   values.cols());
-}
-
-Tensor activation_backward(Activation a, const Tensor& pre, const Tensor& post,
-                           const Tensor& grad_post) {
-  if (a == Activation::kIdentity) return grad_post;
-  Tensor grad_pre;
-  activation_backward_into(a, pre, post, grad_post, grad_pre);
-  return grad_pre;
 }
 
 void activation_backward_into(Activation a, const Tensor& pre,

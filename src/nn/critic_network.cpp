@@ -44,28 +44,12 @@ void CriticNetwork::concat_cols_into(const Tensor& a, const Tensor& b,
   }
 }
 
-const Tensor& CriticNetwork::forward(const Tensor& states,
-                                     const Tensor& actions) {
-  MIRAS_EXPECTS(states.cols() == state_dim_);
-  MIRAS_EXPECTS(actions.cols() == action_dim_);
-  const Tensor& h1 = layers_[0].forward(states);
-  concat_cols_into(h1, actions, concat_);
-  const Tensor* h = &layers_[1].forward(concat_);
-  for (std::size_t l = 2; l < layers_.size(); ++l) h = &layers_[l].forward(*h);
-  return *h;
-}
-
 Tensor CriticNetwork::predict(const Tensor& states,
                               const Tensor& actions) const {
-  MIRAS_EXPECTS(states.cols() == state_dim_);
-  MIRAS_EXPECTS(actions.cols() == action_dim_);
-  Tensor h = layers_[0].forward_const(states);
-  Tensor cat;
-  concat_cols_into(h, actions, cat);
-  h = layers_[1].forward_const(cat);
-  for (std::size_t l = 2; l < layers_.size(); ++l)
-    h = layers_[l].forward_const(h);
-  return h;
+  Workspace ws;
+  Tensor out;
+  predict_batch(states, actions, ws, out);
+  return out;
 }
 
 void CriticNetwork::predict_batch(const Tensor& states, const Tensor& actions,
@@ -89,38 +73,6 @@ void CriticNetwork::predict_batch(const Tensor& states, const Tensor& actions,
 double CriticNetwork::predict_one(const std::vector<double>& state,
                                   const std::vector<double>& action) const {
   return predict(Tensor::row_vector(state), Tensor::row_vector(action))(0, 0);
-}
-
-std::pair<Tensor, Tensor> CriticNetwork::backward(const Tensor& grad_q) {
-  Tensor grad_states, grad_actions;
-  backward_into(grad_q, grad_states, grad_actions);
-  return {std::move(grad_states), std::move(grad_actions)};
-}
-
-void CriticNetwork::backward_into(const Tensor& grad_q, Tensor& grad_states,
-                                  Tensor& grad_actions) {
-  MIRAS_EXPECTS(grad_q.cols() == 1);
-  const Tensor* grad = &grad_q;
-  bool into_a = true;
-  for (std::size_t l = layers_.size() - 1; l >= 2; --l) {
-    Tensor& dst = into_a ? bwd_a_ : bwd_b_;
-    layers_[l].backward_into(*grad, dst);
-    grad = &dst;
-    into_a = !into_a;
-  }
-  // grad is now dL/d(h2); backprop through the joint layer and split the
-  // [h1 || a] columns.
-  layers_[1].backward_into(*grad, grad_concat_);
-  const std::size_t h1_width = layers_[0].out_dim();
-  grad_h1_.resize(grad_concat_.rows(), h1_width);
-  grad_actions.resize(grad_concat_.rows(), action_dim_);
-  for (std::size_t r = 0; r < grad_concat_.rows(); ++r) {
-    for (std::size_t c = 0; c < h1_width; ++c)
-      grad_h1_(r, c) = grad_concat_(r, c);
-    for (std::size_t c = 0; c < action_dim_; ++c)
-      grad_actions(r, c) = grad_concat_(r, h1_width + c);
-  }
-  layers_[0].backward_into(grad_h1_, grad_states);
 }
 
 const Tensor& CriticNetwork::forward_shard(const Tensor& states,
@@ -167,7 +119,7 @@ void CriticNetwork::backward_shard(const Tensor& states, const Tensor& actions,
     for (std::size_t c = 0; c < action_dim_; ++c)
       pass.grad_actions(r, c) = pass.grad_concat(r, h1_width + c);
   }
-  // dQ/ds lands in a free ping-pong buffer; nothing consumes it.
+  // dQ/ds lands in the free ping-pong buffer pass.bwd_a (see the header).
   layers_[0].backward_shard(states, pass.pre[0], pass.post[0], pass.grad_h1,
                             pass.grads[0], pass.grad_pre, pass.bwd_a);
 }
@@ -178,55 +130,20 @@ double CriticNetwork::sharded_update(const std::vector<TrainPass>& passes,
   return sharded_adam_step(passes, count, layers_, max_norm, optimizer);
 }
 
-void CriticNetwork::zero_grad() {
-  for (auto& layer : layers_) layer.zero_grad();
-}
-
 std::size_t CriticNetwork::parameter_count() const {
-  std::size_t total = 0;
-  for (const auto& layer : layers_) total += layer.parameter_count();
-  return total;
+  return nn::parameter_count(layers_);
 }
 
 std::vector<double> CriticNetwork::get_parameters() const {
-  std::vector<double> flat;
-  flat.reserve(parameter_count());
-  for (const auto& layer : layers_) {
-    const Tensor& w = layer.weights();
-    flat.insert(flat.end(), w.data(), w.data() + w.size());
-    const Tensor& b = layer.bias();
-    flat.insert(flat.end(), b.data(), b.data() + b.size());
-  }
-  return flat;
+  return nn::get_parameters(layers_);
 }
 
 void CriticNetwork::set_parameters(const std::vector<double>& flat) {
-  MIRAS_EXPECTS(flat.size() == parameter_count());
-  std::size_t offset = 0;
-  for (auto& layer : layers_) {
-    Tensor& w = layer.weights();
-    for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = flat[offset + i];
-    offset += w.size();
-    Tensor& b = layer.bias();
-    for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = flat[offset + i];
-    offset += b.size();
-  }
+  nn::set_parameters(layers_, flat);
 }
 
 void CriticNetwork::soft_update_from(const CriticNetwork& source, double tau) {
-  MIRAS_EXPECTS(tau >= 0.0 && tau <= 1.0);
-  MIRAS_EXPECTS(layers_.size() == source.layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Tensor& w = layers_[l].weights();
-    const Tensor& sw = source.layers_[l].weights();
-    MIRAS_EXPECTS(w.same_shape(sw));
-    for (std::size_t i = 0; i < w.size(); ++i)
-      w.data()[i] = tau * sw.data()[i] + (1.0 - tau) * w.data()[i];
-    Tensor& b = layers_[l].bias();
-    const Tensor& sb = source.layers_[l].bias();
-    for (std::size_t i = 0; i < b.size(); ++i)
-      b.data()[i] = tau * sb.data()[i] + (1.0 - tau) * b.data()[i];
-  }
+  soft_update(layers_, source.layers_, tau);
 }
 
 }  // namespace miras::nn

@@ -3,16 +3,17 @@
 // Following the paper (§VI-A3), the critic mirrors the actor's MLP but the
 // action is inserted at the *second* layer: the state passes through layer 1
 // alone, then [h1 || a] feeds layer 2, and the final layer emits a scalar
-// Q-value. backward() returns both dQ/ds and dQ/da — the latter is the
-// deterministic-policy-gradient signal fed back through the actor.
+// Q-value. backward_shard() yields dQ/da — the deterministic-policy-
+// gradient signal fed back through the actor.
 //
-// Like Network, the training path reuses member staging buffers and the
-// inference hot path routes through a caller-owned Workspace; the const
-// `predict` / `predict_one` remain allocating and concurrency-safe.
+// Like Network, the critic keeps no per-call state: training runs through
+// caller-owned TrainPass blocks (train_shards.h), the inference hot path
+// routes through a caller-owned Workspace, and the const `predict` /
+// `predict_one` allocate their own scratch per call and are
+// concurrency-safe.
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,11 +45,7 @@ class CriticNetwork {
   std::size_t action_dim() const { return action_dim_; }
 
   /// Batched Q-values: states (B x S), actions (B x A) -> (B x 1).
-  /// Training mode (caches intermediates); the returned reference stays
-  /// valid until the next forward().
-  const Tensor& forward(const Tensor& states, const Tensor& actions);
-
-  /// Inference-only. Allocates; safe to call concurrently.
+  /// Allocates its own scratch per call; safe to call concurrently.
   Tensor predict(const Tensor& states, const Tensor& actions) const;
   double predict_one(const std::vector<double>& state,
                      const std::vector<double>& action) const;
@@ -59,40 +56,29 @@ class CriticNetwork {
   void predict_batch(const Tensor& states, const Tensor& actions,
                      Workspace& ws, Tensor& out) const;
 
-  /// Backpropagates dL/dQ (B x 1); accumulates parameter gradients and
-  /// returns {dL/d(states), dL/d(actions)}.
-  std::pair<Tensor, Tensor> backward(const Tensor& grad_q);
-
-  /// backward() writing into caller-owned buffers (resized); zero
-  /// steady-state allocations. The outputs must not alias each other,
-  /// `grad_q`, or any critic state.
-  void backward_into(const Tensor& grad_q, Tensor& grad_states,
-                     Tensor& grad_actions);
-
   /// Re-entrant training forward for one gradient block: all caches live in
   /// `pass` (sized by prepare_pass with this critic's layers), so concurrent
   /// blocks can share one critic. Returns the Q column (pass.post.back()).
-  /// Row for row bit-identical to forward() on the same rows.
+  /// Row for row bit-identical to predict() on the same rows.
   const Tensor& forward_shard(const Tensor& states, const Tensor& actions,
                               TrainPass& pass) const;
 
   /// Re-entrant backward matching the last forward_shard on `pass`:
-  /// accumulates parameter gradients onto pass.grads and writes dQ/da into
-  /// pass.grad_actions (dQ/ds is computed but not exposed — nothing in the
-  /// training loops consumes it). `grad_q` must not alias any pass tensor.
-  /// Touches no critic state.
+  /// accumulates parameter gradients onto pass.grads, writes dQ/da into
+  /// pass.grad_actions and leaves dQ/ds in pass.bwd_a (nothing in the
+  /// training loops consumes dQ/ds; the gradient checks read it). `grad_q`
+  /// must not alias any pass tensor. Touches no critic state.
   void backward_shard(const Tensor& states, const Tensor& actions,
                       const Tensor& grad_q, TrainPass& pass) const;
 
   /// Fused tail of one sharded update: reduce passes[0..count), clip the
   /// global gradient norm to `max_norm`, one Adam step (sharded_adam_step,
-  /// train_shards.h). Returns the pre-clip norm. The zero_grad is folded
-  /// in — callers do not zero between minibatches.
+  /// train_shards.h). Returns the pre-clip norm. Zeroing the gradient
+  /// buffers is folded in — callers do not zero between minibatches.
   double sharded_update(const std::vector<TrainPass>& passes,
                         std::size_t count, double max_norm,
                         AdamOptimizer& optimizer);
 
-  void zero_grad();
   std::size_t parameter_count() const;
   std::vector<double> get_parameters() const;
   void set_parameters(const std::vector<double>& flat);
@@ -110,13 +96,6 @@ class CriticNetwork {
   // layers_[0]: state -> h1; layers_[1]: [h1 || a] -> h2; then sequential;
   // final layer emits the scalar Q.
   std::vector<DenseLayer> layers_;
-
-  // Training-path staging (reused across calls).
-  Tensor concat_;       // [h1 || a]
-  Tensor bwd_a_;        // backward ping-pong
-  Tensor bwd_b_;
-  Tensor grad_concat_;  // dL/d([h1 || a])
-  Tensor grad_h1_;      // the h1 slice of grad_concat_
 };
 
 }  // namespace miras::nn

@@ -38,49 +38,11 @@ DenseLayer::DenseLayer(Tensor weights, Tensor bias, Activation activation)
   MIRAS_EXPECTS(bias_.rows() == 1 && bias_.cols() == out_dim_);
 }
 
-const Tensor& DenseLayer::forward(const Tensor& x) {
-  MIRAS_EXPECTS(x.cols() == in_dim_);
-  last_input_.copy_from(x);
-  x.matmul_into(weights_, last_pre_);
-  last_pre_.add_row_broadcast(bias_);
-  activate_into(activation_, last_pre_, last_post_);
-  return last_post_;
-}
-
-Tensor DenseLayer::forward_const(const Tensor& x) const {
-  Tensor out;
-  forward_into(x, out);
-  return out;
-}
-
 void DenseLayer::forward_into(const Tensor& x, Tensor& out) const {
   MIRAS_EXPECTS(x.cols() == in_dim_);
   x.matmul_into(weights_, out);
   out.add_row_broadcast(bias_);
   activate_inplace(activation_, out);
-}
-
-Tensor DenseLayer::backward(const Tensor& grad_output) {
-  Tensor grad_input;
-  backward_into(grad_output, grad_input);
-  return grad_input;
-}
-
-void DenseLayer::backward_into(const Tensor& grad_output, Tensor& grad_input) {
-  MIRAS_EXPECTS(grad_output.rows() == last_input_.rows());
-  MIRAS_EXPECTS(grad_output.cols() == out_dim_);
-  // Identity gradients pass through unchanged; skip the copy and read
-  // grad_output directly.
-  const Tensor* grad_pre = &grad_output;
-  if (activation_ != Activation::kIdentity) {
-    activation_backward_into(activation_, last_pre_, last_post_, grad_output,
-                             grad_pre_);
-    grad_pre = &grad_pre_;
-  }
-  last_input_.transposed_matmul_into(*grad_pre, weight_grad_,
-                                     /*accumulate=*/true);
-  grad_pre->column_sums_into(bias_grad_, /*accumulate=*/true);
-  grad_pre->matmul_transposed_into(weights_, grad_input);
 }
 
 void DenseLayer::forward_shard(const Tensor& x, Tensor& pre,
@@ -100,6 +62,8 @@ void DenseLayer::backward_shard(const Tensor& x, const Tensor& pre,
   MIRAS_EXPECTS(grad_output.cols() == out_dim_);
   MIRAS_EXPECTS(grad.weight.same_shape(weights_));
   MIRAS_EXPECTS(grad.bias.same_shape(bias_));
+  // Identity gradients pass through unchanged; skip the copy and read
+  // grad_output directly.
   const Tensor* grad_pre = &grad_output;
   if (activation_ != Activation::kIdentity) {
     activation_backward_into(activation_, pre, post, grad_output,
@@ -111,13 +75,57 @@ void DenseLayer::backward_shard(const Tensor& x, const Tensor& pre,
   grad_pre->matmul_transposed_into(weights_, grad_input);
 }
 
-void DenseLayer::zero_grad() {
-  weight_grad_.fill(0.0);
-  bias_grad_.fill(0.0);
-}
-
 std::size_t DenseLayer::parameter_count() const {
   return weights_.size() + bias_.size();
+}
+
+std::size_t parameter_count(const std::vector<DenseLayer>& layers) {
+  std::size_t total = 0;
+  for (const auto& layer : layers) total += layer.parameter_count();
+  return total;
+}
+
+std::vector<double> get_parameters(const std::vector<DenseLayer>& layers) {
+  std::vector<double> flat;
+  flat.reserve(parameter_count(layers));
+  for (const auto& layer : layers) {
+    const Tensor& w = layer.weights();
+    flat.insert(flat.end(), w.data(), w.data() + w.size());
+    const Tensor& b = layer.bias();
+    flat.insert(flat.end(), b.data(), b.data() + b.size());
+  }
+  return flat;
+}
+
+void set_parameters(std::vector<DenseLayer>& layers,
+                    const std::vector<double>& flat) {
+  MIRAS_EXPECTS(flat.size() == parameter_count(layers));
+  std::size_t offset = 0;
+  for (auto& layer : layers) {
+    Tensor& w = layer.weights();
+    for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = flat[offset + i];
+    offset += w.size();
+    Tensor& b = layer.bias();
+    for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = flat[offset + i];
+    offset += b.size();
+  }
+}
+
+void soft_update(std::vector<DenseLayer>& layers,
+                 const std::vector<DenseLayer>& source, double tau) {
+  MIRAS_EXPECTS(tau >= 0.0 && tau <= 1.0);
+  MIRAS_EXPECTS(layers.size() == source.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    Tensor& w = layers[l].weights();
+    const Tensor& sw = source[l].weights();
+    MIRAS_EXPECTS(w.same_shape(sw));
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w.data()[i] = tau * sw.data()[i] + (1.0 - tau) * w.data()[i];
+    Tensor& b = layers[l].bias();
+    const Tensor& sb = source[l].bias();
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b.data()[i] = tau * sb.data()[i] + (1.0 - tau) * b.data()[i];
+  }
 }
 
 }  // namespace miras::nn

@@ -1,15 +1,18 @@
 // Fully connected layer with explicit forward/backward passes.
 //
-// Parameters are owned by the layer; gradients are stored alongside and are
-// consumed by an Optimizer. Layers cache the last forward pass's input and
-// activations so backward() can be called immediately after forward().
-//
-// The cache tensors and the backward scratch buffer are reused across
-// calls, so a steady-state forward/backward cycle at a fixed batch size
-// performs no heap allocations.
+// Parameters are owned by the layer; the layer also owns one gradient
+// buffer per parameter tensor, which the sharded training path
+// (train_shards.h) reduces the per-block gradients into before the Adam
+// step reads them. The layer keeps no per-call state: the training forward
+// and backward run against caller-owned caches and accumulators
+// (forward_shard / backward_shard), and inference writes into a
+// caller-owned output (forward_into). Any number of callers may therefore
+// run through one layer at once, and with reused buffers a steady-state
+// forward/backward cycle performs no heap allocations.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/activation.h"
@@ -43,36 +46,17 @@ class DenseLayer {
   std::size_t out_dim() const { return out_dim_; }
   Activation activation() const { return activation_; }
 
-  /// Computes activate(x * W + b) for a batch (rows = samples). Caches
-  /// intermediates for backward(); the returned reference stays valid until
-  /// the next forward() call. `x` must not alias the cache (pass a distinct
-  /// tensor, e.g. the previous layer's output).
-  const Tensor& forward(const Tensor& x);
-
-  /// Same as forward() but does not touch the cache; safe for inference on
-  /// target networks while a training pass is in flight.
-  Tensor forward_const(const Tensor& x) const;
-
-  /// Cache-free inference writing into `out` (resized to x.rows() x
-  /// out_dim). `out` must not alias `x`, the weights, or the bias.
+  /// Inference: activate(x * W + b) for a batch (rows = samples), written
+  /// into `out` (resized to x.rows() x out_dim). `out` must not alias `x`,
+  /// the weights, or the bias.
   void forward_into(const Tensor& x, Tensor& out) const;
 
-  /// Given dL/d(output), accumulates dL/dW and dL/db into the gradient
-  /// buffers and returns dL/d(input). Must follow a forward() call with the
-  /// same batch.
-  Tensor backward(const Tensor& grad_output);
-
-  /// backward() writing dL/d(input) into `grad_input` (a caller-owned
-  /// buffer, resized to the batch shape). `grad_input` must not alias
-  /// `grad_output` or any layer state.
-  void backward_into(const Tensor& grad_output, Tensor& grad_input);
-
-  /// Re-entrant training forward: like forward() but the caches live in
-  /// caller-owned buffers, so concurrent row blocks can pass through one
-  /// layer at once. Writes the pre-activations into `pre` and
-  /// activate(pre) into `post` (both resized). Row for row bit-identical
-  /// to forward() on the same rows (kernel invariant, tensor.h). `x`,
-  /// `pre`, and `post` must be three distinct tensors.
+  /// Re-entrant training forward: the caches live in caller-owned buffers,
+  /// so concurrent row blocks can pass through one layer at once. Writes
+  /// the pre-activations into `pre` and their activation into `post` (both
+  /// resized); `post` is bit-identical to forward_into on the same rows
+  /// (kernel invariant, tensor.h). `x`, `pre`, and `post` must be three
+  /// distinct tensors.
   void forward_shard(const Tensor& x, Tensor& pre, Tensor& post) const;
 
   /// Re-entrant backward matching a forward_shard(x, pre, post) call:
@@ -85,9 +69,6 @@ class DenseLayer {
   void backward_shard(const Tensor& x, const Tensor& pre, const Tensor& post,
                       const Tensor& grad_output, LayerGrad& grad,
                       Tensor& grad_pre_scratch, Tensor& grad_input) const;
-
-  /// Zeroes the gradient accumulators.
-  void zero_grad();
 
   Tensor& weights() { return weights_; }
   const Tensor& weights() const { return weights_; }
@@ -107,16 +88,28 @@ class DenseLayer {
   Activation activation_;
   Tensor weights_;      // in_dim x out_dim
   Tensor bias_;         // 1 x out_dim
-  Tensor weight_grad_;  // accumulators, same shapes
+  Tensor weight_grad_;  // reduced block gradients, same shapes
   Tensor bias_grad_;
-
-  // Forward-pass cache (buffers reused across calls).
-  Tensor last_input_;
-  Tensor last_pre_;
-  Tensor last_post_;
-
-  // Backward-pass scratch (dL/d(pre-activation)).
-  Tensor grad_pre_;
 };
+
+// Flat-parameter walk shared by Network and CriticNetwork. The flat order
+// is layer by layer, weights then bias.
+
+/// Total number of scalar parameters over `layers`.
+std::size_t parameter_count(const std::vector<DenseLayer>& layers);
+
+/// Flattens every parameter into one vector; the inverse of
+/// set_parameters().
+std::vector<double> get_parameters(const std::vector<DenseLayer>& layers);
+
+/// Overwrites every parameter from `flat` (size must equal
+/// parameter_count(layers)).
+void set_parameters(std::vector<DenseLayer>& layers,
+                    const std::vector<double>& flat);
+
+/// Polyak update: theta <- tau * source.theta + (1 - tau) * theta, layer by
+/// layer. Requires identical architecture.
+void soft_update(std::vector<DenseLayer>& layers,
+                 const std::vector<DenseLayer>& source, double tau);
 
 }  // namespace miras::nn

@@ -6,17 +6,6 @@
 
 namespace miras::nn {
 
-LossResult mse_loss(const Tensor& prediction, const Tensor& target) {
-  LossResult result;
-  result.value = mse_loss_into(prediction, target, result.grad);
-  return result;
-}
-
-double mse_loss_into(const Tensor& prediction, const Tensor& target,
-                     Tensor& grad) {
-  return mse_loss_partial_into(prediction, target, prediction.size(), grad);
-}
-
 double mse_loss_partial_into(const Tensor& prediction, const Tensor& target,
                              std::size_t total_elements, Tensor& grad) {
   MIRAS_EXPECTS(prediction.same_shape(target));
@@ -34,19 +23,6 @@ double mse_loss_partial_into(const Tensor& prediction, const Tensor& target,
     }
   }
   return value;
-}
-
-LossResult huber_loss(const Tensor& prediction, const Tensor& target,
-                      double delta) {
-  LossResult result;
-  result.value = huber_loss_into(prediction, target, delta, result.grad);
-  return result;
-}
-
-double huber_loss_into(const Tensor& prediction, const Tensor& target,
-                       double delta, Tensor& grad) {
-  return huber_loss_partial_into(prediction, target, delta, prediction.size(),
-                                 grad);
 }
 
 double huber_loss_partial_into(const Tensor& prediction, const Tensor& target,

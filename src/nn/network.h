@@ -1,19 +1,21 @@
 // Sequential multilayer perceptron.
 //
 // Supports everything MIRAS needs from its networks:
-//  - batched forward/backward for supervised training (dynamics model,
-//    critic) and policy-gradient training (actor),
+//  - re-entrant batched forward/backward over caller-owned TrainPass
+//    blocks (forward_shard / backward_shard, train_shards.h) for supervised
+//    training (dynamics model) and policy-gradient training (actor),
 //  - allocation-free inference through a caller-owned Workspace
 //    (predict_batch / predict_one overloads),
 //  - flat parameter get/set for parameter-space exploration noise and for
 //    DDPG's Polyak-averaged target networks,
 //  - value semantics (copyable) so a perturbed/target copy is one line.
 //
-// Thread-safety note: forward/backward mutate per-layer caches, and the
-// Workspace overloads mutate the workspace — both are single-threaded per
-// instance. The allocating `predict` / `predict_one` are const and touch no
-// shared state, so they remain safe to call concurrently on one network
-// (the evaluation grid relies on this).
+// Thread-safety note: every const member keeps its state in caller-owned
+// buffers (a TrainPass or a Workspace), so any number of callers may run
+// through one network at once as long as each owns its buffers. The
+// allocating `predict` / `predict_one` own theirs per call, so they are
+// safe to call concurrently on one network (the evaluation grid relies on
+// this). Only sharded_update and the parameter setters mutate the network.
 #pragma once
 
 #include <cstddef>
@@ -53,13 +55,8 @@ class Network {
   std::vector<DenseLayer>& layers() { return layers_; }
   const std::vector<DenseLayer>& layers() const { return layers_; }
 
-  /// Training-mode forward pass (caches intermediates for backward()). The
-  /// returned reference is the last layer's output buffer; it stays valid
-  /// until the next forward() on this network.
-  const Tensor& forward(const Tensor& x);
-
-  /// Inference-only forward pass; does not disturb training caches.
-  /// Allocates — use predict_batch for the hot paths.
+  /// Inference forward pass. Allocates its own scratch per call — use
+  /// predict_batch for the hot paths.
   Tensor predict(const Tensor& x) const;
 
   /// Inference through workspace buffers: zero steady-state allocations.
@@ -76,14 +73,10 @@ class Network {
   void predict_one(const std::vector<double>& x, Workspace& ws,
                    std::vector<double>& out) const;
 
-  /// Backpropagates dL/d(output); accumulates parameter gradients and
-  /// returns dL/d(input) by reference (valid until the next backward()).
-  const Tensor& backward(const Tensor& grad_output);
-
   /// Re-entrant training forward for one gradient block: caches live in
   /// `pass` (sized by prepare_pass), so concurrent blocks can pass through
   /// one network at once. Returns the last layer's output (pass.post.back()).
-  /// Row for row bit-identical to forward() on the same rows.
+  /// Row for row bit-identical to predict() on the same rows.
   const Tensor& forward_shard(const Tensor& x, TrainPass& pass) const;
 
   /// Re-entrant backward matching the last forward_shard(x, pass):
@@ -96,13 +89,11 @@ class Network {
 
   /// Fused tail of one sharded update: reduce passes[0..count), clip the
   /// global gradient norm to `max_norm`, one Adam step (sharded_adam_step,
-  /// train_shards.h). Returns the pre-clip norm. The zero_grad is folded
-  /// in — callers do not zero between minibatches.
+  /// train_shards.h). Returns the pre-clip norm. Zeroing the gradient
+  /// buffers is folded in — callers do not zero between minibatches.
   double sharded_update(const std::vector<TrainPass>& passes,
                         std::size_t count, double max_norm,
                         AdamOptimizer& optimizer);
-
-  void zero_grad();
 
   /// Total scalar parameter count.
   std::size_t parameter_count() const;
@@ -122,10 +113,6 @@ class Network {
 
  private:
   std::vector<DenseLayer> layers_;
-
-  // Backward-pass ping-pong buffers (reused across calls).
-  Tensor bwd_a_;
-  Tensor bwd_b_;
 };
 
 }  // namespace miras::nn

@@ -20,32 +20,6 @@ void ensure_state(std::vector<Tensor>& weight_state,
 }
 }  // namespace
 
-SgdOptimizer::SgdOptimizer(double learning_rate, double momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {
-  MIRAS_EXPECTS(learning_rate > 0.0);
-  MIRAS_EXPECTS(momentum >= 0.0 && momentum < 1.0);
-}
-
-void SgdOptimizer::step(std::vector<DenseLayer>& layers) {
-  ensure_state(weight_velocity_, bias_velocity_, layers);
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    auto update = [&](Tensor& param, const Tensor& grad, Tensor& velocity) {
-      for (std::size_t i = 0; i < param.size(); ++i) {
-        velocity.data()[i] =
-            momentum_ * velocity.data()[i] - learning_rate_ * grad.data()[i];
-        param.data()[i] += velocity.data()[i];
-      }
-    };
-    update(layers[l].weights(), layers[l].weight_grad(), weight_velocity_[l]);
-    update(layers[l].bias(), layers[l].bias_grad(), bias_velocity_[l]);
-  }
-}
-
-void SgdOptimizer::reset() {
-  weight_velocity_.clear();
-  bias_velocity_.clear();
-}
-
 AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
                              double epsilon)
     : learning_rate_(learning_rate),
@@ -56,10 +30,6 @@ AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
   MIRAS_EXPECTS(beta1 >= 0.0 && beta1 < 1.0);
   MIRAS_EXPECTS(beta2 >= 0.0 && beta2 < 1.0);
   MIRAS_EXPECTS(epsilon > 0.0);
-}
-
-void AdamOptimizer::step(std::vector<DenseLayer>& layers) {
-  step_scaled(layers, 1.0);
 }
 
 void AdamOptimizer::step_scaled(std::vector<DenseLayer>& layers,
@@ -133,38 +103,6 @@ void AdamOptimizer::restore_state(persist::BinaryReader& in) {
   weight_v_ = read_tensor_state(in);
   bias_m_ = read_tensor_state(in);
   bias_v_ = read_tensor_state(in);
-}
-
-void AdamOptimizer::reset() {
-  weight_m_.clear();
-  weight_v_.clear();
-  bias_m_.clear();
-  bias_v_.clear();
-  t_ = 0;
-}
-
-double clip_gradients(std::vector<DenseLayer>& layers, double max_norm) {
-  MIRAS_EXPECTS(max_norm > 0.0);
-  double sq_norm = 0.0;
-  for (const auto& layer : layers) {
-    for (std::size_t i = 0; i < layer.weight_grad().size(); ++i) {
-      const double g = layer.weight_grad().data()[i];
-      sq_norm += g * g;
-    }
-    for (std::size_t i = 0; i < layer.bias_grad().size(); ++i) {
-      const double g = layer.bias_grad().data()[i];
-      sq_norm += g * g;
-    }
-  }
-  const double norm = std::sqrt(sq_norm);
-  if (norm > max_norm && norm > 0.0) {
-    const double scale = max_norm / norm;
-    for (auto& layer : layers) {
-      layer.weight_grad() *= scale;
-      layer.bias_grad() *= scale;
-    }
-  }
-  return norm;
 }
 
 }  // namespace miras::nn

@@ -1,16 +1,15 @@
-// First-order optimisers operating on a network's layers. State (momentum /
-// Adam moments) is allocated lazily on the first step and keyed by layer
-// index, so one optimiser instance must stay paired with one network.
+// Adam over a network's layers. State (the Adam moments) is allocated
+// lazily on the first step and keyed by layer index, so one optimiser
+// instance must stay paired with one network.
 //
-// step() and clip_gradients() read the layers' own weight_grad()/bias_grad()
-// buffers. Under the sharded training path (train_shards.h) those buffers
-// ARE the reduction target of reduce_gradients(), so the optimiser is
-// oblivious to how the gradients were produced — serial backward and
-// sharded backward+reduce take the identical code path from here on.
+// step_scaled() reads the layers' own weight_grad()/bias_grad() buffers.
+// The sharded training path (train_shards.h) fills those buffers by
+// reducing the per-block gradients, and sharded_adam_step folds the
+// global-norm clip into the step's scale, so every network in the training
+// loops reaches the optimiser through that one function.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "nn/layer.h"
@@ -18,46 +17,19 @@
 
 namespace miras::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the accumulated gradients (does not zero them).
-  virtual void step(std::vector<DenseLayer>& layers) = 0;
-
-  /// Drops internal state (moments); used when a network is re-initialised.
-  virtual void reset() = 0;
-};
-
-/// Plain SGD with optional classical momentum.
-class SgdOptimizer final : public Optimizer {
- public:
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
-  void step(std::vector<DenseLayer>& layers) override;
-  void reset() override;
-
- private:
-  double learning_rate_;
-  double momentum_;
-  std::vector<Tensor> weight_velocity_;
-  std::vector<Tensor> bias_velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with bias correction.
-class AdamOptimizer final : public Optimizer {
+class AdamOptimizer {
  public:
   explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
                          double beta2 = 0.999, double epsilon = 1e-8);
-  void step(std::vector<DenseLayer>& layers) override;
 
-  /// step() with every gradient scaled by `scale` on the fly — the fused
+  /// Applies one update from the layers' gradient buffers (does not zero
+  /// them), with every gradient scaled by `scale` on the fly — the fused
   /// form of "clip then step" used by sharded_adam_step (train_shards.h):
   /// scaling inside the update loop replaces a separate write-back pass
-  /// over all gradient buffers. scale == 1.0 reads the gradients untouched,
-  /// so step(layers) ≡ step_scaled(layers, 1.0) bit for bit.
+  /// over all gradient buffers. scale == 1.0 reads the stored gradient bits
+  /// untouched (the unclipped step).
   void step_scaled(std::vector<DenseLayer>& layers, double scale);
-
-  void reset() override;
 
   /// Snapshot/restore of the mutable optimiser state (step counter and
   /// first/second moments) for crash-resume. Hyperparameters are construction
@@ -75,9 +47,5 @@ class AdamOptimizer final : public Optimizer {
   std::vector<Tensor> weight_m_, weight_v_;
   std::vector<Tensor> bias_m_, bias_v_;
 };
-
-/// Scales all gradients so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clipping norm.
-double clip_gradients(std::vector<DenseLayer>& layers, double max_norm);
 
 }  // namespace miras::nn

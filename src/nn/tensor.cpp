@@ -45,12 +45,6 @@ void Tensor::resize(std::size_t rows, std::size_t cols) {
   data_.resize(rows * cols);
 }
 
-void Tensor::copy_from(const Tensor& other) {
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  data_.assign(other.data_.begin(), other.data_.end());
-}
-
 std::vector<double> Tensor::row(std::size_t r) const {
   MIRAS_EXPECTS(r < rows_);
   return {data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
@@ -61,12 +55,6 @@ void Tensor::set_row(std::size_t r, const std::vector<double>& values) {
   MIRAS_EXPECTS(r < rows_);
   MIRAS_EXPECTS(values.size() == cols_);
   for (std::size_t c = 0; c < cols_; ++c) data_[r * cols_ + c] = values[c];
-}
-
-Tensor Tensor::matmul(const Tensor& other) const {
-  Tensor out;
-  matmul_into(other, out);
-  return out;
 }
 
 void Tensor::matmul_into(const Tensor& other, Tensor& out) const {
@@ -85,12 +73,6 @@ void Tensor::matmul_into(const Tensor& other, Tensor& out) const {
     return;
   }
   kern::gemm(data_.data(), other.data_.data(), out.data_.data(), m, k, n);
-}
-
-Tensor Tensor::transposed_matmul(const Tensor& other) const {
-  Tensor out;
-  transposed_matmul_into(other, out);
-  return out;
 }
 
 void Tensor::transposed_matmul_into(const Tensor& other, Tensor& out,
@@ -163,12 +145,6 @@ void Tensor::transposed_matmul_into(const Tensor& other, Tensor& out,
       for (std::size_t j = 0; j < n; ++j) out_row[j] += a * b_row[j];
     }
   }
-}
-
-Tensor Tensor::matmul_transposed(const Tensor& other) const {
-  Tensor out;
-  matmul_transposed_into(other, out);
-  return out;
 }
 
 void Tensor::matmul_transposed_into(const Tensor& other, Tensor& out) const {
@@ -256,13 +232,6 @@ void Tensor::matmul_transposed_into(const Tensor& other, Tensor& out) const {
   }
 }
 
-Tensor Tensor::transposed() const {
-  Tensor out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
 Tensor& Tensor::operator+=(const Tensor& other) {
   MIRAS_EXPECTS(same_shape(other));
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
@@ -280,50 +249,10 @@ Tensor& Tensor::operator*=(double scalar) {
   return *this;
 }
 
-Tensor Tensor::operator+(const Tensor& other) const {
-  Tensor out = *this;
-  out += other;
-  return out;
-}
-
-Tensor Tensor::operator-(const Tensor& other) const {
-  Tensor out = *this;
-  out -= other;
-  return out;
-}
-
-Tensor Tensor::operator*(double scalar) const {
-  Tensor out = *this;
-  out *= scalar;
-  return out;
-}
-
-Tensor Tensor::hadamard(const Tensor& other) const {
-  MIRAS_EXPECTS(same_shape(other));
-  Tensor out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
-}
-
 void Tensor::add_row_broadcast(const Tensor& bias) {
   MIRAS_EXPECTS(bias.rows_ == 1 && bias.cols_ == cols_);
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) data_[r * cols_ + c] += bias.data_[c];
-}
-
-void Tensor::add_row_broadcast_into(const Tensor& bias, Tensor& out) const {
-  MIRAS_EXPECTS(bias.rows_ == 1 && bias.cols_ == cols_);
-  MIRAS_EXPECTS(&out != this && &out != &bias);
-  out.resize(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c)
-      out.data_[r * cols_ + c] = data_[r * cols_ + c] + bias.data_[c];
-}
-
-Tensor Tensor::column_sums() const {
-  Tensor out;
-  column_sums_into(out);
-  return out;
 }
 
 void Tensor::column_sums_into(Tensor& out, bool accumulate) const {

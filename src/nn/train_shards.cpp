@@ -42,9 +42,8 @@ double sharded_adam_step(const std::vector<TrainPass>& passes,
   MIRAS_EXPECTS(max_norm > 0.0);
   // Pass 1: zero + reduce + norm, layer by layer. Per element this is the
   // same left-to-right add chain as reduce_gradients (0 + block_0 + block_1
-  // + ...), and the norm accumulates in clip_gradients' order (ascending
-  // layer, weights then bias) — only the traversal is restructured, so the
-  // result is bit-identical to the unfused sequence.
+  // + ...); the norm accumulates in ascending layer order, weights then
+  // bias.
   double sq_norm = 0.0;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     Tensor& wg = layers[l].weight_grad();

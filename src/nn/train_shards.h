@@ -7,17 +7,17 @@
 // reduced serially, in ascending block index order, into the network's own
 // gradient buffers before one optimizer step.
 //
-// Two invariants make the result independent of both the worker count and
-// the shard schedule:
-//  - block boundaries depend only on the batch size (never on threads or
-//    shard count), and each block accumulates its rows in ascending row
-//    order (the kernel invariant, tensor.h);
+// This is the only training path in nn/: every network trains through it.
+// Two invariants make the result independent of the worker count and of
+// which worker runs which block:
+//  - block boundaries depend only on the batch size (never on threads),
+//    and each block accumulates its rows in ascending row order (the
+//    kernel invariant, tensor.h);
 //  - the reduction is a fixed left-to-right chain over block indices,
 //    performed by one thread after every block has finished.
-// Pool shards only *group* contiguous blocks into dispatch units, so
-// 1 thread ≡ 8 threads ≡ any shard count K, bit for bit — including the
-// no-pool inline path, which is why the "serial engine" and the parallel
-// engine are the same engine.
+// So 1 thread ≡ 8 threads, bit for bit — including the no-pool inline
+// path, which is why the "serial engine" and the parallel engine are the
+// same engine.
 //
 // Memory model: every buffer in a TrainPass grows to the largest shapes it
 // has seen and is reused, so a steady-state sharded update allocates
@@ -42,9 +42,10 @@ namespace miras::nn {
 
 class AdamOptimizer;
 
-/// Fixed gradient-block granularity (rows). The canonical accumulation
-/// grouping is defined at this granularity, NOT at the shard count, so the
-/// numbers cannot depend on how blocks are packed onto pool tasks.
+/// Fixed gradient-block granularity (rows): the determinism contract. The
+/// canonical accumulation grouping is defined at this granularity, NOT at
+/// the thread count, so the numbers cannot depend on how blocks are packed
+/// onto pool tasks.
 inline constexpr std::size_t kRowsPerBlock = 16;
 
 /// Contiguous row range [begin, end) of one gradient block.
@@ -113,54 +114,39 @@ void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass);
 
 /// Adds the per-block accumulators of passes[0..count) onto the layers' own
 /// gradient buffers, in ascending block order (serial; call after every
-/// block has finished, with the layer gradients zeroed beforehand).
-/// Clipping and the optimizer step then consume the layers' buffers exactly
-/// as in the member-cache path.
+/// block has finished, with the layer gradients zeroed beforehand). The
+/// same add chain as sharded_adam_step's reduction, without the step: it
+/// exposes the reduced sums for inspection.
 void reduce_gradients(const std::vector<TrainPass>& passes, std::size_t count,
                       std::vector<DenseLayer>& layers);
 
 /// The fused serial tail of one sharded update: zeroes the layers' gradient
-/// buffers, reduces passes[0..count) into them in ascending block order,
-/// computes the global gradient L2 norm, and applies one clipped Adam step.
-/// Bit-identical to zero_grad + reduce_gradients + clip_gradients + step —
-/// per element the add chain, the norm accumulation order (layer by layer,
-/// weights then bias), and the clip-scale arithmetic are unchanged — but it
-/// walks the parameters twice (reduce+norm, then scale+step) instead of
-/// five times, so the serial section between pool barriers shrinks.
-/// Returns the pre-clip norm.
+/// buffers, reduces passes[0..count) into them in ascending block order
+/// (leaving the reduced, unscaled sums there), computes the global gradient
+/// L2 norm (layer by layer, weights then bias), and applies one Adam step
+/// whose gradients are scaled by max_norm / norm when the norm exceeds
+/// `max_norm` and read untouched otherwise. It walks the parameters twice
+/// (reduce+norm, then scale+step), so the serial section between pool
+/// barriers stays short. `max_norm` must be positive. Returns the pre-clip
+/// norm.
 double sharded_adam_step(const std::vector<TrainPass>& passes,
                          std::size_t count, std::vector<DenseLayer>& layers,
                          double max_norm, AdamOptimizer& optimizer);
 
 /// Runs body(m) for every block index in [0, blocks): inline in ascending
-/// order without a pool, otherwise distributed over the pool. `shards == 0`
-/// is the auto schedule: blocks are claimed in chunks sized to the pool's
-/// thread count (ThreadPool::parallel_for's default chunking), so many
-/// blocks ride on one dispatch without fixing the grouping in advance.
-/// `shards > 0` pins the grouping to exactly `shards` contiguous ranges.
-/// Either way every block writes only its own TrainPass / row slots, so the
-/// schedule and the thread count are invisible in the results, and no path
+/// order without a pool, otherwise distributed over the pool in chunks
+/// sized to its thread count (ThreadPool::parallel_for's default chunking).
+/// Every block writes only its own TrainPass / row slots, so the schedule
+/// and the thread count are invisible in the results, and no path
 /// allocates — parallel_for passes the body by reference.
 template <typename Body>
 void for_each_block(common::ThreadPool* pool, std::size_t blocks,
-                    std::size_t shards, Body&& body) {
+                    Body&& body) {
   if (pool == nullptr || blocks <= 1) {
     for (std::size_t m = 0; m < blocks; ++m) body(m);
     return;
   }
-  if (shards == 0) {
-    pool->parallel_for(blocks, body);
-    return;
-  }
-  // Group contiguous blocks into `shards` pool tasks. Each task walks its
-  // blocks in ascending order; which task owns which block depends only on
-  // (blocks, shards), never on thread count.
-  const std::size_t tasks = shards < blocks ? shards : blocks;
-  pool->parallel_for(tasks, [&](std::size_t t) {
-    const std::size_t begin = t * blocks / tasks;
-    const std::size_t end = (t + 1) * blocks / tasks;
-    for (std::size_t m = begin; m < end; ++m) body(m);
-  });
+  pool->parallel_for(blocks, body);
 }
 
 /// Cooperative epoch loop: ONE pool publication for a whole sequence of

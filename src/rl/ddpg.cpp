@@ -385,10 +385,8 @@ void DdpgAgent::observe_state_only(const std::vector<double>& state) {
     state_stats_[j].add(state_feature(state[j]));
 }
 
-void DdpgAgent::enable_parallel_training(common::ThreadPool* pool,
-                                         std::size_t shards) {
+void DdpgAgent::enable_parallel_training(common::ThreadPool* pool) {
   pool_ = pool;
-  grad_shards_ = shards;
 }
 
 double DdpgAgent::update(std::size_t count) {
@@ -427,7 +425,7 @@ double DdpgAgent::update(std::size_t count) {
     // kernel invariant) and then runs the TD forward+backward into its
     // TrainPass; block gradients reduce in ascending order before one
     // optimizer step, so the pool never shows in the weights.
-    nn::for_each_block(pool_, blocks, grad_shards_, [&](std::size_t m) {
+    nn::for_each_block(pool_, blocks, [&](std::size_t m) {
       nn::TrainPass& pass = critic_passes_[m];
       const nn::RowRange rows = nn::row_block(b_size, m);
       // Targets for this block's rows: ~mu'(s') then min_i Q_i'.
@@ -497,7 +495,7 @@ double DdpgAgent::update(std::size_t count) {
     // The critic is only a conduit for dQ/da here: its per-block conduit
     // gradients land in critic_passes_[m].grads and are simply never
     // reduced, so the critic's own buffers stay untouched.
-    nn::for_each_block(pool_, blocks, grad_shards_, [&](std::size_t m) {
+    nn::for_each_block(pool_, blocks, [&](std::size_t m) {
       nn::TrainPass& apass = actor_passes_[m];
       nn::TrainPass& cpass = critic_passes_[m];
       const nn::RowRange rows = nn::row_block(b_size, m);

@@ -253,16 +253,13 @@ class DdpgAgent {
   /// Every minibatch — target computation, critic TD steps, and the actor
   /// ascent — runs through the canonical gradient-block path
   /// (train_shards.h) whether or not a pool is attached, so the learned
-  /// weights are bit-identical across thread counts and shard schedules.
+  /// weights are bit-identical across thread counts.
   double update(std::size_t count = 1);
 
   /// Runs update() minibatches data-parallel on `pool` (nullptr reverts to
-  /// inline execution — same numbers either way). `shards` groups gradient
-  /// blocks into at most that many pool tasks (0 = one task per block); a
-  /// scheduling knob only, never affecting results. Deliberately not part
-  /// of the checkpoint state: checkpoints resume under any thread count.
-  void enable_parallel_training(common::ThreadPool* pool,
-                                std::size_t shards = 0);
+  /// inline execution — same numbers either way). Deliberately not part of
+  /// the checkpoint state: checkpoints resume under any thread count.
+  void enable_parallel_training(common::ThreadPool* pool);
 
   /// Resamples the parameter-noise perturbation (call at episode starts).
   void resample_exploration();
@@ -366,10 +363,8 @@ class DdpgAgent {
   std::size_t updates_performed_ = 0;
   std::size_t constraint_violations_ = 0;
 
-  // Parallel-training scheduling knobs (not serialised; see
-  // enable_parallel_training).
+  // Parallel-training pool (not serialised; see enable_parallel_training).
   common::ThreadPool* pool_ = nullptr;
-  std::size_t grad_shards_ = 0;
 
   // Update-loop scratch, reused across steps so the steady-state update
   // path is allocation-free (the minibatch shape is fixed). The serial

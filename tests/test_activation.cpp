@@ -5,9 +5,23 @@
 #include <cmath>
 
 #include "nn/grad_check.h"
+#include "nn_test_util.h"
 
 namespace miras::nn {
 namespace {
+
+Tensor activate(Activation a, const Tensor& pre) {
+  Tensor out;
+  activate_into(a, pre, out);
+  return out;
+}
+
+Tensor activation_backward(Activation a, const Tensor& pre, const Tensor& post,
+                           const Tensor& grad_post) {
+  Tensor grad_pre;
+  activation_backward_into(a, pre, post, grad_post, grad_pre);
+  return grad_pre;
+}
 
 TEST(Activation, NamesRoundTrip) {
   for (const Activation a :
@@ -77,7 +91,7 @@ TEST_P(ActivationGradient, MatchesFiniteDifferences) {
       Tensor::from_rows({{1.0, -2.0, 0.5}, {0.7, 1.3, -0.2}});
 
   auto f = [&](const Tensor& x) {
-    return activate(act, x).hadamard(weights).sum();
+    return test::weighted_sum(activate(act, x), weights);
   };
   const Tensor post = activate(act, pre);
   const Tensor analytic = activation_backward(act, pre, post, weights);
@@ -99,7 +113,7 @@ TEST(Activation, ReluGradientAwayFromKink) {
   const Tensor pre = Tensor::from_rows({{0.5, -0.5, 2.0, -2.0}});
   const Tensor weights = Tensor::from_rows({{1.0, 1.0, -1.0, 3.0}});
   auto f = [&](const Tensor& x) {
-    return activate(Activation::kRelu, x).hadamard(weights).sum();
+    return test::weighted_sum(activate(Activation::kRelu, x), weights);
   };
   const Tensor post = activate(Activation::kRelu, pre);
   const Tensor analytic =

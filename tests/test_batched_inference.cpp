@@ -15,6 +15,7 @@
 #include "nn/critic_network.h"
 #include "nn/loss.h"
 #include "nn/network.h"
+#include "nn/train_shards.h"
 #include "nn/workspace.h"
 
 namespace miras {
@@ -108,42 +109,51 @@ TEST(BatchedInference, WorkspaceReuseDoesNotLeakStateAcrossCalls) {
 }
 
 TEST(BatchedInference, ForwardBackwardScratchReuseMatchesFreshNetwork) {
-  // The training path reuses per-layer scratch (cached activations, grad
-  // ping-pong) across steps; a second forward/backward must give exactly
-  // the gradients a never-used clone computes.
+  // A TrainPass keeps its caches and gradient accumulators across
+  // minibatches; after a full 16-row block, a ragged 7-row block through
+  // the same pass must give exactly what a fresh pass on a never-used
+  // clone computes.
   Rng rng(24);
   nn::Network net = make_net(rng, nn::Activation::kTanh);
-  nn::Network clone = net;  // identical parameters, untouched scratch
+  nn::Network clone = net;  // identical parameters
 
-  const nn::Tensor a = random_tensor(8, 5, rng);
-  const nn::Tensor b = random_tensor(8, 5, rng);
-  const nn::Tensor target = random_tensor(8, 3, rng);
-  nn::Tensor grad;
+  const nn::Tensor a = random_tensor(nn::kRowsPerBlock, 5, rng);
+  const nn::Tensor a_target = random_tensor(nn::kRowsPerBlock, 3, rng);
+  const nn::Tensor b = random_tensor(7, 5, rng);
+  const nn::Tensor b_target = random_tensor(7, 3, rng);
 
-  // Dirty the scratch with an unrelated pass, then train on `b`.
-  net.zero_grad();
-  nn::mse_loss_into(net.forward(a), target, grad);
-  net.backward(grad);
-  net.zero_grad();
-  nn::mse_loss_into(net.forward(b), target, grad);
-  const nn::Tensor& grad_in_reused = net.backward(grad);
+  const auto block = [](const nn::Network& n, const nn::Tensor& x,
+                        const nn::Tensor& target, nn::TrainPass& pass) {
+    nn::prepare_pass(n.layers(), pass);
+    pass.loss = nn::mse_loss_partial_into(n.forward_shard(x, pass), target,
+                                          target.size(), pass.loss_grad);
+    return n.backward_shard(x, pass.loss_grad, pass);
+  };
 
-  clone.zero_grad();
-  nn::Tensor clone_grad;
-  nn::mse_loss_into(clone.forward(b), target, clone_grad);
-  const nn::Tensor& grad_in_fresh = clone.backward(clone_grad);
+  nn::TrainPass reused;
+  (void)block(net, a, a_target, reused);  // dirty every buffer
+  const nn::Tensor grad_in_reused = block(net, b, b_target, reused);
 
+  nn::TrainPass fresh;
+  const nn::Tensor grad_in_fresh = block(clone, b, b_target, fresh);
+
+  EXPECT_EQ(reused.loss, fresh.loss);
   ASSERT_EQ(grad_in_reused.size(), grad_in_fresh.size());
   for (std::size_t i = 0; i < grad_in_fresh.size(); ++i)
     EXPECT_EQ(grad_in_reused.data()[i], grad_in_fresh.data()[i]);
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const nn::Tensor& wg = net.layer(l).weight_grad();
-    const nn::Tensor& wg_fresh = clone.layer(l).weight_grad();
+    const nn::Tensor& post = reused.post[l];
+    const nn::Tensor& post_fresh = fresh.post[l];
+    ASSERT_TRUE(post.same_shape(post_fresh));
+    for (std::size_t i = 0; i < post.size(); ++i)
+      EXPECT_EQ(post.data()[i], post_fresh.data()[i]) << "layer " << l;
+    const nn::Tensor& wg = reused.grads[l].weight;
+    const nn::Tensor& wg_fresh = fresh.grads[l].weight;
     ASSERT_EQ(wg.size(), wg_fresh.size());
     for (std::size_t i = 0; i < wg.size(); ++i)
       EXPECT_EQ(wg.data()[i], wg_fresh.data()[i]) << "layer " << l;
-    const nn::Tensor& bg = net.layer(l).bias_grad();
-    const nn::Tensor& bg_fresh = clone.layer(l).bias_grad();
+    const nn::Tensor& bg = reused.grads[l].bias;
+    const nn::Tensor& bg_fresh = fresh.grads[l].bias;
     ASSERT_EQ(bg.size(), bg_fresh.size());
     for (std::size_t i = 0; i < bg.size(); ++i)
       EXPECT_EQ(bg.data()[i], bg_fresh.data()[i]) << "layer " << l;

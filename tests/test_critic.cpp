@@ -4,6 +4,7 @@
 
 #include "common/contracts.h"
 #include "nn/grad_check.h"
+#include "nn_test_util.h"
 
 namespace miras::nn {
 namespace {
@@ -38,7 +39,10 @@ TEST(Critic, PredictMatchesForward) {
   CriticNetwork critic(small_spec(), rng);
   const Tensor s = Tensor::from_rows({{0.1, 0.2, 0.3}});
   const Tensor a = Tensor::from_rows({{0.5, 0.5}});
-  EXPECT_DOUBLE_EQ(critic.forward(s, a)(0, 0), critic.predict(s, a)(0, 0));
+  TrainPass pass;
+  prepare_pass(critic.layers(), pass);
+  EXPECT_DOUBLE_EQ(critic.forward_shard(s, a, pass)(0, 0),
+                   critic.predict(s, a)(0, 0));
 }
 
 TEST(Critic, PredictOneMatchesBatch) {
@@ -67,12 +71,9 @@ TEST(Critic, StateGradientMatchesFiniteDifference) {
   const Tensor grad_q = Tensor::from_rows({{1.0}, {-0.5}});
 
   auto f = [&](const Tensor& states) {
-    return critic.predict(states, a).hadamard(grad_q).sum();
+    return test::weighted_sum(critic.predict(states, a), grad_q);
   };
-  critic.zero_grad();
-  (void)critic.forward(s, a);
-  const auto [grad_s, grad_a] = critic.backward(grad_q);
-  (void)grad_a;
+  const Tensor grad_s = test::critic_backward(critic, s, a, grad_q).states;
   EXPECT_LT(max_gradient_error(f, s, grad_s), 1e-5);
 }
 
@@ -86,12 +87,9 @@ TEST(Critic, ActionGradientMatchesFiniteDifference) {
   const Tensor grad_q = Tensor::from_rows({{1.0}, {1.0}});
 
   auto f = [&](const Tensor& actions) {
-    return critic.predict(s, actions).hadamard(grad_q).sum();
+    return test::weighted_sum(critic.predict(s, actions), grad_q);
   };
-  critic.zero_grad();
-  (void)critic.forward(s, a);
-  const auto [grad_s, grad_a] = critic.backward(grad_q);
-  (void)grad_s;
+  const Tensor grad_a = test::critic_backward(critic, s, a, grad_q).actions;
   EXPECT_LT(max_gradient_error(f, a, grad_a), 1e-5);
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/contracts.h"
 #include "nn/grad_check.h"
+#include "nn/train_shards.h"
+#include "nn_test_util.h"
 
 namespace miras::nn {
 namespace {
@@ -13,26 +17,37 @@ TEST(DenseLayer, ForwardKnownValues) {
   DenseLayer layer(2, 2, Activation::kIdentity, rng);
   layer.weights() = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
   layer.bias() = Tensor::row_vector({0.5, -0.5});
-  const Tensor out = layer.forward(Tensor::from_rows({{1.0, 1.0}}));
+  Tensor out;
+  layer.forward_into(Tensor::from_rows({{1.0, 1.0}}), out);
   EXPECT_DOUBLE_EQ(out(0, 0), 4.5);   // 1*1 + 1*3 + 0.5
   EXPECT_DOUBLE_EQ(out(0, 1), 5.5);   // 1*2 + 1*4 - 0.5
 }
 
-TEST(DenseLayer, ForwardConstMatchesForward) {
-  Rng rng(2);
-  DenseLayer layer(3, 4, Activation::kTanh, rng);
-  const Tensor x = Tensor::from_rows({{0.1, -0.2, 0.3}, {1.0, 2.0, -1.0}});
-  const Tensor a = layer.forward(x);
-  const Tensor b = layer.forward_const(x);
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      EXPECT_DOUBLE_EQ(a(r, c), b(r, c));
+TEST(DenseLayer, ForwardIntoMatchesForwardShard) {
+  // Inference and the training forward share one arithmetic: bit for bit,
+  // for every activation (softmax included).
+  for (const Activation act :
+       {Activation::kIdentity, Activation::kRelu, Activation::kTanh,
+        Activation::kSigmoid, Activation::kSoftmax}) {
+    Rng rng(2);
+    DenseLayer layer(3, 4, act, rng);
+    const Tensor x = Tensor::from_rows({{0.1, -0.2, 0.3}, {1.0, 2.0, -1.0}});
+    Tensor out, pre, post;
+    layer.forward_into(x, out);
+    layer.forward_shard(x, pre, post);
+    ASSERT_TRUE(out.same_shape(post));
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out.data()[i], post.data()[i]) << activation_name(act);
+  }
 }
 
 TEST(DenseLayer, InputDimChecked) {
   Rng rng(3);
   DenseLayer layer(3, 2, Activation::kRelu, rng);
-  EXPECT_THROW(layer.forward(Tensor(1, 4)), ContractViolation);
+  Tensor out, pre, post;
+  EXPECT_THROW(layer.forward_into(Tensor(1, 4), out), ContractViolation);
+  EXPECT_THROW(layer.forward_shard(Tensor(1, 4), pre, post),
+               ContractViolation);
 }
 
 TEST(DenseLayer, InputGradientMatchesFiniteDifference) {
@@ -42,11 +57,12 @@ TEST(DenseLayer, InputGradientMatchesFiniteDifference) {
   const Tensor weights = Tensor::from_rows({{1.0, -1.0}, {0.5, 2.0}});
 
   auto f = [&](const Tensor& input) {
-    return layer.forward_const(input).hadamard(weights).sum();
+    Tensor out;
+    layer.forward_into(input, out);
+    return test::weighted_sum(out, weights);
   };
-  layer.zero_grad();
-  (void)layer.forward(x);
-  const Tensor grad_input = layer.backward(weights);
+  Tensor grad_input;
+  (void)test::layer_backward(layer, x, weights, grad_input);
   EXPECT_LT(max_gradient_error(f, x, grad_input), 1e-5);
 }
 
@@ -57,17 +73,15 @@ TEST(DenseLayer, WeightGradientMatchesFiniteDifference) {
   const Tensor out_weights =
       Tensor::from_rows({{1.0, 0.5, -1.0}, {-0.5, 2.0, 1.0}});
 
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(out_weights);
-  const Tensor analytic = layer.weight_grad();
+  Tensor grad_input;
+  const Tensor analytic =
+      test::layer_backward(layer, x, out_weights, grad_input).weight;
 
   auto f = [&](const Tensor& w) {
-    DenseLayer probe(layer.weights().rows(), layer.weights().cols(),
-                     layer.activation(), rng);
-    probe.weights() = w;
-    probe.bias() = layer.bias();
-    return probe.forward_const(x).hadamard(out_weights).sum();
+    const DenseLayer probe(w, layer.bias(), layer.activation());
+    Tensor out;
+    probe.forward_into(x, out);
+    return test::weighted_sum(out, out_weights);
   };
   EXPECT_LT(max_gradient_error(f, layer.weights(), analytic), 1e-5);
 }
@@ -78,45 +92,55 @@ TEST(DenseLayer, BiasGradientMatchesFiniteDifference) {
   const Tensor x = Tensor::from_rows({{0.3, 0.8}, {-0.6, 0.1}});
   const Tensor out_weights = Tensor::from_rows({{2.0, -1.0}, {1.0, 1.0}});
 
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(out_weights);
-  const Tensor analytic = layer.bias_grad();
+  Tensor grad_input;
+  const Tensor analytic =
+      test::layer_backward(layer, x, out_weights, grad_input).bias;
 
   auto f = [&](const Tensor& b) {
-    DenseLayer probe(layer.weights().rows(), layer.weights().cols(),
-                     layer.activation(), rng);
-    probe.weights() = layer.weights();
-    probe.bias() = b;
-    return probe.forward_const(x).hadamard(out_weights).sum();
+    const DenseLayer probe(layer.weights(), b, layer.activation());
+    Tensor out;
+    probe.forward_into(x, out);
+    return test::weighted_sum(out, out_weights);
   };
   EXPECT_LT(max_gradient_error(f, layer.bias(), analytic), 1e-5);
 }
 
 TEST(DenseLayer, GradientsAccumulateAcrossBackwardCalls) {
+  // backward_shard adds onto the caller's accumulator, it never overwrites.
   Rng rng(7);
   DenseLayer layer(2, 2, Activation::kIdentity, rng);
   const Tensor x = Tensor::from_rows({{1.0, 2.0}});
   const Tensor g = Tensor::from_rows({{1.0, 1.0}});
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(g);
-  const Tensor after_one = layer.weight_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(g);
-  for (std::size_t r = 0; r < after_one.rows(); ++r)
-    for (std::size_t c = 0; c < after_one.cols(); ++c)
-      EXPECT_DOUBLE_EQ(layer.weight_grad()(r, c), 2.0 * after_one(r, c));
+  Tensor grad_input;
+  const LayerGrad once = test::layer_backward(layer, x, g, grad_input);
+
+  LayerGrad twice = once;
+  Tensor pre, post, grad_pre;
+  layer.forward_shard(x, pre, post);
+  layer.backward_shard(x, pre, post, g, twice, grad_pre, grad_input);
+  for (std::size_t i = 0; i < once.weight.size(); ++i)
+    EXPECT_DOUBLE_EQ(twice.weight.data()[i], 2.0 * once.weight.data()[i]);
+  for (std::size_t i = 0; i < once.bias.size(); ++i)
+    EXPECT_DOUBLE_EQ(twice.bias.data()[i], 2.0 * once.bias.data()[i]);
 }
 
 TEST(DenseLayer, ZeroGradResets) {
+  // prepare_pass is how a block's accumulators start each minibatch: it
+  // zeroes gradients left over from the previous one.
   Rng rng(8);
-  DenseLayer layer(2, 2, Activation::kIdentity, rng);
-  (void)layer.forward(Tensor::from_rows({{1.0, 1.0}}));
-  (void)layer.backward(Tensor::from_rows({{1.0, 1.0}}));
-  layer.zero_grad();
-  EXPECT_DOUBLE_EQ(layer.weight_grad().norm(), 0.0);
-  EXPECT_DOUBLE_EQ(layer.bias_grad().norm(), 0.0);
+  const std::vector<DenseLayer> layers{
+      DenseLayer(2, 2, Activation::kIdentity, rng)};
+  TrainPass pass;
+  prepare_pass(layers, pass);
+  const Tensor x = Tensor::from_rows({{1.0, 1.0}});
+  layers[0].forward_shard(x, pass.pre[0], pass.post[0]);
+  layers[0].backward_shard(x, pass.pre[0], pass.post[0],
+                           Tensor::from_rows({{1.0, 1.0}}), pass.grads[0],
+                           pass.grad_pre, pass.bwd_a);
+  ASSERT_GT(pass.grads[0].weight.norm(), 0.0);
+  prepare_pass(layers, pass);
+  EXPECT_DOUBLE_EQ(pass.grads[0].weight.norm(), 0.0);
+  EXPECT_DOUBLE_EQ(pass.grads[0].bias.norm(), 0.0);
 }
 
 TEST(DenseLayer, HeInitialisationScale) {
@@ -146,7 +170,8 @@ TEST(DenseLayer, ExplicitParameterConstructor) {
                    Tensor::row_vector({3.0}), Activation::kIdentity);
   EXPECT_EQ(layer.in_dim(), 2u);
   EXPECT_EQ(layer.out_dim(), 1u);
-  const Tensor out = layer.forward_const(Tensor::from_rows({{1.0, 1.0}}));
+  Tensor out;
+  layer.forward_into(Tensor::from_rows({{1.0, 1.0}}), out);
   EXPECT_DOUBLE_EQ(out(0, 0), 6.0);
 }
 

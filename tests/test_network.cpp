@@ -4,6 +4,7 @@
 
 #include "common/contracts.h"
 #include "nn/grad_check.h"
+#include "nn_test_util.h"
 
 namespace miras::nn {
 namespace {
@@ -31,7 +32,9 @@ TEST(Network, ShapesFromSpec) {
 TEST(Network, ForwardShape) {
   Rng rng(2);
   Network net(small_spec(), rng);
-  const Tensor out = net.forward(Tensor(7, 3));
+  TrainPass pass;
+  prepare_pass(net.layers(), pass);
+  const Tensor& out = net.forward_shard(Tensor(7, 3), pass);
   EXPECT_EQ(out.rows(), 7u);
   EXPECT_EQ(out.cols(), 2u);
 }
@@ -40,7 +43,9 @@ TEST(Network, PredictMatchesForward) {
   Rng rng(3);
   Network net(small_spec(), rng);
   const Tensor x = Tensor::from_rows({{0.1, -0.5, 0.9}});
-  const Tensor a = net.forward(x);
+  TrainPass pass;
+  prepare_pass(net.layers(), pass);
+  const Tensor& a = net.forward_shard(x, pass);
   const Tensor b = net.predict(x);
   EXPECT_DOUBLE_EQ(a(0, 0), b(0, 0));
   EXPECT_DOUBLE_EQ(a(0, 1), b(0, 1));
@@ -63,11 +68,9 @@ TEST(Network, FullInputGradientMatchesFiniteDifference) {
   const Tensor weights = Tensor::from_rows({{1.0, -0.5}, {0.3, 2.0}});
 
   auto f = [&](const Tensor& input) {
-    return net.predict(input).hadamard(weights).sum();
+    return test::weighted_sum(net.predict(input), weights);
   };
-  net.zero_grad();
-  (void)net.forward(x);
-  const Tensor grad = net.backward(weights);
+  const Tensor grad = test::network_backward(net, x, weights);
   EXPECT_LT(max_gradient_error(f, x, grad), 1e-5);
 }
 
@@ -77,9 +80,7 @@ TEST(Network, ParameterGradientsMatchFiniteDifference) {
   const Tensor x = Tensor::from_rows({{0.4, 0.2, -0.6}});
   const Tensor out_weights = Tensor::from_rows({{1.0, 1.0}});
 
-  net.zero_grad();
-  (void)net.forward(x);
-  (void)net.backward(out_weights);
+  (void)test::network_backward(net, x, out_weights);
 
   // Check via the flat parameter vector: df/dp for a few sampled indices.
   const std::vector<double> flat = net.get_parameters();
@@ -101,10 +102,10 @@ TEST(Network, ParameterGradientsMatchFiniteDifference) {
     std::vector<double> perturbed = flat;
     perturbed[idx] += eps;
     probe.set_parameters(perturbed);
-    const double plus = probe.predict(x).hadamard(out_weights).sum();
+    const double plus = test::weighted_sum(probe.predict(x), out_weights);
     perturbed[idx] -= 2 * eps;
     probe.set_parameters(perturbed);
-    const double minus = probe.predict(x).hadamard(out_weights).sum();
+    const double minus = test::weighted_sum(probe.predict(x), out_weights);
     const double numeric = (plus - minus) / (2 * eps);
     EXPECT_NEAR(analytic[idx], numeric, 1e-4 + 1e-3 * std::abs(numeric));
   }

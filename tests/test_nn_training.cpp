@@ -1,13 +1,16 @@
 // End-to-end supervised learning checks: the stack (tensor + layers +
-// losses + optimisers) must actually learn nontrivial functions.
+// losses + gradient blocks + Adam) must actually learn nontrivial
+// functions.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
-#include "nn/loss.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
+#include "nn/train_shards.h"
+#include "nn_test_util.h"
 
 namespace miras::nn {
 namespace {
@@ -15,15 +18,10 @@ namespace {
 double train_regression(Network& net, const Tensor& x, const Tensor& y,
                         std::size_t epochs, double lr) {
   AdamOptimizer opt(lr);
+  std::vector<TrainPass> passes;
   double loss_value = 0.0;
-  for (std::size_t e = 0; e < epochs; ++e) {
-    net.zero_grad();
-    const Tensor pred = net.forward(x);
-    const LossResult loss = mse_loss(pred, y);
-    net.backward(loss.grad);
-    opt.step(net.layers());
-    loss_value = loss.value;
-  }
+  for (std::size_t e = 0; e < epochs; ++e)
+    loss_value = test::train_step(net, x, y, passes, opt);
   return loss_value;
 }
 
@@ -116,7 +114,9 @@ TEST(Training, SoftmaxHeadLearnsArgmaxPreference) {
     in[i] = 1.0;
     const auto out = net.predict_one(in);
     for (std::size_t j = 0; j < 3; ++j) {
-      if (j != i) EXPECT_GT(out[i], out[j]);
+      if (j != i) {
+        EXPECT_GT(out[i], out[j]);
+      }
     }
   }
 }
@@ -137,14 +137,10 @@ TEST(Training, BatchCompositionInvariance) {
   const Tensor x2 = Tensor::from_rows({{-1.0, 0.5}, {1.0, 2.0}});
   const Tensor y2 = Tensor::from_rows({{0.0}, {1.0}});
 
-  SgdOptimizer opt_a(0.1), opt_b(0.1);
-  net_a.zero_grad();
-  net_a.backward(mse_loss(net_a.forward(x1), y1).grad);
-  opt_a.step(net_a.layers());
-
-  net_b.zero_grad();
-  net_b.backward(mse_loss(net_b.forward(x2), y2).grad);
-  opt_b.step(net_b.layers());
+  AdamOptimizer opt_a(0.1), opt_b(0.1);
+  std::vector<TrainPass> passes_a, passes_b;
+  (void)test::train_step(net_a, x1, y1, passes_a, opt_a);
+  (void)test::train_step(net_b, x2, y2, passes_b, opt_b);
 
   const auto pa = net_a.get_parameters();
   const auto pb = net_b.get_parameters();

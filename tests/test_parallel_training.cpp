@@ -1,9 +1,11 @@
 // Deterministic data-parallel training (train_shards.h, DESIGN.md §5d):
 // the sharded gradient-block path must produce bit-identical weights for
-// every thread count and shard schedule, and the sharded backward must
-// agree with the serial member-cache backward and with finite differences.
+// every thread count, and the sharded backward must agree with one-row
+// passes and with finite differences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "nn/loss.h"
 #include "nn/network.h"
 #include "nn/train_shards.h"
+#include "nn_test_util.h"
 #include "rl/ddpg.h"
 
 namespace miras {
@@ -56,9 +59,8 @@ nn::Tensor random_tensor(std::size_t rows, std::size_t cols, Rng& rng) {
 }
 
 // Fitting the dynamics model must give the same weights and the same loss
-// whether it runs inline, on 2 workers, or on 8 workers, and for every
-// shard grouping — on both the MSD-shaped ({20, 20, 20}) and LIGO-shaped
-// ({20}) paper configurations.
+// whether it runs inline or on 1, 2, or 8 workers — on both the MSD-shaped
+// ({20, 20, 20}) and LIGO-shaped ({20}) paper configurations.
 TEST(ParallelTraining, FitWeightsBitIdenticalAcrossThreadsAndShards) {
   struct Case {
     const char* name;
@@ -75,32 +77,27 @@ TEST(ParallelTraining, FitWeightsBitIdenticalAcrossThreadsAndShards) {
     config.epochs = 3;
     config.seed = 5;
 
-    const auto run = [&](common::ThreadPool* pool, std::size_t shards) {
+    const auto run = [&](common::ThreadPool* pool) {
       envmodel::DynamicsModel model(c.dim, c.dim, config);
-      model.enable_parallel_training(pool, shards);
+      model.enable_parallel_training(pool);
       const double loss = model.fit(data);
       return std::make_pair(model.network().get_parameters(), loss);
     };
 
-    const auto [base_params, base_loss] = run(nullptr, 0);
-    common::ThreadPool pool8(8);
-    common::ThreadPool pool2(2);
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                     std::size_t{4}, std::size_t{16}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      const auto [params8, loss8] = run(&pool8, shards);
-      EXPECT_EQ(params8, base_params);
-      EXPECT_EQ(loss8, base_loss);
-      const auto [params2, loss2] = run(&pool2, shards);
-      EXPECT_EQ(params2, base_params);
-      EXPECT_EQ(loss2, base_loss);
+    const auto [base_params, base_loss] = run(nullptr);
+    for (const std::size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      common::ThreadPool pool(threads);
+      const auto [params, loss] = run(&pool);
+      EXPECT_EQ(params, base_params);
+      EXPECT_EQ(loss, base_loss);
     }
   }
 }
 
 // The full DDPG update — target stage, twin-critic TD steps, delayed actor
 // ascent, soft updates — must leave every network bit-identical for every
-// thread count and shard schedule.
+// thread count.
 TEST(ParallelTraining, DdpgUpdateBitIdenticalAcrossThreadsAndShards) {
   rl::DdpgConfig config;
   config.actor_hidden = {16, 16};
@@ -109,9 +106,9 @@ TEST(ParallelTraining, DdpgUpdateBitIdenticalAcrossThreadsAndShards) {
   config.warmup = 48;
   config.seed = 3;
 
-  const auto run = [&](common::ThreadPool* pool, std::size_t shards) {
+  const auto run = [&](common::ThreadPool* pool) {
     rl::DdpgAgent agent(4, 4, 12, config);
-    agent.enable_parallel_training(pool, shards);
+    agent.enable_parallel_training(pool);
     Rng rng(7);
     std::vector<double> s(4), s_next(4);
     for (std::size_t i = 0; i < 96; ++i) {
@@ -127,15 +124,65 @@ TEST(ParallelTraining, DdpgUpdateBitIdenticalAcrossThreadsAndShards) {
                            agent.critic().get_parameters(), loss);
   };
 
-  const auto base = run(nullptr, 0);
-  common::ThreadPool pool8(8);
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{4}, std::size_t{16}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    EXPECT_EQ(run(&pool8, shards), base);
+  const auto base = run(nullptr);
+  for (const std::size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    common::ThreadPool pool(threads);
+    EXPECT_EQ(run(&pool), base);
   }
-  common::ThreadPool pool2(2);
-  EXPECT_EQ(run(&pool2, 0), base);
+}
+
+// Per-layer copies of the layers' reduced gradient buffers.
+struct ParamGrads {
+  std::vector<nn::Tensor> weight;
+  std::vector<nn::Tensor> bias;
+};
+
+ParamGrads layer_grads(const std::vector<nn::DenseLayer>& layers) {
+  ParamGrads g;
+  for (const nn::DenseLayer& layer : layers) {
+    g.weight.push_back(layer.weight_grad());
+    g.bias.push_back(layer.bias_grad());
+  }
+  return g;
+}
+
+// Adds a block's accumulators onto `sum` (the reference's ascending chain).
+void add_block_grads(const nn::TrainPass& pass, ParamGrads& sum) {
+  for (std::size_t l = 0; l < pass.grads.size(); ++l) {
+    sum.weight[l] += pass.grads[l].weight;
+    sum.bias[l] += pass.grads[l].bias;
+  }
+}
+
+ParamGrads zero_grads_like(const std::vector<nn::DenseLayer>& layers) {
+  ParamGrads g;
+  for (const nn::DenseLayer& layer : layers) {
+    g.weight.emplace_back(layer.in_dim(), layer.out_dim());
+    g.bias.emplace_back(1, layer.out_dim());
+  }
+  return g;
+}
+
+// Exact when the batch is one block (the block kernel adds its rows in the
+// same ascending order); to 1e-12 relative otherwise (blocks regroup the
+// same row contributions).
+void expect_grads_match(const ParamGrads& actual, const ParamGrads& expected,
+                        bool exact) {
+  const auto check = [exact](double a, double e) {
+    if (exact) {
+      EXPECT_EQ(a, e);
+    } else {
+      EXPECT_NEAR(a, e, 1e-12 * std::max(1.0, std::abs(e)));
+    }
+  };
+  for (std::size_t l = 0; l < expected.weight.size(); ++l) {
+    SCOPED_TRACE("layer=" + std::to_string(l));
+    for (std::size_t i = 0; i < expected.weight[l].size(); ++i)
+      check(actual.weight[l].data()[i], expected.weight[l].data()[i]);
+    for (std::size_t i = 0; i < expected.bias[l].size(); ++i)
+      check(actual.bias[l].data()[i], expected.bias[l].data()[i]);
+  }
 }
 
 // Runs the sharded forward/backward over `x`/`target` and reduces into the
@@ -145,7 +192,6 @@ nn::Tensor sharded_network_backward(nn::Network& net, const nn::Tensor& x,
   const std::size_t blocks = nn::num_row_blocks(x.rows());
   std::vector<nn::TrainPass> passes(blocks);
   nn::Tensor grad_input(x.rows(), x.cols());
-  net.zero_grad();
   for (std::size_t m = 0; m < blocks; ++m) {
     const nn::RowRange rows = nn::row_block(x.rows(), m);
     nn::TrainPass& pass = passes[m];
@@ -160,15 +206,15 @@ nn::Tensor sharded_network_backward(nn::Network& net, const nn::Tensor& x,
         net.backward_shard(pass.in, pass.loss_grad, pass);
     nn::paste_rows(block_grad, rows, grad_input);
   }
+  nn::test::zero_gradients(net.layers());
   nn::reduce_gradients(passes, blocks, net.layers());
   return grad_input;
 }
 
-// A single-block batch (B = kRowsPerBlock) must reproduce the serial
-// member-cache backward exactly; a multi-block batch regroups the same row
-// contributions, so its parameter gradients agree to rounding. The
-// assembled dL/dx is per-row and therefore always exact — and it must also
-// agree with finite differences.
+// The reference is one pass per row: dL/dx of the batch must equal the
+// one-row passes' bit for bit (it never crosses rows), and the reduced
+// parameter gradient must equal the ascending sum of the one-row
+// gradients. dL/dx must also agree with finite differences.
 TEST(ParallelTraining, ShardedNetworkBackwardMatchesSerial) {
   nn::MlpSpec spec;
   spec.input_dim = 5;
@@ -183,49 +229,33 @@ TEST(ParallelTraining, ShardedNetworkBackwardMatchesSerial) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     const nn::Tensor x = random_tensor(batch, spec.input_dim, rng);
     const nn::Tensor target = random_tensor(batch, spec.output_dim, rng);
+    const std::size_t total = batch * spec.output_dim;
 
-    net.zero_grad();
-    nn::Tensor serial_loss_grad;
-    nn::mse_loss_into(net.forward(x), target, serial_loss_grad);
-    const nn::Tensor serial_grad_input = net.backward(serial_loss_grad);
-    std::vector<nn::Tensor> serial_wg, serial_bg;
-    for (const nn::DenseLayer& layer : net.layers()) {
-      serial_wg.push_back(layer.weight_grad());
-      serial_bg.push_back(layer.bias_grad());
+    nn::Tensor row_grad_input(batch, spec.input_dim);
+    ParamGrads row_sum = zero_grads_like(net.layers());
+    nn::TrainPass pass;
+    for (std::size_t i = 0; i < batch; ++i) {
+      const nn::RowRange row{i, i + 1};
+      nn::prepare_pass(net.layers(), pass);
+      nn::copy_rows(x, row, pass.in);
+      nn::copy_rows(target, row, pass.target);
+      nn::mse_loss_partial_into(net.forward_shard(pass.in, pass), pass.target,
+                                total, pass.loss_grad);
+      nn::paste_rows(net.backward_shard(pass.in, pass.loss_grad, pass), row,
+                     row_grad_input);
+      add_block_grads(pass, row_sum);
     }
 
     const nn::Tensor sharded_grad_input =
         sharded_network_backward(net, x, target);
 
-    for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      SCOPED_TRACE("layer=" + std::to_string(l));
-      const nn::Tensor& wg = net.layer(l).weight_grad();
-      const nn::Tensor& bg = net.layer(l).bias_grad();
-      for (std::size_t i = 0; i < wg.rows(); ++i)
-        for (std::size_t j = 0; j < wg.cols(); ++j) {
-          if (batch == nn::kRowsPerBlock) {
-            EXPECT_EQ(wg(i, j), serial_wg[l](i, j));
-          } else {
-            EXPECT_NEAR(wg(i, j), serial_wg[l](i, j),
-                        1e-12 * std::max(1.0, std::abs(serial_wg[l](i, j))));
-          }
-        }
-      for (std::size_t j = 0; j < bg.cols(); ++j) {
-        if (batch == nn::kRowsPerBlock) {
-          EXPECT_EQ(bg(0, j), serial_bg[l](0, j));
-        } else {
-          EXPECT_NEAR(bg(0, j), serial_bg[l](0, j),
-                      1e-12 * std::max(1.0, std::abs(serial_bg[l](0, j))));
-        }
-      }
-    }
-    // dL/dx never crosses block boundaries: exact either way.
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      for (std::size_t j = 0; j < x.cols(); ++j)
-        EXPECT_EQ(sharded_grad_input(i, j), serial_grad_input(i, j));
+    expect_grads_match(layer_grads(net.layers()), row_sum,
+                       batch == nn::kRowsPerBlock);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      EXPECT_EQ(sharded_grad_input.data()[i], row_grad_input.data()[i]);
 
     const auto f = [&](const nn::Tensor& xx) {
-      return nn::mse_loss(net.predict(xx), target).value;
+      return nn::test::mse_value(net.predict(xx), target);
     };
     // The mean-loss scale (1 / (B * out_dim)) shrinks the true gradients,
     // so finite-difference roundoff needs the looser relative bound.
@@ -233,8 +263,8 @@ TEST(ParallelTraining, ShardedNetworkBackwardMatchesSerial) {
   }
 }
 
-// Same contract for the critic: sharded backward must reproduce the serial
-// member-cache parameter gradients and dQ/da (the policy-gradient signal).
+// Same contract for the critic, on its parameter gradients and on dQ/da
+// (the policy-gradient signal).
 TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
   nn::CriticSpec spec;
   spec.state_dim = 5;
@@ -249,21 +279,27 @@ TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
     const nn::Tensor actions = random_tensor(batch, spec.action_dim, rng);
     const nn::Tensor target = random_tensor(batch, 1, rng);
 
-    critic.zero_grad();
-    nn::Tensor serial_loss_grad;
-    nn::mse_loss_into(critic.forward(states, actions), target,
-                      serial_loss_grad);
-    nn::Tensor serial_grad_states, serial_grad_actions;
-    critic.backward_into(serial_loss_grad, serial_grad_states,
-                         serial_grad_actions);
-    std::vector<nn::Tensor> serial_wg;
-    for (const nn::DenseLayer& layer : critic.layers())
-      serial_wg.push_back(layer.weight_grad());
+    nn::Tensor row_grad_actions(batch, spec.action_dim);
+    ParamGrads row_sum = zero_grads_like(critic.layers());
+    nn::TrainPass row_pass;
+    for (std::size_t i = 0; i < batch; ++i) {
+      const nn::RowRange row{i, i + 1};
+      nn::prepare_pass(critic.layers(), row_pass);
+      nn::copy_rows(states, row, row_pass.in);
+      nn::copy_rows(actions, row, row_pass.actions);
+      nn::copy_rows(target, row, row_pass.target);
+      nn::mse_loss_partial_into(
+          critic.forward_shard(row_pass.in, row_pass.actions, row_pass),
+          row_pass.target, batch, row_pass.loss_grad);
+      critic.backward_shard(row_pass.in, row_pass.actions, row_pass.loss_grad,
+                            row_pass);
+      nn::paste_rows(row_pass.grad_actions, row, row_grad_actions);
+      add_block_grads(row_pass, row_sum);
+    }
 
     const std::size_t blocks = nn::num_row_blocks(batch);
     std::vector<nn::TrainPass> passes(blocks);
     nn::Tensor grad_actions(batch, spec.action_dim);
-    critic.zero_grad();
     for (std::size_t m = 0; m < blocks; ++m) {
       const nn::RowRange rows = nn::row_block(batch, m);
       nn::TrainPass& pass = passes[m];
@@ -277,29 +313,16 @@ TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
       critic.backward_shard(pass.in, pass.actions, pass.loss_grad, pass);
       nn::paste_rows(pass.grad_actions, rows, grad_actions);
     }
+    nn::test::zero_gradients(critic.layers());
     nn::reduce_gradients(passes, blocks, critic.layers());
 
-    for (std::size_t l = 0; l < critic.layers().size(); ++l) {
-      SCOPED_TRACE("layer=" + std::to_string(l));
-      const nn::Tensor& wg = critic.layers()[l].weight_grad();
-      for (std::size_t i = 0; i < wg.rows(); ++i)
-        for (std::size_t j = 0; j < wg.cols(); ++j) {
-          if (batch == nn::kRowsPerBlock) {
-            EXPECT_EQ(wg(i, j), serial_wg[l](i, j));
-          } else {
-            EXPECT_NEAR(wg(i, j), serial_wg[l](i, j),
-                        1e-12 * std::max(1.0, std::abs(serial_wg[l](i, j))));
-          }
-        }
-    }
-    // dQ/da is per-row: exact at every batch size, and it must agree with
-    // finite differences through the inference path.
-    for (std::size_t i = 0; i < batch; ++i)
-      for (std::size_t j = 0; j < spec.action_dim; ++j)
-        EXPECT_EQ(grad_actions(i, j), serial_grad_actions(i, j));
+    expect_grads_match(layer_grads(critic.layers()), row_sum,
+                       batch == nn::kRowsPerBlock);
+    for (std::size_t i = 0; i < grad_actions.size(); ++i)
+      EXPECT_EQ(grad_actions.data()[i], row_grad_actions.data()[i]);
 
     const auto f = [&](const nn::Tensor& a) {
-      return nn::mse_loss(critic.predict(states, a), target).value;
+      return nn::test::mse_value(critic.predict(states, a), target);
     };
     EXPECT_LT(nn::max_gradient_error(f, actions, grad_actions), 1e-5);
   }
