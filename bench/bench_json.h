@@ -13,10 +13,10 @@
 // no instrumentation in the measured code. Each micro bench is a single-file
 // executable, which satisfies that by construction.
 //
-// Harnesses that own their timing loop (micro_serve, micro_scaling) define
-// MIRAS_BENCH_JSON_NO_GBENCH before including (they link no
-// google-benchmark) and, when they install their own counting allocator,
-// MIRAS_BENCH_JSON_NO_ALLOC_HOOKS — they still get the JSON writer and the
+// A harness that owns its timing loop (micro_serve) defines
+// MIRAS_BENCH_JSON_NO_GBENCH before including (it links no
+// google-benchmark) and, when it installs its own counting allocator,
+// MIRAS_BENCH_JSON_NO_ALLOC_HOOKS — it still gets the JSON writer and the
 // reference-comparison helpers.
 #pragma once
 
@@ -119,7 +119,7 @@ struct RefBench {
 };
 
 /// Minimal parser for the flat record arrays the writers above (and the
-/// harness-owned writers in micro_serve / micro_scaling) emit: an array of
+/// harness-owned writer in micro_serve) emit: an array of
 /// one-level objects with string/number/bool values. Tolerant of
 /// whitespace; anything unparseable just ends the scan with what was read.
 inline RefBench load_bench_reference(const std::string& path) {

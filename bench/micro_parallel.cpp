@@ -1,8 +1,8 @@
 // Microbenchmarks of the parallel execution layer (google-benchmark):
-// ThreadPool dispatch overhead, parallel_for scaling on simulator-sized
-// work units, seed-shard derivation, lockstep rollout batching, and the
-// evaluation grid at 1..N workers (same result every time — only the wall
-// clock moves). Pass `--json <path>` to dump {op, ns_per_op, bytes_per_op,
+// ThreadPool dispatch overhead, seed-shard derivation, lockstep rollout
+// batching, and the evaluation grid at 1..N workers (same result every
+// time — only the wall clock moves). Pooled episode scaling is
+// micro_sim's BM_PooledEpisodes. Pass `--json <path>` to dump {op, ns_per_op, bytes_per_op,
 // iterations} records (the BENCH_parallel.json CI artifact).
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 
 #include "baselines/heft.h"
 #include "bench_json.h"
-#include "common/object_pool.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/evaluation.h"
@@ -48,58 +47,6 @@ void BM_SubmitOverhead(benchmark::State& state) {
   bench::record_bytes_per_op(state, alloc0);
 }
 BENCHMARK(BM_SubmitOverhead)->Arg(1)->Arg(2)->Arg(4);
-
-// Simulator-sized work unit: one seed-sharded 20-window episode. The
-// per-shard cost (~100us) is what EvaluationHarness and the MIRAS
-// collection loop hand the pool, so this measures realistic scaling, not a
-// synthetic spin loop. Like those layers, shards draw a long-lived system
-// from an ObjectPool and reseed it — per-shard construction serialised the
-// workers on the allocator and made 4 threads *slower* than 1.
-void run_episode_shard(common::ObjectPool<sim::MicroserviceSystem>& systems,
-                       std::uint64_t seed) {
-  std::unique_ptr<sim::MicroserviceSystem> system = systems.try_acquire();
-  if (system != nullptr) {
-    system->reseed(seed);
-  } else {
-    sim::SystemConfig config;
-    config.consumer_budget = workflows::kMsdConsumerBudget;
-    config.seed = seed;
-    system = std::make_unique<sim::MicroserviceSystem>(
-        workflows::make_msd_ensemble(), config);
-  }
-  std::vector<double> wip = system->reset();
-  const std::vector<int> hold(system->action_dim(),
-                              workflows::kMsdConsumerBudget /
-                                  static_cast<int>(system->action_dim()));
-  for (int step = 0; step < 20; ++step) {
-    const sim::StepResult result = system->step(hold);
-    wip = result.state;
-  }
-  benchmark::DoNotOptimize(wip.data());
-  systems.release(std::move(system));
-}
-
-void BM_ParallelForEpisodes(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  common::ThreadPool pool(threads);
-  constexpr std::size_t kShards = 16;
-  common::ObjectPool<sim::MicroserviceSystem> systems;
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    pool.parallel_for(kShards, [&systems](std::size_t i) {
-      run_episode_shard(systems, shard_seed(7, i));
-    });
-  }
-  bench::record_bytes_per_op(state, alloc0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kShards));
-}
-BENCHMARK(BM_ParallelForEpisodes)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_EvaluationGrid(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));

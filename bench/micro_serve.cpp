@@ -27,8 +27,8 @@
 // to count them; 0 is the contract for the direct, admission, and lane
 // arms), served, swaps, dropped, clients, max_batch, lanes, cpus, native.
 //
-// Like micro_scaling, this harness owns its timing loop (throughput and
-// percentiles are cross-thread quantities) and links no google-benchmark.
+// This harness owns its timing loop (throughput and percentiles are
+// cross-thread quantities) and links no google-benchmark.
 // The `cpus` field is load-bearing: on a 1-core box the batched-vs-serial
 // ratio collapses toward 1 and the lane sweep cannot scale, and the
 // artifact must say so. CI floors run on multi-core runners

@@ -321,10 +321,10 @@ void BM_ResetReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_ResetReuse);
 
-// Per-thread episode scaling on pooled, reseeded systems — the simulator
-// side of BM_ParallelForEpisodes (bench/micro_parallel.cpp): 16 20-window
+// Per-thread episode scaling on pooled, reseeded systems: 16 20-window
 // episodes per iteration, each shard drawing a long-lived system from an
-// ObjectPool. Real time must *drop* as threads are added.
+// ObjectPool (per-shard construction serialised the workers on the
+// allocator). Real time must *drop* as threads are added.
 void BM_PooledEpisodes(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   common::ThreadPool pool(threads);

@@ -1,7 +1,5 @@
 #include "baselines/simple.h"
 
-#include <cmath>
-
 #include "common/contracts.h"
 #include "rl/action.h"
 
@@ -39,15 +37,7 @@ RandomPolicy::RandomPolicy(std::size_t num_task_types, std::uint64_t seed)
 }
 
 std::vector<double> RandomPolicy::random_weights() {
-  // Exponential spacings give a uniform sample from the simplex.
-  std::vector<double> weights(num_task_types_);
-  double total = 0.0;
-  for (double& w : weights) {
-    w = rng_.exponential(1.0);
-    total += w;
-  }
-  for (double& w : weights) w /= total;
-  return weights;
+  return rl::uniform_simplex_weights(num_task_types_, rng_);
 }
 
 std::vector<int> RandomPolicy::decide(const sim::WindowStats& /*last_window*/,

@@ -44,7 +44,7 @@ class RandomPolicy final : public rl::Policy {
   std::vector<int> decide(const sim::WindowStats& last_window,
                           int budget) override;
 
-  /// Draws random simplex weights (also used by the data-collection loop).
+  /// Draws rl::uniform_simplex_weights from the policy's own stream.
   std::vector<double> random_weights();
 
  private:

@@ -1,6 +1,5 @@
 #include "core/collection.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -29,29 +28,6 @@ CollectionBehavior pick_collection_behavior(const MirasConfig& config,
   return CollectionBehavior::kPolicy;
 }
 
-std::vector<double> random_simplex_weights(std::size_t dim, Rng& rng) {
-  std::vector<double> weights(dim);
-  double total = 0.0;
-  for (double& w : weights) {
-    w = rng.exponential(1.0);
-    total += w;
-  }
-  for (double& w : weights) w /= total;
-  return weights;
-}
-
-std::vector<double> demo_proportional_weights(const std::vector<double>& state,
-                                              Rng& rng) {
-  std::vector<double> weights(state.size());
-  double total = 0.0;
-  for (std::size_t j = 0; j < state.size(); ++j) {
-    weights[j] = (std::max(state[j], 0.0) + 1.0) * rng.uniform(0.75, 1.25);
-    total += weights[j];
-  }
-  for (double& w : weights) w /= total;
-  return weights;
-}
-
 void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
                                    Rng& rng) {
   if (config.collection_burst_probability <= 0.0) return;
@@ -72,28 +48,14 @@ std::vector<double> behavior_weights(CollectionBehavior behavior,
                                      rl::ExplorationSnapshot* snapshot) {
   switch (behavior) {
     case CollectionBehavior::kRandom:
-      return random_simplex_weights(action_dim, rng);
+      return rl::uniform_simplex_weights(action_dim, rng);
     case CollectionBehavior::kDemo:
-      return demo_proportional_weights(state, rng);
+      return rl::wip_proportional_weights(state, action_dim, rng);
     case CollectionBehavior::kPolicy:
       MIRAS_EXPECTS(snapshot != nullptr);
       return snapshot->act(state, rng);
   }
-  return random_simplex_weights(action_dim, rng);
-}
-
-std::vector<int> collection_allocation(const std::vector<double>& weights,
-                                       int budget,
-                                       const rl::DdpgConfig& config) {
-  std::vector<int> allocation =
-      rl::allocation_from_weights(weights, budget, config.rounding);
-  if (config.min_consumers_per_type > 0 &&
-      budget >= config.min_consumers_per_type *
-                    static_cast<int>(allocation.size())) {
-    rl::enforce_minimum_allocation(allocation, config.min_consumers_per_type,
-                                   budget);
-  }
-  return allocation;
+  return rl::uniform_simplex_weights(action_dim, rng);
 }
 
 CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
@@ -130,8 +92,9 @@ CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
     const std::vector<double> weights =
         behavior_weights(chosen, state, env->action_dim(), ep_rng,
                          snapshot ? &*snapshot : nullptr);
-    const std::vector<int> allocation =
-        collection_allocation(weights, env->consumer_budget(), config.ddpg);
+    const std::vector<int> allocation = rl::guarded_allocation(
+        weights, env->consumer_budget(), config.ddpg.rounding,
+        config.ddpg.min_consumers_per_type);
     const sim::StepResult result = env->step(allocation);
     episode.transitions.push_back(
         envmodel::Transition{state, allocation, result.state, result.reward});

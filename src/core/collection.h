@@ -63,14 +63,6 @@ EnvFactory system_factory(workflows::Ensemble ensemble,
 CollectionBehavior pick_collection_behavior(const MirasConfig& config,
                                             Rng& rng);
 
-/// Exponential spacings: a uniform draw from the probability simplex.
-std::vector<double> random_simplex_weights(std::size_t dim, Rng& rng);
-
-/// WIP-proportional demonstration weights (+1 keeps idle queues warm; mild
-/// noise varies the demonstrations between episodes).
-std::vector<double> demo_proportional_weights(const std::vector<double>& state,
-                                              Rng& rng);
-
 /// With the configured probability, injects a random workload burst into
 /// `env` (MicroserviceSystem only; other envs are left untouched).
 void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
@@ -82,13 +74,6 @@ std::vector<double> behavior_weights(CollectionBehavior behavior,
                                      const std::vector<double>& state,
                                      std::size_t action_dim, Rng& rng,
                                      rl::ExplorationSnapshot* snapshot);
-
-/// Weight-to-allocation mapping shared by collection, synthetic training,
-/// and the model-free trainer; mirrors DdpgAgent::act_allocation (including
-/// the minReplicas-style guardrail) so behaviour and deployment match.
-std::vector<int> collection_allocation(const std::vector<double>& weights,
-                                       int budget,
-                                       const rl::DdpgConfig& config);
 
 /// Runs one collection episode. Every stochastic choice — environment
 /// arrivals, burst, behaviour, exploration — flows from spec.seed in a

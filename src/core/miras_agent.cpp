@@ -146,8 +146,9 @@ void MirasAgent::run_synthetic_rollout_batch(
       std::vector<double> weights = behavior_weights(
           lane.behavior, state, env_->action_dim(), lane.roll_rng,
           lane.snapshot ? &*lane.snapshot : nullptr);
-      allocations[l] = collection_allocation(
-          weights, env_->consumer_budget(), config_.ddpg);
+      allocations[l] = rl::guarded_allocation(
+          weights, env_->consumer_budget(), config_.ddpg.rounding,
+          config_.ddpg.min_consumers_per_type);
       rollouts[l].push_back(SyntheticStep{state, std::move(weights), 0.0, {}});
     }
     // The whole batch takes its timestep as one batched model query.
@@ -360,8 +361,9 @@ rl::DdpgAgent train_model_free_ddpg(sim::Env& env,
   agent.resample_exploration();
   for (std::size_t step = 0; step < config.total_steps; ++step) {
     const std::vector<double> weights = agent.act(state, /*explore=*/true);
-    const std::vector<int> allocation =
-        collection_allocation(weights, env.consumer_budget(), config.ddpg);
+    const std::vector<int> allocation = rl::guarded_allocation(
+        weights, env.consumer_budget(), config.ddpg.rounding,
+        config.ddpg.min_consumers_per_type);
     const sim::StepResult result = env.step(allocation);
     agent.observe(state, weights, result.reward * config.reward_scale,
                   result.state);

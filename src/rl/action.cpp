@@ -93,6 +93,44 @@ void enforce_minimum_allocation(std::vector<int>& allocation,
   }
 }
 
+std::vector<int> guarded_allocation(const std::vector<double>& weights,
+                                    int budget, RoundingMode rounding,
+                                    int min_per_type) {
+  std::vector<int> allocation =
+      allocation_from_weights(weights, budget, rounding);
+  // Widened so a decoded min_per_type cannot overflow the product.
+  if (min_per_type > 0 &&
+      static_cast<long long>(budget) >=
+          static_cast<long long>(min_per_type) *
+              static_cast<long long>(allocation.size()))
+    enforce_minimum_allocation(allocation, min_per_type, budget);
+  return allocation;
+}
+
+std::vector<double> uniform_simplex_weights(std::size_t dim, Rng& rng) {
+  std::vector<double> weights(dim);
+  double total = 0.0;
+  for (double& w : weights) {
+    w = rng.exponential(1.0);
+    total += w;
+  }
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
+std::vector<double> wip_proportional_weights(const std::vector<double>& state,
+                                             std::size_t dim, Rng& rng) {
+  MIRAS_EXPECTS(state.size() >= dim);
+  std::vector<double> weights(dim);
+  double total = 0.0;
+  for (std::size_t j = 0; j < dim; ++j) {
+    weights[j] = (std::max(state[j], 0.0) + 1.0) * rng.uniform(0.75, 1.25);
+    total += weights[j];
+  }
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
 bool satisfies_budget(const std::vector<int>& allocation, int budget) {
   int total = 0;
   for (const int m : allocation) {

@@ -9,7 +9,10 @@
 // provided; experiments use the paper-faithful floor by default.
 #pragma once
 
+#include <cstddef>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace miras::rl {
 
@@ -37,5 +40,24 @@ bool satisfies_budget(const std::vector<int>& allocation, int budget);
 /// allocation.size(); the result still satisfies the budget.
 void enforce_minimum_allocation(std::vector<int>& allocation,
                                 int min_per_type, int budget);
+
+/// The allocator's last step: allocation_from_weights(), then the
+/// enforce_minimum_allocation guardrail with `min_per_type` whenever that
+/// is positive and the budget can fund it for every type. The agent, seed-
+/// sharded collection, synthetic rollouts and the serving snapshot all map
+/// weights to allocations through this one function.
+std::vector<int> guarded_allocation(const std::vector<double>& weights,
+                                    int budget, RoundingMode rounding,
+                                    int min_per_type);
+
+/// Exponential spacings: a uniform draw from the probability simplex
+/// (`dim` exponential(1) draws from `rng`).
+std::vector<double> uniform_simplex_weights(std::size_t dim, Rng& rng);
+
+/// WIP-proportional demonstration weights over the first `dim` entries of
+/// `state`: (max(w_j, 0) + 1) * U(0.75, 1.25), normalised. The +1 keeps idle
+/// queues warm; the mild noise varies the demonstrations.
+std::vector<double> wip_proportional_weights(const std::vector<double>& state,
+                                             std::size_t dim, Rng& rng);
 
 }  // namespace miras::rl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -21,42 +22,103 @@ namespace {
 constexpr double kMinStddevRaw = 1.0;
 constexpr double kMinStddevLog = 0.1;
 
-// Exponential spacings: a uniform draw from the probability simplex.
-std::vector<double> uniform_simplex_point(std::size_t dim, Rng& rng) {
-  std::vector<double> weights(dim);
-  double total = 0.0;
-  for (double& w : weights) {
-    w = rng.exponential(1.0);
-    total += w;
+// The exploring roll of DdpgAgent::act(state, true) and
+// ExplorationSnapshot::act; `settings` is a DdpgConfig or a
+// BehaviorSnapshot, whose exploration fields share their names. One roll
+// picks an ε-random point, an ε-demo point, or `policy` on the normalised
+// state (the perturbed actor under parameter noise; under action noise the
+// clean actor plus clipped Gaussian noise, counting would-be budget
+// violations). kNone is the greedy action and draws nothing.
+template <class Settings>
+std::vector<double> exploring_action(const Settings& settings, int budget,
+                                     const nn::Network& policy,
+                                     const StateNormalizer& normalizer,
+                                     const std::vector<double>& state,
+                                     Rng& rng, nn::Workspace& ws,
+                                     std::vector<double>& norm,
+                                     std::size_t& violations) {
+  if (settings.exploration != ExplorationMode::kNone) {
+    const double roll = rng.uniform();
+    if (roll < settings.epsilon_random)
+      return uniform_simplex_weights(policy.output_dim(), rng);
+    if (roll < settings.epsilon_random + settings.epsilon_demo)
+      return wip_proportional_weights(state, policy.output_dim(), rng);
   }
-  for (double& w : weights) w /= total;
-  return weights;
-}
-
-// WIP-proportional demonstration weights (+1 keeps idle queues warm; mild
-// noise varies the demonstrations).
-std::vector<double> wip_proportional_weights(const std::vector<double>& state,
-                                             std::size_t dim, Rng& rng) {
-  std::vector<double> weights(dim);
-  double total = 0.0;
-  for (std::size_t j = 0; j < dim; ++j) {
-    weights[j] = (std::max(state[j], 0.0) + 1.0) * rng.uniform(0.75, 1.25);
-    total += weights[j];
-  }
-  for (double& w : weights) w /= total;
-  return weights;
-}
-
-// The would-be allocation a raw (possibly off-simplex) weight vector maps
-// to if consumed verbatim; used to count action-noise budget violations.
-bool raw_weights_violate_budget(const std::vector<double>& weights,
-                                int budget) {
-  std::vector<int> raw_counts(weights.size());
-  for (std::size_t j = 0; j < weights.size(); ++j)
+  MIRAS_EXPECTS(state.size() == normalizer.dim());
+  norm.resize(state.size());
+  normalizer.apply(state.data(), norm.data());
+  std::vector<double> action;
+  policy.predict_one(norm, ws, action);
+  if (settings.exploration != ExplorationMode::kActionNoise) return action;
+  std::vector<double> noisy =
+      GaussianActionNoise(settings.action_noise_stddev).apply(action, rng);
+  // The off-simplex weights, if consumed verbatim as floor(C * w_j).
+  std::vector<int> raw_counts(noisy.size());
+  for (std::size_t j = 0; j < noisy.size(); ++j)
     raw_counts[j] = static_cast<int>(
-        std::floor(static_cast<double>(budget) * weights[j]));
-  return !satisfies_budget(raw_counts, budget);
+        std::floor(static_cast<double>(budget) * noisy[j]));
+  if (!satisfies_budget(raw_counts, budget)) ++violations;
+  return noisy;
 }
+
+// Normalises the batch's states (or next states) into the rows of `out`.
+void normalize_rows(const StateNormalizer& normalizer,
+                    const std::vector<const Experience*>& batch, bool next,
+                    nn::Tensor& out) {
+  out.resize(batch.size(), normalizer.dim());
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const std::vector<double>& raw = next ? batch[b]->next_state
+                                          : batch[b]->state;
+    MIRAS_EXPECTS(raw.size() == normalizer.dim());
+    normalizer.apply(raw.data(), &out(b, 0));
+  }
+}
+}  // namespace
+
+double StateNormalizer::feature(double raw, bool log_features) {
+  return log_features ? std::log1p(std::max(raw, 0.0)) : raw;
+}
+
+StateNormalizer StateNormalizer::resolve(
+    const std::vector<RunningStats>& stats, bool log_features) {
+  StateNormalizer normalizer;
+  normalizer.log_features = log_features;
+  normalizer.shift.assign(stats.size(), 0.0);
+  normalizer.scale.assign(stats.size(), 1.0);
+  const double floor = log_features ? kMinStddevLog : kMinStddevRaw;
+  for (std::size_t j = 0; j < stats.size(); ++j) {
+    if (stats[j].count() < 2) continue;  // no statistics yet: pass through
+    normalizer.shift[j] = stats[j].mean();
+    normalizer.scale[j] = std::max(stats[j].stddev(), floor);
+  }
+  return normalizer;
+}
+
+void StateNormalizer::apply(const double* raw, double* out) const {
+  for (std::size_t j = 0; j < shift.size(); ++j)
+    out[j] = (feature(raw[j], log_features) - shift[j]) / scale[j];
+}
+
+void StateNormalizer::write_map(persist::BinaryWriter& out) const {
+  out.vec_f64(shift);
+  out.vec_f64(scale);
+}
+
+void StateNormalizer::read_map(persist::BinaryReader& in) {
+  in.vec_f64_into(shift);
+  in.vec_f64_into(scale);
+  if (shift.size() != scale.size())
+    throw std::runtime_error(
+        "persist: behaviour snapshot normaliser shape mismatch");
+  for (std::size_t j = 0; j < shift.size(); ++j) {
+    if (!std::isfinite(shift[j]))
+      throw std::runtime_error("persist: normaliser shift " +
+                               std::to_string(j) + " is not finite");
+    if (!(std::isfinite(scale[j]) && scale[j] > 0.0))
+      throw std::runtime_error("persist: normaliser scale " +
+                               std::to_string(j) +
+                               " is not a finite positive number");
+  }
 }
 
 DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
@@ -72,13 +134,13 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
       replay_(config_.replay_capacity),
       parameter_noise_(config_.parameter_noise_initial,
                        config_.parameter_noise_target_distance),
-      action_noise_(config_.action_noise_stddev),
       state_stats_(state_dim) {
   MIRAS_EXPECTS(state_dim > 0);
   MIRAS_EXPECTS(action_dim > 0);
   MIRAS_EXPECTS(consumer_budget > 0);
   MIRAS_EXPECTS(config_.gamma >= 0.0 && config_.gamma < 1.0);
   MIRAS_EXPECTS(config_.tau > 0.0 && config_.tau <= 1.0);
+  MIRAS_EXPECTS(config_.action_noise_stddev >= 0.0);
   pending_slots_.resize(std::max<std::size_t>(config_.n_step, 1));
 
   nn::MlpSpec actor_spec;
@@ -104,104 +166,40 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   }
 }
 
-double DdpgAgent::state_feature(double raw) const {
-  return config_.log_state_features ? std::log1p(std::max(raw, 0.0)) : raw;
-}
-
-std::vector<double> DdpgAgent::normalize_state(
-    const std::vector<double>& state) const {
-  MIRAS_EXPECTS(state.size() == state_dim_);
-  std::vector<double> normalized(state_dim_);
-  for (std::size_t j = 0; j < state_dim_; ++j) {
-    const double feature = state_feature(state[j]);
-    if (state_stats_[j].count() < 2) {
-      normalized[j] = feature;  // no statistics yet: pass through
-      continue;
-    }
-    const double floor =
-        config_.log_state_features ? kMinStddevLog : kMinStddevRaw;
-    const double mean = state_stats_[j].mean();
-    const double stddev = std::max(state_stats_[j].stddev(), floor);
-    normalized[j] = (feature - mean) / stddev;
-  }
-  return normalized;
-}
-
-void DdpgAgent::normalize_states_into(
-    const std::vector<const Experience*>& batch, bool next,
-    nn::Tensor& out) const {
-  out.resize(batch.size(), state_dim_);
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    const auto& raw = next ? batch[b]->next_state : batch[b]->state;
-    MIRAS_EXPECTS(raw.size() == state_dim_);
-    // Mirrors normalize_state() element for element, writing rows in place.
-    for (std::size_t j = 0; j < state_dim_; ++j) {
-      const double feature = state_feature(raw[j]);
-      if (state_stats_[j].count() < 2) {
-        out(b, j) = feature;
-        continue;
-      }
-      const double floor =
-          config_.log_state_features ? kMinStddevLog : kMinStddevRaw;
-      const double mean = state_stats_[j].mean();
-      const double stddev = std::max(state_stats_[j].stddev(), floor);
-      out(b, j) = (feature - mean) / stddev;
-    }
-  }
+StateNormalizer DdpgAgent::normalizer() const {
+  return StateNormalizer::resolve(state_stats_, config_.log_state_features);
 }
 
 std::vector<double> DdpgAgent::act(const std::vector<double>& state,
                                    bool explore) {
-  if (!explore || config_.exploration == ExplorationMode::kNone)
-    return act_greedy(state);
-
-  const double roll = rng_.uniform();
-  if (roll < config_.epsilon_random) return random_simplex_action();
-  if (roll < config_.epsilon_random + config_.epsilon_demo)
-    return proportional_demo_action(state);
-
-  const std::vector<double> normalized = normalize_state(state);
-  if (config_.exploration == ExplorationMode::kParameterNoise) {
-    perturbed_actor_.predict_one(normalized, ws_, act_scratch_);
-    return act_scratch_;
-  }
-
-  // Action-space noise: perturb the clean action. The perturbed weights can
-  // leave the simplex; count the would-be constraint violations that the
-  // paper observes with this exploration mode (§IV-D).
-  actor_.predict_one(normalized, ws_, act_scratch_);
-  std::vector<double> noisy = action_noise_.apply(act_scratch_, rng_);
-  if (raw_weights_violate_budget(noisy, consumer_budget_))
-    ++constraint_violations_;
-  return noisy;
+  if (!explore) return act_greedy(state);
+  const nn::Network& policy =
+      config_.exploration == ExplorationMode::kParameterNoise
+          ? perturbed_actor_
+          : actor_;
+  return exploring_action(config_, consumer_budget_, policy, normalizer(),
+                          state, rng_, ws_, norm_scratch_,
+                          constraint_violations_);
 }
 
 std::vector<double> DdpgAgent::act_greedy(
     const std::vector<double>& state) const {
-  return actor_.predict_one(normalize_state(state));
-}
-
-std::vector<int> DdpgAgent::weights_to_allocation(
-    const std::vector<double>& weights) const {
-  std::vector<int> allocation =
-      allocation_from_weights(weights, consumer_budget_, config_.rounding);
-  if (config_.min_consumers_per_type > 0 &&
-      consumer_budget_ >= config_.min_consumers_per_type *
-                              static_cast<int>(action_dim_)) {
-    enforce_minimum_allocation(allocation, config_.min_consumers_per_type,
-                               consumer_budget_);
-  }
-  return allocation;
+  MIRAS_EXPECTS(state.size() == state_dim_);
+  std::vector<double> normalized(state_dim_);
+  normalizer().apply(state.data(), normalized.data());
+  return actor_.predict_one(normalized);
 }
 
 std::vector<int> DdpgAgent::act_allocation(const std::vector<double>& state,
                                            bool explore) {
-  return weights_to_allocation(act(state, explore));
+  return guarded_allocation(act(state, explore), consumer_budget_,
+                            config_.rounding, config_.min_consumers_per_type);
 }
 
 std::vector<int> DdpgAgent::act_allocation_greedy(
     const std::vector<double>& state) const {
-  return weights_to_allocation(act_greedy(state));
+  return guarded_allocation(act_greedy(state), consumer_budget_,
+                            config_.rounding, config_.min_consumers_per_type);
 }
 
 BehaviorSnapshot DdpgAgent::behavior_snapshot() const {
@@ -211,42 +209,18 @@ BehaviorSnapshot DdpgAgent::behavior_snapshot() const {
   snap.epsilon_demo = config_.epsilon_demo;
   snap.action_noise_stddev = config_.action_noise_stddev;
   snap.parameter_noise_stddev = parameter_noise_.stddev();
-  snap.log_state_features = config_.log_state_features;
   snap.consumer_budget = consumer_budget_;
   snap.action_dim = action_dim_;
   snap.policy = actor_;
-  // Resolve the normaliser into a plain affine map so the snapshot neither
-  // references the agent nor repeats the flooring logic per call.
-  snap.shift.resize(state_dim_);
-  snap.scale.resize(state_dim_);
-  const double floor =
-      config_.log_state_features ? kMinStddevLog : kMinStddevRaw;
-  for (std::size_t j = 0; j < state_dim_; ++j) {
-    if (state_stats_[j].count() < 2) {
-      snap.shift[j] = 0.0;
-      snap.scale[j] = 1.0;
-    } else {
-      snap.shift[j] = state_stats_[j].mean();
-      snap.scale[j] = std::max(state_stats_[j].stddev(), floor);
-    }
-  }
+  snap.normalizer = normalizer();
   return snap;
 }
 
 ExplorationSnapshot BehaviorSnapshot::instantiate(Rng& rng) const {
   ExplorationSnapshot snapshot;
-  snapshot.exploration_ = exploration;
-  snapshot.epsilon_random_ = epsilon_random;
-  snapshot.epsilon_demo_ = epsilon_demo;
-  snapshot.action_noise_stddev_ = action_noise_stddev;
-  snapshot.log_state_features_ = log_state_features;
-  snapshot.consumer_budget_ = consumer_budget;
-  snapshot.action_dim_ = action_dim;
-  snapshot.policy_ = policy;
+  snapshot.behavior_ = *this;
   if (exploration == ExplorationMode::kParameterNoise)
-    snapshot.policy_.perturb_parameters(parameter_noise_stddev, rng);
-  snapshot.shift_ = shift;
-  snapshot.scale_ = scale;
+    snapshot.behavior_.policy.perturb_parameters(parameter_noise_stddev, rng);
   return snapshot;
 }
 
@@ -256,12 +230,11 @@ void BehaviorSnapshot::save_state(persist::BinaryWriter& out) const {
   out.f64(epsilon_demo);
   out.f64(action_noise_stddev);
   out.f64(parameter_noise_stddev);
-  out.boolean(log_state_features);
+  out.boolean(normalizer.log_features);
   out.i64(consumer_budget);
   out.u64(action_dim);
   nn::write_network(out, policy);
-  out.vec_f64(shift);
-  out.vec_f64(scale);
+  normalizer.write_map(out);
 }
 
 void BehaviorSnapshot::restore_state(persist::BinaryReader& in) {
@@ -274,59 +247,37 @@ void BehaviorSnapshot::restore_state(persist::BinaryReader& in) {
   epsilon_demo = in.f64();
   action_noise_stddev = in.f64();
   parameter_noise_stddev = in.f64();
-  log_state_features = in.boolean();
-  consumer_budget = static_cast<int>(in.i64());
+  normalizer.log_features = in.boolean();
+  const std::int64_t budget = in.i64();
+  if (budget < 1 || budget > std::numeric_limits<int>::max())
+    throw std::runtime_error("persist: consumer budget " +
+                             std::to_string(budget) +
+                             " outside [1, INT_MAX] in behaviour snapshot");
+  consumer_budget = static_cast<int>(budget);
   action_dim = static_cast<std::size_t>(in.u64());
   policy = nn::read_network(in);
-  in.vec_f64_into(shift);
-  in.vec_f64_into(scale);
-  if (shift.size() != scale.size())
+  normalizer.read_map(in);
+  if (normalizer.dim() != policy.input_dim())
     throw std::runtime_error(
-        "persist: behaviour snapshot normaliser shape mismatch");
+        "persist: behaviour snapshot normaliser width " +
+        std::to_string(normalizer.dim()) + " differs from the policy input " +
+        std::to_string(policy.input_dim()));
+  if (action_dim != policy.output_dim())
+    throw std::runtime_error(
+        "persist: behaviour snapshot action_dim " +
+        std::to_string(action_dim) + " differs from the policy output " +
+        std::to_string(policy.output_dim()));
 }
 
 ExplorationSnapshot DdpgAgent::snapshot_exploration(Rng& rng) const {
   return behavior_snapshot().instantiate(rng);
 }
 
-const std::vector<double>& ExplorationSnapshot::normalize(
-    const std::vector<double>& state) {
-  MIRAS_EXPECTS(state.size() == shift_.size());
-  norm_.resize(state.size());
-  for (std::size_t j = 0; j < state.size(); ++j) {
-    const double feature = log_state_features_
-                               ? std::log1p(std::max(state[j], 0.0))
-                               : state[j];
-    norm_[j] = (feature - shift_[j]) / scale_[j];
-  }
-  return norm_;
-}
-
 std::vector<double> ExplorationSnapshot::act(const std::vector<double>& state,
                                              Rng& rng) {
-  if (exploration_ == ExplorationMode::kNone) {
-    std::vector<double> out;
-    policy_.predict_one(normalize(state), ws_, out);
-    return out;
-  }
-
-  const double roll = rng.uniform();
-  if (roll < epsilon_random_) return uniform_simplex_point(action_dim_, rng);
-  if (roll < epsilon_random_ + epsilon_demo_)
-    return wip_proportional_weights(state, action_dim_, rng);
-
-  if (exploration_ == ExplorationMode::kParameterNoise) {
-    std::vector<double> out;
-    policy_.predict_one(normalize(state), ws_, out);
-    return out;
-  }
-
-  std::vector<double> clean;
-  policy_.predict_one(normalize(state), ws_, clean);
-  const GaussianActionNoise noise(action_noise_stddev_);
-  std::vector<double> noisy = noise.apply(clean, rng);
-  if (raw_weights_violate_budget(noisy, consumer_budget_)) ++violations_;
-  return noisy;
+  return exploring_action(behavior_, behavior_.consumer_budget,
+                          behavior_.policy, behavior_.normalizer, state, rng,
+                          ws_, norm_, violations_);
 }
 
 void DdpgAgent::observe(const std::vector<double>& state,
@@ -336,7 +287,8 @@ void DdpgAgent::observe(const std::vector<double>& state,
   MIRAS_EXPECTS(action.size() == action_dim_);
   MIRAS_EXPECTS(next_state.size() == state_dim_);
   for (std::size_t j = 0; j < state_dim_; ++j)
-    state_stats_[j].add(state_feature(state[j]));
+    state_stats_[j].add(
+        StateNormalizer::feature(state[j], config_.log_state_features));
   if (!any_reward_seen_) {
     min_reward_seen_ = reward;
     max_reward_seen_ = reward;
@@ -382,7 +334,8 @@ void DdpgAgent::end_episode() {
 void DdpgAgent::observe_state_only(const std::vector<double>& state) {
   MIRAS_EXPECTS(state.size() == state_dim_);
   for (std::size_t j = 0; j < state_dim_; ++j)
-    state_stats_[j].add(state_feature(state[j]));
+    state_stats_[j].add(
+        StateNormalizer::feature(state[j], config_.log_state_features));
 }
 
 void DdpgAgent::enable_parallel_training(common::ThreadPool* pool) {
@@ -393,6 +346,8 @@ double DdpgAgent::update(std::size_t count) {
   if (replay_.size() < std::max(config_.warmup, config_.batch_size))
     return 0.0;
 
+  // The statistics cannot move during update(): resolve them once.
+  const StateNormalizer norm = normalizer();
   double critic_loss_sum = 0.0;
   std::size_t ran = 0;
   for (std::size_t step = 0; step < count; ++step) {
@@ -405,8 +360,8 @@ double DdpgAgent::update(std::size_t count) {
       actor_passes_.resize(blocks);
     }
 
-    normalize_states_into(batch_scratch_, /*next=*/false, batch_states_);
-    normalize_states_into(batch_scratch_, /*next=*/true, batch_next_states_);
+    normalize_rows(norm, batch_scratch_, /*next=*/false, batch_states_);
+    normalize_rows(norm, batch_scratch_, /*next=*/true, batch_next_states_);
     batch_actions_.resize(b_size, action_dim_);
     for (std::size_t b = 0; b < b_size; ++b)
       batch_actions_.set_row(b, batch_scratch_[b]->action);
@@ -536,27 +491,18 @@ double DdpgAgent::update(std::size_t count) {
       critic2_target_.soft_update_from(critic2_, config_.tau);
 
     if (config_.exploration == ExplorationMode::kParameterNoise)
-      adapt_parameter_noise();
+      adapt_parameter_noise(norm);
   }
   return ran > 0 ? critic_loss_sum / static_cast<double>(ran) : 0.0;
 }
 
-std::vector<double> DdpgAgent::proportional_demo_action(
-    const std::vector<double>& state) {
-  return wip_proportional_weights(state, action_dim_, rng_);
-}
-
-std::vector<double> DdpgAgent::random_simplex_action() {
-  return uniform_simplex_point(action_dim_, rng_);
-}
-
-void DdpgAgent::adapt_parameter_noise() {
+void DdpgAgent::adapt_parameter_noise(const StateNormalizer& norm) {
   if (replay_.empty()) return;
   // Measure the action-space distance induced by the current perturbation
   // on a small probe batch, then steer sigma toward the target distance.
   const std::size_t probe = std::min<std::size_t>(16, replay_.size());
   replay_.sample_into(probe, rng_, batch_scratch_);
-  normalize_states_into(batch_scratch_, /*next=*/false, batch_states_);
+  normalize_rows(norm, batch_scratch_, /*next=*/false, batch_states_);
   // ws_.c / ws_.d double as the clean/perturbed probe outputs here; the
   // refiner never shares this workspace.
   actor_.predict_batch(batch_states_, ws_, ws_.c);
@@ -587,7 +533,10 @@ void DdpgAgent::resample_exploration() {
 
 double DdpgAgent::q_value(const std::vector<double>& state,
                           const std::vector<double>& action) const {
-  return critic_.predict_one(normalize_state(state), action);
+  MIRAS_EXPECTS(state.size() == state_dim_);
+  std::vector<double> normalized(state_dim_);
+  normalizer().apply(state.data(), normalized.data());
+  return critic_.predict_one(normalized, action);
 }
 
 void DdpgAgent::save_state(persist::BinaryWriter& out) const {
@@ -725,7 +674,12 @@ ServableExport read_servable_export(persist::BinaryReader& in) {
     throw std::runtime_error(
         "persist: malformed rounding mode in servable export");
   exported.rounding = static_cast<RoundingMode>(mode);
-  exported.min_consumers_per_type = static_cast<int>(in.i64());
+  const std::int64_t min_per_type = in.i64();
+  if (min_per_type < 0 || min_per_type > std::numeric_limits<int>::max())
+    throw std::runtime_error("persist: min_consumers_per_type " +
+                             std::to_string(min_per_type) +
+                             " outside [0, INT_MAX] in servable export");
+  exported.min_consumers_per_type = static_cast<int>(min_per_type);
   return exported;
 }
 

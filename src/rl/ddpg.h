@@ -119,56 +119,42 @@ struct DdpgConfig {
 
 class DdpgAgent;
 
-/// Frozen view of a DdpgAgent's exploring behaviour, built by
-/// DdpgAgent::snapshot_exploration() for one collection episode or one
-/// synthetic rollout. It owns a
-/// copy of the (perturbed) policy network and the resolved normaliser, so
-/// worker threads can act concurrently while the agent itself is untouched;
-/// every stochastic draw comes from the caller-provided Rng, making the
-/// behaviour a pure function of (snapshot, rng, states).
-class ExplorationSnapshot {
- public:
-  /// Exploring simplex action for `state`: what DdpgAgent::act(state,
-  /// /*explore=*/true) would draw, but from the caller's rng and a frozen
-  /// actor. MirasAgent explores only through snapshots.
-  std::vector<double> act(const std::vector<double>& state, Rng& rng);
+/// The state normaliser: each raw WIP entry becomes a feature (log1p(max(w,
+/// 0)) with log features on, else w), then y = (f - shift) / scale, with
+/// shift 0 and scale 1 for dimensions seen fewer than twice. The agent and
+/// every snapshot normalise through this one type.
+struct StateNormalizer {
+  bool log_features = true;
+  std::vector<double> shift;
+  std::vector<double> scale;
 
-  /// Would-be budget violations observed so far (action-noise mode only);
-  /// merged back via DdpgAgent::record_constraint_violations().
-  std::size_t constraint_violations() const { return violations_; }
+  std::size_t dim() const { return shift.size(); }
 
- private:
-  friend class DdpgAgent;
-  friend struct BehaviorSnapshot;
-  ExplorationSnapshot() = default;
+  /// The feature of one raw state entry (what the running statistics see).
+  static double feature(double raw, bool log_features);
 
-  /// Normalises into the reused norm_ buffer (valid until the next call).
-  const std::vector<double>& normalize(const std::vector<double>& state);
+  /// Resolves running feature statistics into the affine map; the stddev
+  /// floors live here and nowhere else.
+  static StateNormalizer resolve(const std::vector<RunningStats>& stats,
+                                 bool log_features);
 
-  ExplorationMode exploration_ = ExplorationMode::kNone;
-  double epsilon_random_ = 0.0;
-  double epsilon_demo_ = 0.0;
-  double action_noise_stddev_ = 0.0;
-  bool log_state_features_ = true;
-  int consumer_budget_ = 0;
-  std::size_t action_dim_ = 0;
-  nn::Network policy_;  // perturbed actor (parameter noise) or clean actor
-  // Resolved per-dimension affine normalisation y = (f - shift) / scale;
-  // dimensions without statistics pass through as shift 0, scale 1.
-  std::vector<double> shift_;
-  std::vector<double> scale_;
-  std::size_t violations_ = 0;
-  // Per-snapshot inference scratch: snapshots act from worker threads, so
-  // each owns its buffers and steady-state act() calls do not allocate
-  // inside the network.
-  nn::Workspace ws_;
-  std::vector<double> norm_;
+  /// Normalises dim() raw entries into `out` (dim() entries, caller-sized).
+  void apply(const double* raw, double* out) const;
+
+  /// Encodes the affine map (shift, then scale); the owner writes the log
+  /// flag at its own place in the payload.
+  void write_map(persist::BinaryWriter& out) const;
+  /// Decodes write_map(). Throws std::runtime_error on a shape mismatch, a
+  /// non-finite shift, or a scale that is not finite and positive.
+  void read_map(persist::BinaryReader& in);
 };
+
+class ExplorationSnapshot;
 
 /// Serializable pre-perturbation behaviour state: everything needed to
 /// reproduce DdpgAgent::snapshot_exploration() away from the agent — the
 /// clean actor, the current parameter-noise stddev, the resolved normaliser
-/// map, and the exploration configuration. The agent's own
+/// and the exploration configuration. The agent's own
 /// snapshot_exploration(rng) is behavior_snapshot().instantiate(rng) by
 /// construction, so a collector process that receives this struct over the
 /// wire draws bit-identical episode behaviour to the in-process engine.
@@ -179,20 +165,50 @@ struct BehaviorSnapshot {
   double action_noise_stddev = 0.0;
   /// Perturbation scale to apply per episode (parameter-noise mode only).
   double parameter_noise_stddev = 0.0;
-  bool log_state_features = true;
   int consumer_budget = 0;
   std::size_t action_dim = 0;
   nn::Network policy;  // clean (unperturbed) actor
-  /// Resolved per-dimension affine normalisation (see ExplorationSnapshot).
-  std::vector<double> shift;
-  std::vector<double> scale;
+  StateNormalizer normalizer;
 
   /// Draws the per-episode perturbation (if any) from `rng` and returns the
   /// ready-to-act frozen behaviour.
   ExplorationSnapshot instantiate(Rng& rng) const;
 
   void save_state(persist::BinaryWriter& out) const;
+  /// Throws std::runtime_error on a malformed payload: an unknown mode, a
+  /// budget outside [1, INT_MAX], a bad normaliser (see read_map), or a
+  /// normaliser width or action_dim that does not fit the policy.
   void restore_state(persist::BinaryReader& in);
+};
+
+/// Frozen view of a DdpgAgent's exploring behaviour for one collection
+/// episode or one synthetic rollout: a BehaviorSnapshot whose policy
+/// instantiate() perturbed (parameter-noise mode), plus its own scratch, so
+/// worker threads act concurrently while the agent is untouched. Every draw
+/// comes from the caller's Rng: the behaviour is a pure function of
+/// (snapshot, rng, states).
+class ExplorationSnapshot {
+ public:
+  /// Exploring simplex action for `state`: the routine of
+  /// DdpgAgent::act(state, /*explore=*/true) on the frozen policy and the
+  /// caller's rng. MirasAgent explores only through snapshots.
+  std::vector<double> act(const std::vector<double>& state, Rng& rng);
+
+  /// Would-be budget violations observed so far (action-noise mode only);
+  /// merged back via DdpgAgent::record_constraint_violations().
+  std::size_t constraint_violations() const { return violations_; }
+
+ private:
+  friend struct BehaviorSnapshot;
+  ExplorationSnapshot() = default;
+
+  BehaviorSnapshot behavior_;
+  std::size_t violations_ = 0;
+  // Per-snapshot inference scratch: snapshots act from worker threads, so
+  // each owns its buffers and steady-state act() calls do not allocate
+  // inside the network.
+  nn::Workspace ws_;
+  std::vector<double> norm_;
 };
 
 class DdpgAgent {
@@ -304,7 +320,6 @@ class DdpgAgent {
   const nn::CriticNetwork& critic() const { return critic_; }
 
  private:
-  double state_feature(double raw) const;
   Experience& pending_at(std::size_t i) {
     return pending_slots_[(pending_head_ + i) % pending_slots_.size()];
   }
@@ -312,15 +327,9 @@ class DdpgAgent {
     return pending_slots_[(pending_head_ + i) % pending_slots_.size()];
   }
   void mature_front_transition();
-  std::vector<double> normalize_state(const std::vector<double>& state) const;
-  std::vector<int> weights_to_allocation(
-      const std::vector<double>& weights) const;
-  std::vector<double> random_simplex_action();
-  std::vector<double> proportional_demo_action(
-      const std::vector<double>& state);
-  void normalize_states_into(const std::vector<const Experience*>& batch,
-                             bool next, nn::Tensor& out) const;
-  void adapt_parameter_noise();
+  /// The normaliser resolved from the current state statistics.
+  StateNormalizer normalizer() const;
+  void adapt_parameter_noise(const StateNormalizer& norm);
   void refresh_perturbed_actor();
 
   std::size_t state_dim_;
@@ -351,7 +360,6 @@ class DdpgAgent {
   std::size_t pending_head_ = 0;
   std::size_t pending_count_ = 0;
   AdaptiveParameterNoise parameter_noise_;
-  GaussianActionNoise action_noise_;
 
   std::vector<RunningStats> state_stats_;
   // Observed reward bounds; Bellman targets are clamped to
@@ -380,12 +388,12 @@ class DdpgAgent {
   std::vector<nn::TrainPass> critic_passes_;
   std::vector<nn::TrainPass> critic2_passes_;
   std::vector<nn::TrainPass> actor_passes_;
-  std::vector<double> act_scratch_;
+  std::vector<double> norm_scratch_;
 };
 
 /// Everything the serving layer (src/serve) needs to reproduce the agent's
 /// greedy decision path away from the agent: the behaviour snapshot (clean
-/// actor + resolved normaliser) plus the weights→allocation mapping config.
+/// actor + resolved normaliser) plus the guarded_allocation() config.
 /// This is the payload of the "servable" checkpoint section, written by
 /// MirasAgent::save_checkpoint and by serve::save_servable, and read by
 /// serve::load_servable — training checkpoints and standalone servable
@@ -402,6 +410,9 @@ ServableExport servable_export(const DdpgAgent& agent);
 
 void write_servable_export(persist::BinaryWriter& out,
                            const ServableExport& exported);
+/// Throws std::runtime_error on a malformed payload (see
+/// BehaviorSnapshot::restore_state; also an unknown rounding mode or a
+/// min_consumers_per_type outside [0, INT_MAX]).
 ServableExport read_servable_export(persist::BinaryReader& in);
 
 }  // namespace miras::rl

@@ -1,7 +1,6 @@
 #include "rl/noise.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.h"
 
@@ -17,26 +16,6 @@ std::vector<double> GaussianActionNoise::apply(
   for (double& a : noisy)
     a = std::clamp(a + rng.normal(0.0, stddev_), 0.0, 1.0);
   return noisy;
-}
-
-OrnsteinUhlenbeckNoise::OrnsteinUhlenbeckNoise(std::size_t dim, double theta,
-                                               double sigma, double dt)
-    : theta_(theta), sigma_(sigma), dt_(dt), state_(dim, 0.0) {
-  MIRAS_EXPECTS(dim > 0);
-  MIRAS_EXPECTS(theta >= 0.0);
-  MIRAS_EXPECTS(sigma >= 0.0);
-  MIRAS_EXPECTS(dt > 0.0);
-}
-
-const std::vector<double>& OrnsteinUhlenbeckNoise::sample(Rng& rng) {
-  const double sqrt_dt = std::sqrt(dt_);
-  for (double& x : state_)
-    x += theta_ * (0.0 - x) * dt_ + sigma_ * sqrt_dt * rng.normal();
-  return state_;
-}
-
-void OrnsteinUhlenbeckNoise::reset() {
-  std::fill(state_.begin(), state_.end(), 0.0);
 }
 
 AdaptiveParameterNoise::AdaptiveParameterNoise(double initial_stddev,

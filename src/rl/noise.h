@@ -3,9 +3,9 @@
 // MIRAS explores with adaptive *parameter-space* noise (Plappert et al.,
 // ICLR 2018; paper §IV-D): a perturbed copy of the actor's weights drives
 // exploration, and the perturbation scale sigma adapts so that the induced
-// action-space distance tracks a target delta. Action-space alternatives
-// (Gaussian, Ornstein-Uhlenbeck) are provided for the ablation that shows
-// why action noise breaks the consumer-budget constraint.
+// action-space distance tracks a target delta. Gaussian action-space noise
+// is provided for the ablation that shows why action noise breaks the
+// consumer-budget constraint.
 #pragma once
 
 #include <cstdint>
@@ -29,25 +29,6 @@ class GaussianActionNoise {
 
  private:
   double stddev_;
-};
-
-/// Ornstein-Uhlenbeck process (the classic DDPG exploration noise).
-class OrnsteinUhlenbeckNoise {
- public:
-  OrnsteinUhlenbeckNoise(std::size_t dim, double theta, double sigma,
-                         double dt = 1.0);
-
-  /// Advances the process one step and returns the noise vector.
-  const std::vector<double>& sample(Rng& rng);
-
-  void reset();
-  const std::vector<double>& value() const { return state_; }
-
- private:
-  double theta_;
-  double sigma_;
-  double dt_;
-  std::vector<double> state_;
 };
 
 /// Adaptive scale controller for parameter-space noise. The owner measures

@@ -203,8 +203,8 @@ void BatchServer::run_pass(Lane& lane, std::size_t take, std::uint32_t depth) {
     const std::size_t action_dim = snap.action_dim;
     lane.batch_in.resize(take, state_dim);
     for (std::size_t i = 0; i < take; ++i)
-      snap.normalize_into(lane.slots[lane.batch_idx[i]].state->data(),
-                          &lane.batch_in(i, 0));
+      snap.normalizer.apply(lane.slots[lane.batch_idx[i]].state->data(),
+                            &lane.batch_in(i, 0));
     snap.policy.predict_batch(lane.batch_in, lane.ws, lane.batch_out);
     for (std::size_t i = 0; i < take; ++i) {
       RequestSlot& slot = lane.slots[lane.batch_idx[i]];

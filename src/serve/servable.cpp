@@ -1,6 +1,5 @@
 #include "serve/servable.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -16,26 +15,14 @@ ActorSnapshot ActorSnapshot::from_agent(const rl::DdpgAgent& agent) {
 ActorSnapshot ActorSnapshot::from_export(const rl::ServableExport& exported) {
   ActorSnapshot snap;
   snap.policy = exported.behavior.policy;
-  snap.shift = exported.behavior.shift;
-  snap.scale = exported.behavior.scale;
-  snap.log_state_features = exported.behavior.log_state_features;
+  snap.normalizer = exported.behavior.normalizer;
   snap.consumer_budget = exported.behavior.consumer_budget;
   snap.action_dim = exported.behavior.action_dim;
   snap.rounding = exported.rounding;
   snap.min_consumers_per_type = exported.min_consumers_per_type;
-  MIRAS_EXPECTS(snap.shift.size() == snap.scale.size());
-  MIRAS_EXPECTS(snap.policy.input_dim() == snap.shift.size());
+  MIRAS_EXPECTS(snap.policy.input_dim() == snap.state_dim());
   MIRAS_EXPECTS(snap.policy.output_dim() == snap.action_dim);
   return snap;
-}
-
-void ActorSnapshot::normalize_into(const double* state, double* out) const {
-  const std::size_t dim = shift.size();
-  for (std::size_t j = 0; j < dim; ++j) {
-    const double feature =
-        log_state_features ? std::log1p(std::max(state[j], 0.0)) : state[j];
-    out[j] = (feature - shift[j]) / scale[j];
-  }
 }
 
 void ActorSnapshot::decide(const std::vector<double>& state,
@@ -43,7 +30,7 @@ void ActorSnapshot::decide(const std::vector<double>& state,
                            std::vector<double>& weights_out) const {
   MIRAS_EXPECTS(state.size() == state_dim());
   scratch.norm.resize(state.size());
-  normalize_into(state.data(), scratch.norm.data());
+  normalizer.apply(state.data(), scratch.norm.data());
   policy.predict_one(scratch.norm, scratch.ws, weights_out);
 }
 
@@ -51,17 +38,8 @@ std::vector<int> ActorSnapshot::decide_allocation(
     const std::vector<double>& state, DecisionScratch& scratch) const {
   std::vector<double> weights;
   decide(state, scratch, weights);
-  // Mirrors DdpgAgent::weights_to_allocation so allocations match
-  // act_allocation_greedy exactly.
-  std::vector<int> allocation =
-      rl::allocation_from_weights(weights, consumer_budget, rounding);
-  if (min_consumers_per_type > 0 &&
-      consumer_budget >=
-          min_consumers_per_type * static_cast<int>(action_dim)) {
-    rl::enforce_minimum_allocation(allocation, min_consumers_per_type,
-                                   consumer_budget);
-  }
-  return allocation;
+  return rl::guarded_allocation(weights, consumer_budget, rounding,
+                                min_consumers_per_type);
 }
 
 ActorServable::ActorServable(ActorSnapshot snapshot) {
@@ -112,21 +90,13 @@ std::uint64_t ActorServable::decide(const std::vector<double>& state,
 
 void save_servable(const ActorSnapshot& snapshot, const std::string& path) {
   // Re-encode through the shared ServableExport payload so standalone files
-  // and training checkpoints carry byte-compatible sections. The behaviour
-  // snapshot's exploration fields are irrelevant to serving; write the
-  // greedy/no-exploration values.
+  // and training checkpoints carry byte-compatible sections. The exploration
+  // fields keep their greedy defaults (kNone, zero noise).
   rl::ServableExport exported;
-  exported.behavior.exploration = rl::ExplorationMode::kNone;
-  exported.behavior.epsilon_random = 0.0;
-  exported.behavior.epsilon_demo = 0.0;
-  exported.behavior.action_noise_stddev = 0.0;
-  exported.behavior.parameter_noise_stddev = 0.0;
-  exported.behavior.log_state_features = snapshot.log_state_features;
   exported.behavior.consumer_budget = snapshot.consumer_budget;
   exported.behavior.action_dim = snapshot.action_dim;
   exported.behavior.policy = snapshot.policy;
-  exported.behavior.shift = snapshot.shift;
-  exported.behavior.scale = snapshot.scale;
+  exported.behavior.normalizer = snapshot.normalizer;
   exported.rounding = snapshot.rounding;
   exported.min_consumers_per_type = snapshot.min_consumers_per_type;
 

@@ -23,11 +23,12 @@
 // member behind a lock-bit protocol the tool cannot model) — the CI TSan
 // job runs these suites.
 //
-// Decision parity contract: for the same agent state,
+// Decision parity: for the same agent state,
 //   ActorSnapshot::decide(s)            == DdpgAgent::act_greedy(s) and
 //   ActorSnapshot::decide_allocation(s) == DdpgAgent::act_allocation_greedy(s)
-// bit for bit — the snapshot resolves the normaliser to the same affine map
-// BehaviorSnapshot does and mirrors weights_to_allocation exactly.
+// bit for bit, because both sides run the same code: the snapshot holds the
+// agent's resolved rl::StateNormalizer and maps weights through
+// rl::guarded_allocation, exactly as the agent does.
 //
 // Persistence: save_servable()/load_servable() wrap rl::ServableExport in a
 // single-section persist checkpoint container. MirasAgent::save_checkpoint
@@ -62,11 +63,7 @@ struct DecisionScratch {
 /// through one snapshot concurrently (each with its own scratch).
 struct ActorSnapshot {
   nn::Network policy;  // clean actor
-  /// Resolved affine normaliser y = (f - shift) / scale over the (possibly
-  /// log1p'd) state features; same resolution as rl::BehaviorSnapshot.
-  std::vector<double> shift;
-  std::vector<double> scale;
-  bool log_state_features = true;
+  rl::StateNormalizer normalizer;  // the agent's, resolved at capture
   int consumer_budget = 0;
   std::size_t action_dim = 0;
   rl::RoundingMode rounding = rl::RoundingMode::kFloor;
@@ -74,7 +71,7 @@ struct ActorSnapshot {
   /// Assigned by ActorServable::publish(); 0 until first published.
   std::uint64_t version = 0;
 
-  std::size_t state_dim() const { return shift.size(); }
+  std::size_t state_dim() const { return normalizer.dim(); }
 
   /// Captures the greedy decision path of a (possibly still-training) agent.
   /// Read-only on the agent: callable on a const reference, no casts.
@@ -83,16 +80,11 @@ struct ActorSnapshot {
   /// Builds from the serialised export payload (see load_servable).
   static ActorSnapshot from_export(const rl::ServableExport& exported);
 
-  /// Normalises `state` (length state_dim()) into `out` (same length,
-  /// caller-sized). Bit-identical to DdpgAgent::normalize_state.
-  void normalize_into(const double* state, double* out) const;
-
   /// Greedy simplex weights for `state`; allocation-free given a scratch.
   void decide(const std::vector<double>& state, DecisionScratch& scratch,
               std::vector<double>& weights_out) const;
 
-  /// decide() mapped to an integer allocation under the budget; mirrors
-  /// DdpgAgent::act_allocation_greedy bit for bit. Allocates (integer
+  /// decide() mapped through rl::guarded_allocation. Allocates (integer
   /// allocations are not on the hot batched path).
   std::vector<int> decide_allocation(const std::vector<double>& state,
                                      DecisionScratch& scratch) const;
@@ -159,8 +151,9 @@ void save_servable(const ActorSnapshot& snapshot, const std::string& path);
 
 /// Loads the "servable" section from `path` — a standalone servable file or
 /// a full MirasAgent training checkpoint (both carry the section). Throws
-/// std::runtime_error if the file is malformed or has no servable section
-/// (e.g. a pre-serving-era training checkpoint).
+/// std::runtime_error if the file is malformed (see
+/// rl::read_servable_export) or has no servable section (e.g. a
+/// pre-serving-era training checkpoint).
 ActorSnapshot load_servable(const std::string& path);
 
 }  // namespace miras::serve

@@ -82,8 +82,10 @@ TEST(DistWire, WeightsRoundTripsBitIdentically) {
   in.expect_end();
   EXPECT_EQ(decoded.round, 9u);
   EXPECT_TRUE(decoded.random_actions);
-  EXPECT_EQ(decoded.behavior.shift, weights.behavior.shift);
-  EXPECT_EQ(decoded.behavior.scale, weights.behavior.scale);
+  EXPECT_EQ(decoded.behavior.normalizer.shift,
+            weights.behavior.normalizer.shift);
+  EXPECT_EQ(decoded.behavior.normalizer.scale,
+            weights.behavior.normalizer.scale);
   EXPECT_EQ(decoded.behavior.action_dim, weights.behavior.action_dim);
 
   // The decoded snapshot must re-encode to the exact same bytes — the

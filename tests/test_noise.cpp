@@ -58,44 +58,6 @@ TEST(GaussianActionNoise, NegativeStddevRejected) {
   EXPECT_THROW(GaussianActionNoise(-0.1), ContractViolation);
 }
 
-TEST(OrnsteinUhlenbeck, StartsAtZeroAndResets) {
-  OrnsteinUhlenbeckNoise noise(3, 0.15, 0.2);
-  EXPECT_EQ(noise.value(), (std::vector<double>{0.0, 0.0, 0.0}));
-  Rng rng(5);
-  noise.sample(rng);
-  noise.reset();
-  EXPECT_EQ(noise.value(), (std::vector<double>{0.0, 0.0, 0.0}));
-}
-
-TEST(OrnsteinUhlenbeck, IsTemporallyCorrelated) {
-  OrnsteinUhlenbeckNoise noise(1, 0.05, 0.1);
-  Rng rng(6);
-  // Lag-1 autocorrelation of OU is high for small theta.
-  std::vector<double> series;
-  for (int i = 0; i < 5000; ++i) series.push_back(noise.sample(rng)[0]);
-  double num = 0.0, den = 0.0, mean = mean_of(series);
-  for (std::size_t i = 1; i < series.size(); ++i)
-    num += (series[i] - mean) * (series[i - 1] - mean);
-  for (const double x : series) den += (x - mean) * (x - mean);
-  EXPECT_GT(num / den, 0.8);
-}
-
-TEST(OrnsteinUhlenbeck, MeanRevertsToZero) {
-  OrnsteinUhlenbeckNoise noise(1, 0.5, 0.1);
-  Rng rng(7);
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(noise.sample(rng)[0]);
-  EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-  // Stationary stddev = sigma / sqrt(2 theta) = 0.1 / 1 = 0.1.
-  EXPECT_NEAR(stats.stddev(), 0.1, 0.02);
-}
-
-TEST(OrnsteinUhlenbeck, InvalidParameters) {
-  EXPECT_THROW(OrnsteinUhlenbeckNoise(0, 0.1, 0.1), ContractViolation);
-  EXPECT_THROW(OrnsteinUhlenbeckNoise(1, -0.1, 0.1), ContractViolation);
-  EXPECT_THROW(OrnsteinUhlenbeckNoise(1, 0.1, 0.1, 0.0), ContractViolation);
-}
-
 TEST(AdaptiveParameterNoise, GrowsWhenDistanceBelowTarget) {
   AdaptiveParameterNoise noise(0.1, 0.2);
   noise.adapt(0.05);  // measured < target -> widen exploration

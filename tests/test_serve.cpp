@@ -2,7 +2,10 @@
 // admission parity under concurrency, the hot-swap zero-drop / zero-tear
 // property, and checkpoint round trips.
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/miras_agent.h"
+#include "nn/serialize.h"
 #include "persist/checkpoint.h"
 #include "rl/ddpg.h"
 #include "serve/admission.h"
@@ -61,18 +65,42 @@ std::string temp_path(const std::string& name) {
 }
 
 TEST(Servable, SnapshotDecisionsMatchAgentGreedyPathBitwise) {
-  const rl::DdpgAgent agent = make_seeded_agent();  // const: no casts needed
-  const ActorSnapshot snap = ActorSnapshot::from_agent(agent);
-  DecisionScratch scratch;
-  std::vector<double> weights;
-  for (const auto& state : make_states(25, 7)) {
-    snap.decide(state, scratch, weights);
-    const std::vector<double> expected = agent.act_greedy(state);
-    ASSERT_EQ(weights.size(), expected.size());
-    for (std::size_t j = 0; j < weights.size(); ++j)
-      EXPECT_EQ(weights[j], expected[j]);
-    EXPECT_EQ(snap.decide_allocation(state, scratch),
-              agent.act_allocation_greedy(state));
+  // Every normaliser state: no statistics (pass-through), one sample (still
+  // pass-through) and 40 samples (resolved map), with and without log
+  // features. A kNone exploration snapshot must act greedily too.
+  for (const int observed : {0, 1, 40}) {
+    for (const bool log_features : {true, false}) {
+      SCOPED_TRACE("observed " + std::to_string(observed) + ", log " +
+                   std::to_string(log_features));
+      rl::DdpgConfig config = tiny_ddpg_config();
+      config.log_state_features = log_features;
+      config.exploration = rl::ExplorationMode::kNone;
+      rl::DdpgAgent agent(kStateDim, kActionDim, kBudget, config);
+      Rng rng(99);
+      std::vector<double> observation(kStateDim);
+      for (int i = 0; i < observed; ++i) {
+        for (double& s : observation) s = rng.uniform(0.0, 200.0);
+        agent.observe_state_only(observation);
+      }
+      const rl::DdpgAgent& frozen = agent;  // const: no casts needed
+      const ActorSnapshot snap = ActorSnapshot::from_agent(frozen);
+      rl::ExplorationSnapshot explorer = frozen.snapshot_exploration(rng);
+      DecisionScratch scratch;
+      std::vector<double> weights;
+      for (const auto& state : make_states(25, 7)) {
+        snap.decide(state, scratch, weights);
+        const std::vector<double> expected = frozen.act_greedy(state);
+        ASSERT_EQ(weights.size(), expected.size());
+        for (std::size_t j = 0; j < weights.size(); ++j)
+          EXPECT_EQ(weights[j], expected[j]);
+        const std::vector<double> explored = explorer.act(state, rng);
+        ASSERT_EQ(explored.size(), expected.size());
+        for (std::size_t j = 0; j < explored.size(); ++j)
+          EXPECT_EQ(explored[j], expected[j]);
+        EXPECT_EQ(snap.decide_allocation(state, scratch),
+                  frozen.act_allocation_greedy(state));
+      }
+    }
   }
 }
 
@@ -541,6 +569,118 @@ TEST(ServeCheckpoint, MissingServableSectionFailsLoudly) {
   writer.write_file(path);
   EXPECT_THROW(load_servable(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+/// The fields of a servable payload a hostile file can set, encoded by
+/// hand in rl::write_servable_export's layout (greedy exploration fields)
+/// so a test can plant values the typed structs cannot hold.
+struct RawServable {
+  std::int64_t budget = kBudget;
+  std::uint64_t action_dim = kActionDim;
+  std::vector<double> shift = std::vector<double>(kStateDim, 0.0);
+  std::vector<double> scale = std::vector<double>(kStateDim, 1.0);
+  std::int64_t min_consumers_per_type = 1;
+};
+
+/// Writes `raw` around the seeded agent's actor as a standalone servable
+/// file and loads it (into `loaded`, if given); returns the
+/// std::runtime_error message, or "" if the file loaded.
+std::string load_error(const RawServable& raw,
+                       ActorSnapshot* loaded = nullptr) {
+  persist::BinaryWriter payload;
+  payload.u8(static_cast<std::uint8_t>(rl::ExplorationMode::kNone));
+  for (int i = 0; i < 4; ++i) payload.f64(0.0);  // epsilons, noise stddevs
+  payload.boolean(true);                         // log features
+  payload.i64(raw.budget);
+  payload.u64(raw.action_dim);
+  nn::write_network(payload, make_seeded_agent().actor());
+  payload.vec_f64(raw.shift);
+  payload.vec_f64(raw.scale);
+  payload.u8(static_cast<std::uint8_t>(rl::RoundingMode::kFloor));
+  payload.i64(raw.min_consumers_per_type);
+  persist::CheckpointWriter writer;
+  writer.add_section("servable", std::move(payload));
+  // Per-test file: ctest runs the cases as concurrent processes.
+  const std::string path = temp_path(
+      std::string(::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name()) +
+      ".servable");
+  writer.write_file(path);
+  std::string message;
+  try {
+    ActorSnapshot snap = load_servable(path);
+    if (loaded != nullptr) *loaded = std::move(snap);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  std::remove(path.c_str());
+  return message;
+}
+
+bool mentions(const std::string& message, const std::string& needle) {
+  return message.find(needle) != std::string::npos;
+}
+
+TEST(ServeCheckpoint, RejectsWidthsThatDoNotFitThePolicy) {
+  EXPECT_EQ(load_error(RawServable{}), "");  // the hand layout is valid
+  RawServable wide;
+  wide.shift.push_back(0.0);
+  wide.scale.push_back(1.0);
+  EXPECT_TRUE(mentions(load_error(wide), "normaliser width"));
+  RawServable uneven;
+  uneven.scale.pop_back();
+  EXPECT_TRUE(mentions(load_error(uneven), "normaliser shape mismatch"));
+  RawServable actions;
+  actions.action_dim = kActionDim + 1;
+  EXPECT_TRUE(mentions(load_error(actions), "action_dim"));
+}
+
+TEST(ServeCheckpoint, RejectsNonFiniteOrNonPositiveNormaliser) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, inf, std::nan("")}) {
+    RawServable raw;
+    raw.scale[3] = bad;
+    EXPECT_TRUE(mentions(load_error(raw), "normaliser scale 3")) << bad;
+  }
+  for (const double bad : {inf, -inf, std::nan("")}) {
+    RawServable raw;
+    raw.shift[5] = bad;
+    EXPECT_TRUE(mentions(load_error(raw), "normaliser shift 5")) << bad;
+  }
+}
+
+TEST(ServeCheckpoint, RejectsBudgetOutsideIntRange) {
+  const std::int64_t int_max = std::numeric_limits<int>::max();
+  for (const std::int64_t bad :
+       {std::int64_t{0}, std::int64_t{-3}, int_max + 1,
+        std::numeric_limits<std::int64_t>::min()}) {
+    RawServable raw;
+    raw.budget = bad;
+    EXPECT_TRUE(mentions(load_error(raw), "consumer budget")) << bad;
+  }
+  RawServable largest;
+  largest.budget = int_max;
+  EXPECT_EQ(load_error(largest), "");
+}
+
+TEST(ServeCheckpoint, RejectsNegativeMinimumPerType) {
+  const std::int64_t int_max = std::numeric_limits<int>::max();
+  for (const std::int64_t bad : {std::int64_t{-1}, int_max + 1}) {
+    RawServable raw;
+    raw.min_consumers_per_type = bad;
+    EXPECT_TRUE(mentions(load_error(raw), "min_consumers_per_type")) << bad;
+  }
+  // A minimum the budget cannot fund loads; the guardrail then stays off
+  // (and its funding check must not overflow).
+  RawServable unfunded;
+  unfunded.min_consumers_per_type = int_max;
+  ActorSnapshot snap;
+  ASSERT_EQ(load_error(unfunded, &snap), "");
+  DecisionScratch scratch;
+  const std::vector<int> allocation =
+      snap.decide_allocation(make_states(1, 5)[0], scratch);
+  EXPECT_TRUE(rl::satisfies_budget(allocation, kBudget));
 }
 
 }  // namespace
