@@ -12,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -65,7 +66,8 @@ inline void run_comparison(const ComparisonSetup& setup,
   miras.enable_parallel_training(pool.get());
 
   // --- Model-free comparator with the same real-step budget; independent
-  // of the MIRAS training, so it overlaps with it on the pool.
+  // of the MIRAS training, so with a pool it overlaps with it on its own
+  // thread.
   const std::size_t total_real_steps =
       setup.miras_config.outer_iterations *
       setup.miras_config.real_steps_per_iteration;
@@ -83,9 +85,9 @@ inline void run_comparison(const ComparisonSetup& setup,
   std::unique_ptr<rl::DdpgAgent> mf_agent;
   {
     ScopedTimer timer(setup.name + " training", options.threads);
-    common::TaskFuture<rl::DdpgAgent> mf_future;
-    if (pool != nullptr)
-      mf_future = pool->submit(train_mf);  // overlaps with the MIRAS training
+    std::future<rl::DdpgAgent> mf_future;
+    if (pool != nullptr)  // overlaps with the MIRAS training
+      mf_future = std::async(std::launch::async, train_mf);
     std::vector<core::IterationTrace> traces;
     train_with_checkpoints(
         miras, options, to_lower(setup.name) + "_miras.ckpt",

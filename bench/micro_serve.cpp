@@ -62,6 +62,13 @@ namespace {
 std::atomic<std::uint64_t> g_heap_bytes{0};
 }  // namespace
 
+// new/delete pair up malloc/free consistently here; GCC's mismatch
+// heuristic only sees the free (same pragma as bench_json.h's allocator).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
 void* operator new(std::size_t size) {
   g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
@@ -81,6 +88,10 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace miras::serve {
 namespace {

@@ -23,7 +23,7 @@ namespace detail {
 template <typename... Args>
 std::string concat(const Args&... args) {
   std::ostringstream oss;
-  (oss << ... << args);
+  ((oss << args), ...);
   return oss.str();
 }
 }  // namespace detail

@@ -111,26 +111,6 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-std::uint64_t Rng::poisson(double mean) {
-  MIRAS_EXPECTS(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth inversion by multiplying uniforms.
-    const double threshold = std::exp(-mean);
-    std::uint64_t count = 0;
-    double product = uniform();
-    while (product > threshold) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // For large means, approximate via normal with continuity correction;
-  // adequate for workload generation (relative error < 1e-2 at mean >= 30).
-  const double sample = normal(mean, std::sqrt(mean));
-  return sample <= 0.0 ? 0 : static_cast<std::uint64_t>(sample + 0.5);
-}
-
 Rng Rng::split() {
   // Derive a new seed from two outputs so child streams are decorrelated.
   std::uint64_t s = next_u64() ^ rotl(next_u64(), 32);

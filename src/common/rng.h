@@ -72,10 +72,6 @@ class Rng {
   /// Lognormal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
 
-  /// Poisson-distributed count with the given mean (mean >= 0).
-  /// Uses inversion for small means and PTRS rejection for large ones.
-  std::uint64_t poisson(double mean);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

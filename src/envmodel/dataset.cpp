@@ -36,12 +36,6 @@ std::vector<double> TransitionDataset::state_dimension(std::size_t j) const {
   return values;
 }
 
-std::vector<std::size_t> TransitionDataset::shuffled_indices(Rng& rng) const {
-  std::vector<std::size_t> indices;
-  shuffled_indices_into(rng, indices);
-  return indices;
-}
-
 void TransitionDataset::shuffled_indices_into(
     Rng& rng, std::vector<std::size_t>& indices) const {
   indices.resize(transitions_.size());

@@ -35,11 +35,9 @@ class TransitionDataset {
   /// Algorithm 1 initialisation).
   std::vector<double> state_dimension(std::size_t j) const;
 
-  /// A deterministic shuffled index permutation.
-  std::vector<std::size_t> shuffled_indices(Rng& rng) const;
-
-  /// shuffled_indices writing into a caller-owned buffer (resized); the same
-  /// rng draw sequence, zero steady-state allocations across epochs.
+  /// A deterministic shuffled index permutation, written into a
+  /// caller-owned buffer (resized): zero steady-state allocations across
+  /// epochs.
   void shuffled_indices_into(Rng& rng, std::vector<std::size_t>& indices) const;
 
   /// Splits off the last `count` transitions as a held-out set (paper

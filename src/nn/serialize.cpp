@@ -1,103 +1,35 @@
 #include "nn/serialize.h"
 
-#include <cstring>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-
-#include "persist/crc32.h"
+#include <utility>
 
 namespace miras::nn {
 
 namespace {
 
-// Binary single-network container: magic, format version, payload length,
-// payload (the write_layers encoding), payload CRC-32.
-constexpr char kNetworkMagic[8] = {'M', 'I', 'R', 'A', 'S', 'N', 'E', 'T'};
-constexpr char kCriticMagic[8] = {'M', 'I', 'R', 'A', 'S', 'C', 'R', 'T'};
-constexpr std::uint32_t kNetworkFormatVersion = 1;
-
-std::string read_all(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return std::move(buffer).str();
+// Rejects a layer list in which layer l's input width differs from layer
+// l-1's output width, for every l >= `first`.
+void require_chained(const std::vector<DenseLayer>& layers, std::size_t first,
+                     const persist::BinaryReader& in) {
+  for (std::size_t l = first; l < layers.size(); ++l)
+    if (layers[l].in_dim() != layers[l - 1].out_dim())
+      throw std::runtime_error(
+          "serialize: layer " + std::to_string(l) + " takes " +
+          std::to_string(layers[l].in_dim()) + " inputs but layer " +
+          std::to_string(l - 1) + " has " +
+          std::to_string(layers[l - 1].out_dim()) + " outputs in " +
+          in.context());
 }
 
-void write_binary_container(const char magic[8],
-                            persist::BinaryWriter payload,
-                            std::ostream& out) {
-  const std::vector<std::uint8_t> body = payload.take();
-  persist::BinaryWriter container;
-  container.raw(magic, 8);
-  container.u32(kNetworkFormatVersion);
-  container.u64(body.size());
-  container.raw(body.data(), body.size());
-  container.u32(persist::crc32_of(body.data(), body.size()));
-  const std::vector<std::uint8_t>& bytes = container.bytes();
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-// Validates the container framing and returns a reader over the payload.
-// `contents` must outlive the returned reader.
-persist::BinaryReader open_binary_container(const char magic[8],
-                                            const std::string& contents,
-                                            const char* what) {
-  const auto* data = reinterpret_cast<const std::uint8_t*>(contents.data());
-  persist::BinaryReader header(data + 8, contents.size() - 8,
-                               std::string(what) + " header");
-  const std::uint32_t version = header.u32();
-  if (version > kNetworkFormatVersion)
-    throw std::runtime_error(
-        "serialize: " + std::string(what) + " format version " +
-        std::to_string(version) + " is newer than this build supports (max " +
-        std::to_string(kNetworkFormatVersion) + ")");
-  const std::uint64_t payload_size = header.u64();
-  const std::size_t payload_offset = 8 + header.position();
-  if (payload_size > contents.size() - payload_offset)
-    throw std::runtime_error("serialize: truncated " + std::string(what) +
-                             " — payload extends past end of data");
-  const std::size_t crc_offset =
-      payload_offset + static_cast<std::size_t>(payload_size);
-  persist::BinaryReader crc_reader(data + crc_offset,
-                                   contents.size() - crc_offset,
-                                   std::string(what) + " checksum");
-  const std::uint32_t expected_crc = crc_reader.u32();
-  if (crc_reader.remaining() != 0)
-    throw std::runtime_error("serialize: trailing garbage after " +
-                             std::string(what) +
-                             " payload — refusing to ignore it");
-  const std::uint32_t actual_crc = persist::crc32_of(
-      data + payload_offset, static_cast<std::size_t>(payload_size));
-  if (actual_crc != expected_crc)
-    throw std::runtime_error("serialize: CRC mismatch in " +
-                             std::string(what) + " — data is corrupted");
-  return persist::BinaryReader(data + payload_offset,
-                               static_cast<std::size_t>(payload_size),
-                               std::string(what) + " payload");
-}
-
-bool has_magic(const std::string& contents, const char magic[8]) {
-  return contents.size() >= 8 && std::memcmp(contents.data(), magic, 8) == 0;
-}
-
-std::vector<DenseLayer> load_binary_layers(std::istream& in,
-                                           const char binary_magic[8],
-                                           const char* what) {
-  const std::string contents = read_all(in);
-  if (!has_magic(contents, binary_magic))
-    throw std::runtime_error(std::string("serialize: expected a binary ") +
-                             what +
-                             " container — the pre-persist text format was "
-                             "removed; re-save old models with a build that "
-                             "still reads it");
-  persist::BinaryReader payload =
-      open_binary_container(binary_magic, contents, what);
-  std::vector<DenseLayer> layers = read_layers(payload);
-  payload.expect_end();
-  return layers;
+Activation read_activation(persist::BinaryReader& in) {
+  const std::string name = in.str();
+  try {
+    return activation_from_name(name);
+  } catch (const std::invalid_argument&) {
+    throw std::runtime_error("serialize: unknown activation \"" + name +
+                             "\" in " + in.context());
+  }
 }
 
 }  // namespace
@@ -137,7 +69,7 @@ std::vector<DenseLayer> read_layers(persist::BinaryReader& in) {
     throw std::runtime_error("serialize: bad layer count in " + in.context());
   std::vector<DenseLayer> layers;
   for (std::uint64_t l = 0; l < num_layers; ++l) {
-    const Activation activation = activation_from_name(in.str());
+    const Activation activation = read_activation(in);
     Tensor weights = read_tensor(in);
     Tensor bias = read_tensor(in);
     if (weights.rows() == 0 || weights.cols() == 0 ||
@@ -154,7 +86,9 @@ void write_network(persist::BinaryWriter& out, const Network& net) {
 }
 
 Network read_network(persist::BinaryReader& in) {
-  return Network(read_layers(in));
+  std::vector<DenseLayer> layers = read_layers(in);
+  require_chained(layers, 1, in);
+  return Network(std::move(layers));
 }
 
 void write_critic(persist::BinaryWriter& out, const CriticNetwork& net) {
@@ -162,27 +96,24 @@ void write_critic(persist::BinaryWriter& out, const CriticNetwork& net) {
 }
 
 CriticNetwork read_critic(persist::BinaryReader& in) {
-  return CriticNetwork(read_layers(in));
-}
-
-void save_network(const Network& net, std::ostream& out) {
-  persist::BinaryWriter payload;
-  write_network(payload, net);
-  write_binary_container(kNetworkMagic, std::move(payload), out);
-}
-
-Network load_network(std::istream& in) {
-  return Network(load_binary_layers(in, kNetworkMagic, "network"));
-}
-
-void save_critic(const CriticNetwork& net, std::ostream& out) {
-  persist::BinaryWriter payload;
-  write_critic(payload, net);
-  write_binary_container(kCriticMagic, std::move(payload), out);
-}
-
-CriticNetwork load_critic(std::istream& in) {
-  return CriticNetwork(load_binary_layers(in, kCriticMagic, "critic"));
+  std::vector<DenseLayer> layers = read_layers(in);
+  // Layer 1 takes layer 0's output concatenated with the action.
+  if (layers.size() < 3)
+    throw std::runtime_error("serialize: critic has " +
+                             std::to_string(layers.size()) +
+                             " layers, needs at least 3, in " + in.context());
+  if (layers[1].in_dim() <= layers[0].out_dim())
+    throw std::runtime_error(
+        "serialize: critic layer 1 takes " +
+        std::to_string(layers[1].in_dim()) +
+        " inputs, leaving no action width after layer 0's " +
+        std::to_string(layers[0].out_dim()) + " outputs, in " + in.context());
+  require_chained(layers, 2, in);
+  if (layers.back().out_dim() != 1)
+    throw std::runtime_error("serialize: critic output width " +
+                             std::to_string(layers.back().out_dim()) +
+                             " is not 1 in " + in.context());
+  return CriticNetwork(std::move(layers));
 }
 
 }  // namespace miras::nn

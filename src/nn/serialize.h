@@ -1,20 +1,13 @@
-// (De)serialisation of networks on the miras::persist binary container
-// primitives, so trained policies and dynamics models can be checkpointed
-// and reloaded across processes bit-identically.
+// Payload encoders for networks on the miras::persist binary primitives.
+// They carry no framing of their own: checkpoint sections, the dist
+// `Weights` message and servable files embed them in the persist container,
+// which owns the magic, version, length and CRC. Decoding is bit-exact.
 //
-// Two layers of API:
-//  - BinaryWriter/BinaryReader helpers (write_tensor .. read_critic): the
-//    building blocks the checkpoint subsystem composes into full training-
-//    state snapshots.
-//  - Stream-facing save_network/load_network (and critic variants): a
-//    self-contained single-network file — 8-byte magic, format version,
-//    CRC-32-guarded payload. Trailing garbage after the payload is
-//    rejected, never silently ignored. (The pre-persist text format
-//    "miras-network-v1"/"miras-critic-v1", deprecated in the release that
-//    introduced the binary container, is no longer read.)
+// The readers take untrusted bytes. Every malformed payload — truncated
+// data, a bad tensor shape, an unknown activation name, a layer list whose
+// widths do not chain, a critic without its action-concat layer or with a
+// final width other than 1 — throws std::runtime_error naming the context.
 #pragma once
-
-#include <iosfwd>
 
 #include "nn/critic_network.h"
 #include "nn/network.h"
@@ -34,16 +27,5 @@ Network read_network(persist::BinaryReader& in);
 
 void write_critic(persist::BinaryWriter& out, const CriticNetwork& net);
 CriticNetwork read_critic(persist::BinaryReader& in);
-
-/// Writes the binary single-network container to `out`.
-void save_network(const Network& net, std::ostream& out);
-
-/// Reconstructs a Network saved with save_network() (binary container
-/// only). Throws std::runtime_error on malformed input, CRC mismatch, an
-/// unsupported future version, or trailing garbage after the payload.
-Network load_network(std::istream& in);
-
-void save_critic(const CriticNetwork& net, std::ostream& out);
-CriticNetwork load_critic(std::istream& in);
 
 }  // namespace miras::nn

@@ -183,7 +183,7 @@ template <typename BlocksOf, typename BlockBody, typename Tail>
 void run_epoch(common::ThreadPool* pool, std::size_t phases,
                BlocksOf&& blocks_of, BlockBody&& block_body, Tail&& tail) {
   if (phases == 0) return;
-  if (pool == nullptr || pool->thread_count() == 0) {
+  if (pool == nullptr) {
     for (std::size_t p = 0; p < phases; ++p) {
       const std::size_t blocks = blocks_of(p);
       for (std::size_t m = 0; m < blocks; ++m) block_body(p, m);

@@ -53,18 +53,6 @@ std::vector<int> allocation_from_weights(const std::vector<double>& weights,
   return allocation;
 }
 
-std::vector<double> weights_from_allocation(const std::vector<int>& allocation,
-                                            int budget) {
-  MIRAS_EXPECTS(budget > 0);
-  std::vector<double> weights(allocation.size());
-  for (std::size_t j = 0; j < allocation.size(); ++j) {
-    MIRAS_EXPECTS(allocation[j] >= 0);
-    weights[j] = static_cast<double>(allocation[j]) /
-                 static_cast<double>(budget);
-  }
-  return weights;
-}
-
 void enforce_minimum_allocation(std::vector<int>& allocation,
                                 int min_per_type, int budget) {
   MIRAS_EXPECTS(min_per_type >= 0);

@@ -26,11 +26,6 @@ enum class RoundingMode { kFloor, kLargestRemainder };
 std::vector<int> allocation_from_weights(const std::vector<double>& weights,
                                          int budget, RoundingMode mode);
 
-/// Inverse embedding used when storing integer allocations in the replay
-/// buffer: w_j = m_j / C.
-std::vector<double> weights_from_allocation(const std::vector<int>& allocation,
-                                            int budget);
-
 /// True iff the allocation satisfies the resource constraint.
 bool satisfies_budget(const std::vector<int>& allocation, int budget);
 

@@ -68,10 +68,9 @@ TEST(Action, EmptyWeightsRejected) {
 }
 
 TEST(Action, WeightsFromAllocationInverse) {
-  const std::vector<int> alloc{5, 3, 2};
-  const auto weights = weights_from_allocation(alloc, 10);
-  EXPECT_EQ(weights, (std::vector<double>{0.5, 0.3, 0.2}));
-  EXPECT_EQ(allocation_from_weights(weights, 10, RoundingMode::kFloor), alloc);
+  // Weights w_j = m_j / C map back to exactly the allocation m.
+  EXPECT_EQ(allocation_from_weights({0.5, 0.3, 0.2}, 10, RoundingMode::kFloor),
+            (std::vector<int>{5, 3, 2}));
 }
 
 TEST(Action, SatisfiesBudgetChecks) {

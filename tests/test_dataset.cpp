@@ -62,7 +62,8 @@ TEST(TransitionDataset, ShuffledIndicesArePermutation) {
   TransitionDataset data(2, 2);
   for (int i = 0; i < 20; ++i) data.add(make_transition(i));
   Rng rng(5);
-  auto indices = data.shuffled_indices(rng);
+  std::vector<std::size_t> indices;
+  data.shuffled_indices_into(rng, indices);
   EXPECT_EQ(indices.size(), 20u);
   std::sort(indices.begin(), indices.end());
   for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(indices[i], i);
@@ -72,7 +73,10 @@ TEST(TransitionDataset, ShuffleDeterministicPerSeed) {
   TransitionDataset data(2, 2);
   for (int i = 0; i < 10; ++i) data.add(make_transition(i));
   Rng a(9), b(9);
-  EXPECT_EQ(data.shuffled_indices(a), data.shuffled_indices(b));
+  std::vector<std::size_t> first, second{7, 7, 7};
+  data.shuffled_indices_into(a, first);
+  data.shuffled_indices_into(b, second);  // resizes a non-empty buffer
+  EXPECT_EQ(first, second);
 }
 
 TEST(TransitionDataset, SplitTailPreservesOrderAndCounts) {

@@ -24,13 +24,6 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "miras_persist_" + name;
 }
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good());
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
 void write_file_bytes(const std::string& path,
                       const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

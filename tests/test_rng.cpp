@@ -123,27 +123,6 @@ TEST(Rng, LognormalMeanMatchesFormula) {
   EXPECT_NEAR(sum / n, std::exp(mu + sigma * sigma / 2.0), 0.02);
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(31);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(3.5));
-  EXPECT_NEAR(sum / n, 3.5, 0.05);
-}
-
-TEST(Rng, PoissonLargeMean) {
-  Rng rng(37);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(100.0));
-  EXPECT_NEAR(sum / n, 100.0, 1.0);
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(41);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(43);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
@@ -177,7 +156,6 @@ TEST(Rng, ContractViolations) {
   EXPECT_THROW(rng.uniform_int(5, 4), ContractViolation);
   EXPECT_THROW(rng.exponential(0.0), ContractViolation);
   EXPECT_THROW(rng.normal(0.0, -1.0), ContractViolation);
-  EXPECT_THROW(rng.poisson(-1.0), ContractViolation);
 }
 
 TEST(ShardSeed, IsAPureFunctionOfRootAndIndex) {

@@ -369,10 +369,11 @@ TEST(BatchServer, LaneCountsAreBitIdenticalUnderConcurrentHotSwap) {
       server.telemetry(l).snapshot(records);
       for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_GE(records[i].snapshot_version, 1u);
-        if (i > 0)
+        if (i > 0) {
           EXPECT_GE(records[i].snapshot_version,
                     records[i - 1].snapshot_version)
               << "lane " << l << " served a version out of order";
+        }
         covered += records[i].batch_size;
       }
     }
@@ -384,8 +385,9 @@ TEST(BatchServer, LaneCountsAreBitIdenticalUnderConcurrentHotSwap) {
     EXPECT_EQ(merged_count, merged.size());
     std::uint64_t merged_covered = 0;
     for (std::size_t i = 0; i < merged.size(); ++i) {
-      if (i > 0)
+      if (i > 0) {
         EXPECT_GE(merged[i].timestamp_ns, merged[i - 1].timestamp_ns);
+      }
       merged_covered += merged[i].batch_size;
     }
     EXPECT_EQ(merged_covered, server.served());

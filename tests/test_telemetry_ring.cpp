@@ -20,10 +20,24 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 }  // namespace
 
+// new/delete pair up malloc/free consistently here; GCC's mismatch
+// heuristic only sees the free (same pragma as bench_json.h's allocator).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
+}
+
+// std::stable_sort's temporary buffer comes from the nothrow form; it must
+// pair with the free() below too, or ASan reports a new/free mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -41,6 +55,10 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace miras::serve {
 namespace {
@@ -175,7 +193,9 @@ TEST(TelemetryRing, MergedSnapshotSurvivesPerRingWraparoundAtDifferentRates) {
   // All survivors intact and globally timestamp-ordered...
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(is_derived(merged[i]));
-    if (i > 0) EXPECT_GE(merged[i].timestamp_ns, merged[i - 1].timestamp_ns);
+    if (i > 0) {
+      EXPECT_GE(merged[i].timestamp_ns, merged[i - 1].timestamp_ns);
+    }
   }
   // ...and the busy ring contributed exactly its newest window.
   std::uint64_t even_seen = 0, oldest_even = ~0ull;
@@ -224,9 +244,10 @@ TEST(TelemetryRing, MergedSnapshotWithOneWriterPerRingNeverTearsOrReorders) {
     for (const TelemetryRecord& rec : merged) {
       ASSERT_TRUE(is_derived(rec)) << "torn record at i=" << rec.timestamp_ns;
       const std::size_t r = rec.timestamp_ns % kRings;
-      if (seen[r])
+      if (seen[r]) {
         ASSERT_GT(rec.timestamp_ns, last_stamp[r])
             << "ring " << r << " subsequence out of write order";
+      }
       seen[r] = true;
       last_stamp[r] = rec.timestamp_ns;
     }
