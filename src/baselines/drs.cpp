@@ -51,14 +51,18 @@ std::vector<int> DrsPolicy::decide(const sim::WindowStats& last_window,
   // convex in m, so greedy is optimal for the separable objective. A
   // hand-out changes only the winner's marginal gain, so gains are cached
   // and only the winner's is recomputed: O(J + B) cost() calls per decide
-  // instead of O(J * B). Same expression, same strict-> scan with the
-  // lowest j winning ties, so the allocation matches the naive loop's.
+  // instead of O(J * B). Each queue's cost(j, m + 1) is kept too and becomes
+  // its next gain's cost(j, m), so a hand-out costs one cost() call, not
+  // two. cost() is pure within a decide, so the gains are the same doubles
+  // and, with the same strict-> scan (lowest j wins ties), the allocation
+  // matches the naive loop's.
   std::vector<int> allocation(j_count, 0);
-  auto marginal_gain = [&](std::size_t j) {
-    return cost(j, allocation[j]) - cost(j, allocation[j] + 1);
-  };
   gains_.resize(j_count);
-  for (std::size_t j = 0; j < j_count; ++j) gains_[j] = marginal_gain(j);
+  next_costs_.resize(j_count);
+  for (std::size_t j = 0; j < j_count; ++j) {
+    next_costs_[j] = cost(j, 1);
+    gains_[j] = cost(j, 0) - next_costs_[j];
+  }
   for (int consumer = 0; consumer < budget; ++consumer) {
     double best_gain = 0.0;
     std::size_t best_j = j_count;
@@ -69,8 +73,10 @@ std::vector<int> DrsPolicy::decide(const sim::WindowStats& last_window,
       }
     }
     if (best_j == j_count) break;  // no queue benefits from more consumers
-    ++allocation[best_j];
-    gains_[best_j] = marginal_gain(best_j);
+    const int held = ++allocation[best_j];
+    const double held_cost = next_costs_[best_j];
+    next_costs_[best_j] = cost(best_j, held + 1);
+    gains_[best_j] = held_cost - next_costs_[best_j];
   }
   return allocation;
 }

@@ -44,7 +44,10 @@ class DrsPolicy final : public rl::Policy {
   DrsConfig config_;
   std::vector<double> service_rates_;  // mu_j = 1 / mean service time
   std::vector<Ewma> arrival_rate_;     // lambda_j estimates (req/s)
-  std::vector<double> gains_;          // decide() scratch: marginal gains
+  // decide() scratch: marginal gains cost(j, m) - cost(j, m + 1), and
+  // cost(j, m + 1), at each queue's current allocation m.
+  std::vector<double> gains_;
+  std::vector<double> next_costs_;
 };
 
 }  // namespace miras::baselines

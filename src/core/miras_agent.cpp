@@ -388,8 +388,9 @@ std::vector<int> DdpgPolicy::decide(const sim::WindowStats& last_window,
                                     int budget) {
   MIRAS_EXPECTS(budget == agent_->consumer_budget());
   // The const greedy path: many evaluation-grid cells share one trained
-  // agent concurrently, so the policy must not touch the agent's rng.
-  return agent_->act_allocation_greedy(last_window.wip);
+  // agent concurrently, so the policy must not touch the agent's rng. Each
+  // policy instance owns its scratch, so a grid cell reuses one workspace.
+  return agent_->act_allocation_greedy(last_window.wip, scratch_);
 }
 
 }  // namespace miras::core

@@ -163,6 +163,9 @@ rl::DdpgAgent train_model_free_ddpg(sim::Env& env, const ModelFreeConfig& config
 /// baseline alike). The agent must outlive the policy. Holds the agent
 /// const: decide() only drives the read-only greedy act path, so a policy
 /// can wrap an agent someone else is still training (or a frozen one).
+/// decide() reuses the policy's own inference scratch, so one instance must
+/// not decide from two threads at once (the evaluation grid builds one per
+/// cell).
 class DdpgPolicy final : public rl::Policy {
  public:
   DdpgPolicy(const rl::DdpgAgent* agent, std::string policy_name);
@@ -173,6 +176,7 @@ class DdpgPolicy final : public rl::Policy {
  private:
   const rl::DdpgAgent* agent_;
   std::string name_;
+  rl::DecisionScratch scratch_;
 };
 
 }  // namespace miras::core

@@ -34,8 +34,7 @@ std::vector<double> exploring_action(const Settings& settings, int budget,
                                      const nn::Network& policy,
                                      const StateNormalizer& normalizer,
                                      const std::vector<double>& state,
-                                     Rng& rng, nn::Workspace& ws,
-                                     std::vector<double>& norm,
+                                     Rng& rng, DecisionScratch& scratch,
                                      std::size_t& violations) {
   if (settings.exploration != ExplorationMode::kNone) {
     const double roll = rng.uniform();
@@ -44,11 +43,8 @@ std::vector<double> exploring_action(const Settings& settings, int budget,
     if (roll < settings.epsilon_random + settings.epsilon_demo)
       return wip_proportional_weights(state, policy.output_dim(), rng);
   }
-  MIRAS_EXPECTS(state.size() == normalizer.dim());
-  norm.resize(state.size());
-  normalizer.apply(state.data(), norm.data());
   std::vector<double> action;
-  policy.predict_one(norm, ws, action);
+  greedy_weights(policy, normalizer, state, scratch, action);
   if (settings.exploration != ExplorationMode::kActionNoise) return action;
   std::vector<double> noisy =
       GaussianActionNoise(settings.action_noise_stddev).apply(action, rng);
@@ -178,16 +174,30 @@ std::vector<double> DdpgAgent::act(const std::vector<double>& state,
           ? perturbed_actor_
           : actor_;
   return exploring_action(config_, consumer_budget_, policy, normalizer(),
-                          state, rng_, ws_, norm_scratch_,
-                          constraint_violations_);
+                          state, rng_, act_scratch_, constraint_violations_);
+}
+
+void greedy_weights(const nn::Network& actor, const StateNormalizer& normalizer,
+                    const std::vector<double>& state, DecisionScratch& scratch,
+                    std::vector<double>& weights_out) {
+  MIRAS_EXPECTS(state.size() == normalizer.dim());
+  scratch.norm.resize(state.size());
+  normalizer.apply(state.data(), scratch.norm.data());
+  actor.predict_one(scratch.norm, scratch.ws, weights_out);
 }
 
 std::vector<double> DdpgAgent::act_greedy(
     const std::vector<double>& state) const {
+  DecisionScratch scratch;
+  act_greedy(state, scratch, scratch.weights);
+  return std::move(scratch.weights);
+}
+
+void DdpgAgent::act_greedy(const std::vector<double>& state,
+                           DecisionScratch& scratch,
+                           std::vector<double>& out) const {
   MIRAS_EXPECTS(state.size() == state_dim_);
-  std::vector<double> normalized(state_dim_);
-  normalizer().apply(state.data(), normalized.data());
-  return actor_.predict_one(normalized);
+  greedy_weights(actor_, normalizer(), state, scratch, out);
 }
 
 std::vector<int> DdpgAgent::act_allocation(const std::vector<double>& state,
@@ -198,7 +208,14 @@ std::vector<int> DdpgAgent::act_allocation(const std::vector<double>& state,
 
 std::vector<int> DdpgAgent::act_allocation_greedy(
     const std::vector<double>& state) const {
-  return guarded_allocation(act_greedy(state), consumer_budget_,
+  DecisionScratch scratch;
+  return act_allocation_greedy(state, scratch);
+}
+
+std::vector<int> DdpgAgent::act_allocation_greedy(
+    const std::vector<double>& state, DecisionScratch& scratch) const {
+  act_greedy(state, scratch, scratch.weights);
+  return guarded_allocation(scratch.weights, consumer_budget_,
                             config_.rounding, config_.min_consumers_per_type);
 }
 
@@ -277,7 +294,7 @@ std::vector<double> ExplorationSnapshot::act(const std::vector<double>& state,
                                              Rng& rng) {
   return exploring_action(behavior_, behavior_.consumer_budget,
                           behavior_.policy, behavior_.normalizer, state, rng,
-                          ws_, norm_, violations_);
+                          scratch_, violations_);
 }
 
 void DdpgAgent::observe(const std::vector<double>& state,

@@ -149,6 +149,23 @@ struct StateNormalizer {
   void read_map(persist::BinaryReader& in);
 };
 
+/// Per-thread (or per-request-slot) greedy inference scratch. A decision
+/// through a scratch is allocation-free inside the network at steady state;
+/// a scratch must not be used from two threads at once.
+struct DecisionScratch {
+  nn::Workspace ws;
+  std::vector<double> norm;
+  std::vector<double> weights;  // act_allocation_greedy's simplex weights
+};
+
+/// The greedy simplex weights of `actor` on `state` under `normalizer`,
+/// written to `weights_out`: the one copy of the greedy arithmetic, behind
+/// DdpgAgent::act_greedy, the policy step of every exploring act, and
+/// serve::ActorSnapshot::decide.
+void greedy_weights(const nn::Network& actor, const StateNormalizer& normalizer,
+                    const std::vector<double>& state, DecisionScratch& scratch,
+                    std::vector<double>& weights_out);
+
 class ExplorationSnapshot;
 
 /// Serializable pre-perturbation behaviour state: everything needed to
@@ -207,8 +224,7 @@ class ExplorationSnapshot {
   // Per-snapshot inference scratch: snapshots act from worker threads, so
   // each owns its buffers and steady-state act() calls do not allocate
   // inside the network.
-  nn::Workspace ws_;
-  std::vector<double> norm_;
+  DecisionScratch scratch_;
 };
 
 class DdpgAgent {
@@ -234,8 +250,17 @@ class DdpgAgent {
   /// the parallel evaluation grid drives.
   std::vector<double> act_greedy(const std::vector<double>& state) const;
 
+  /// act_greedy() through the caller's scratch, into `out`: the same
+  /// doubles, without building a fresh network workspace per call.
+  void act_greedy(const std::vector<double>& state, DecisionScratch& scratch,
+                  std::vector<double>& out) const;
+
   /// act_greedy() mapped to an integer allocation under the budget.
   std::vector<int> act_allocation_greedy(const std::vector<double>& state) const;
+
+  /// act_allocation_greedy() through the caller's scratch.
+  std::vector<int> act_allocation_greedy(const std::vector<double>& state,
+                                         DecisionScratch& scratch) const;
 
   /// Captures the current exploring behaviour for one concurrently-run
   /// collection episode. The parameter-noise perturbation (if any) is drawn
@@ -388,7 +413,7 @@ class DdpgAgent {
   std::vector<nn::TrainPass> critic_passes_;
   std::vector<nn::TrainPass> critic2_passes_;
   std::vector<nn::TrainPass> actor_passes_;
-  std::vector<double> norm_scratch_;
+  DecisionScratch act_scratch_;  // the exploring act()'s inference scratch
 };
 
 /// Everything the serving layer (src/serve) needs to reproduce the agent's

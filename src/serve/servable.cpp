@@ -28,17 +28,13 @@ ActorSnapshot ActorSnapshot::from_export(const rl::ServableExport& exported) {
 void ActorSnapshot::decide(const std::vector<double>& state,
                            DecisionScratch& scratch,
                            std::vector<double>& weights_out) const {
-  MIRAS_EXPECTS(state.size() == state_dim());
-  scratch.norm.resize(state.size());
-  normalizer.apply(state.data(), scratch.norm.data());
-  policy.predict_one(scratch.norm, scratch.ws, weights_out);
+  rl::greedy_weights(policy, normalizer, state, scratch, weights_out);
 }
 
 std::vector<int> ActorSnapshot::decide_allocation(
     const std::vector<double>& state, DecisionScratch& scratch) const {
-  std::vector<double> weights;
-  decide(state, scratch, weights);
-  return rl::guarded_allocation(weights, consumer_budget, rounding,
+  decide(state, scratch, scratch.weights);
+  return rl::guarded_allocation(scratch.weights, consumer_budget, rounding,
                                 min_consumers_per_type);
 }
 

@@ -27,8 +27,9 @@
 //   ActorSnapshot::decide(s)            == DdpgAgent::act_greedy(s) and
 //   ActorSnapshot::decide_allocation(s) == DdpgAgent::act_allocation_greedy(s)
 // bit for bit, because both sides run the same code: the snapshot holds the
-// agent's resolved rl::StateNormalizer and maps weights through
-// rl::guarded_allocation, exactly as the agent does.
+// agent's resolved rl::StateNormalizer, computes weights with
+// rl::greedy_weights and maps them through rl::guarded_allocation, exactly
+// as the agent does.
 //
 // Persistence: save_servable()/load_servable() wrap rl::ServableExport in a
 // single-section persist checkpoint container. MirasAgent::save_checkpoint
@@ -50,13 +51,9 @@
 
 namespace miras::serve {
 
-/// Per-thread (or per-request-slot) inference scratch. decide() through a
-/// scratch is allocation-free at steady state; the scratch must not be used
-/// from two threads at once.
-struct DecisionScratch {
-  nn::Workspace ws;
-  std::vector<double> norm;
-};
+/// Per-thread (or per-request-slot) inference scratch: the greedy path's
+/// one scratch type, shared with DdpgAgent::act_greedy.
+using rl::DecisionScratch;
 
 /// Immutable copy of everything the greedy decision path needs. Never
 /// mutated after construction, so any number of threads may decide()

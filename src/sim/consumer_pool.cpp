@@ -41,34 +41,6 @@ int ConsumerPool::set_target(int target) {
   return 0;
 }
 
-bool ConsumerPool::on_consumer_ready() {
-  if (cancelled_startups_ > 0) {
-    --cancelled_startups_;
-    return false;
-  }
-  MIRAS_EXPECTS(starting_ > 0);
-  --starting_;
-  ++idle_;
-  return true;
-}
-
-void ConsumerPool::on_dispatch() {
-  MIRAS_EXPECTS(idle_ > 0);
-  --idle_;
-  ++busy_;
-}
-
-bool ConsumerPool::on_task_complete() {
-  MIRAS_EXPECTS(busy_ > 0);
-  --busy_;
-  if (draining_ > 0) {
-    --draining_;
-    return false;
-  }
-  ++idle_;
-  return true;
-}
-
 void ConsumerPool::clear() {
   idle_ = 0;
   busy_ = 0;

@@ -13,6 +13,8 @@
 
 #include <cstddef>
 
+#include "common/contracts.h"
+
 namespace miras::sim {
 
 class ConsumerPool {
@@ -35,16 +37,41 @@ class ConsumerPool {
   /// scaling down or holding).
   int set_target(int target);
 
+  // The per-event transitions below are inline: the simulator calls one on
+  // every dispatch, completion and start-up.
+
   /// A start-up completed. Returns true if the consumer actually joins the
   /// idle set (false when the start-up had been cancelled by a scale-down).
-  bool on_consumer_ready();
+  bool on_consumer_ready() {
+    if (cancelled_startups_ > 0) {
+      --cancelled_startups_;
+      return false;
+    }
+    MIRAS_EXPECTS(starting_ > 0);
+    --starting_;
+    ++idle_;
+    return true;
+  }
 
   /// An idle consumer picked up a task. Requires idle() > 0.
-  void on_dispatch();
+  void on_dispatch() {
+    MIRAS_EXPECTS(idle_ > 0);
+    --idle_;
+    ++busy_;
+  }
 
   /// A busy consumer finished its task. Returns true if the consumer stays
   /// (goes idle); false if it was draining and terminates.
-  bool on_task_complete();
+  bool on_task_complete() {
+    MIRAS_EXPECTS(busy_ > 0);
+    --busy_;
+    if (draining_ > 0) {
+      --draining_;
+      return false;
+    }
+    ++idle_;
+    return true;
+  }
 
   /// Drops all consumers (system reset).
   void clear();

@@ -15,25 +15,29 @@ constexpr std::uint32_t generation_of(std::uint64_t id) {
 }
 }  // namespace
 
-DependencyService::DependencyService(const workflows::Ensemble* ensemble)
-    : ensemble_(ensemble) {
+DependencyService::DependencyService(const workflows::Ensemble* ensemble) {
   MIRAS_EXPECTS(ensemble != nullptr);
-  roots_.reserve(ensemble_->num_workflows());
-  preds_template_.reserve(ensemble_->num_workflows());
-  for (std::size_t w = 0; w < ensemble_->num_workflows(); ++w) {
-    const auto& graph = ensemble_->workflow(w);
-    roots_.push_back(graph.roots());
-    std::vector<std::size_t> preds(graph.num_nodes());
-    for (std::size_t n = 0; n < graph.num_nodes(); ++n)
-      preds[n] = graph.in_degree(n);
-    preds_template_.push_back(std::move(preds));
+  tables_.resize(ensemble->num_workflows());
+  for (std::size_t w = 0; w < tables_.size(); ++w) {
+    const auto& graph = ensemble->workflow(w);
+    WorkflowTable& table = tables_[w];
+    table.roots = graph.roots();
+    table.successor_begin.push_back(0);
+    for (std::size_t n = 0; n < graph.num_nodes(); ++n) {
+      table.preds.push_back(static_cast<std::uint32_t>(graph.in_degree(n)));
+      table.task_type.push_back(graph.task_type_of(n));
+      const auto& successors = graph.successors(n);
+      table.successors.insert(table.successors.end(), successors.begin(),
+                              successors.end());
+      table.successor_begin.push_back(table.successors.size());
+    }
     max_nodes_ = std::max(max_nodes_, graph.num_nodes());
   }
 }
 
 DependencyService::NewInstance DependencyService::create_instance(
     std::size_t workflow_type, SimTime arrival_time) {
-  MIRAS_EXPECTS(workflow_type < ensemble_->num_workflows());
+  MIRAS_EXPECTS(workflow_type < tables_.size());
 
   std::size_t index;
   if (!free_.empty()) {
@@ -41,21 +45,24 @@ DependencyService::NewInstance DependencyService::create_instance(
     free_.pop_back();
   } else {
     index = slots_.size();
-    slots_.emplace_back().remaining_preds.reserve(max_nodes_);
+    slots_.emplace_back();
+    remaining_preds_.resize(slots_.size() * max_nodes_);
   }
   Slot& slot = slots_[index];
   ++slot.generation;  // a recycled slot's new id never matches the old one
   slot.live = true;
   slot.workflow_type = workflow_type;
   slot.arrival_time = arrival_time;
-  const auto& preds = preds_template_[workflow_type];
-  slot.remaining_preds.assign(preds.begin(), preds.end());
+  const WorkflowTable& table = tables_[workflow_type];
+  const auto& preds = table.preds;
+  std::copy(preds.begin(), preds.end(),
+            remaining_preds_.begin() + index * max_nodes_);
   slot.remaining_nodes = preds.size();
   ++live_;
 
   NewInstance result;
   result.id = (static_cast<std::uint64_t>(slot.generation) << 32) | index;
-  result.initial_nodes = &roots_[workflow_type];
+  result.initial_nodes = &table.roots;
   return result;
 }
 
@@ -70,8 +77,10 @@ DependencyService::Slot& DependencyService::lookup(std::uint64_t id) {
 const DependencyService::CompletionResult& DependencyService::on_task_complete(
     std::uint64_t id, std::size_t node) {
   Slot& slot = lookup(id);
-  const auto& graph = ensemble_->workflow(slot.workflow_type);
-  MIRAS_EXPECTS(node < graph.num_nodes());
+  std::uint32_t* const remaining_preds =
+      remaining_preds_.data() + slot_of(id) * max_nodes_;
+  const WorkflowTable& table = tables_[slot.workflow_type];
+  MIRAS_EXPECTS(node < table.task_type.size());
   MIRAS_EXPECTS(slot.remaining_nodes > 0);
 
   result_.ready_nodes.clear();
@@ -79,9 +88,11 @@ const DependencyService::CompletionResult& DependencyService::on_task_complete(
   result_.workflow_type = slot.workflow_type;
   result_.arrival_time = slot.arrival_time;
 
-  for (const std::size_t succ : graph.successors(node)) {
-    MIRAS_ASSERT(slot.remaining_preds[succ] > 0);
-    if (--slot.remaining_preds[succ] == 0)
+  for (std::size_t e = table.successor_begin[node];
+       e < table.successor_begin[node + 1]; ++e) {
+    const std::size_t succ = table.successors[e];
+    MIRAS_ASSERT(remaining_preds[succ] > 0);
+    if (--remaining_preds[succ] == 0)
       result_.ready_nodes.push_back(succ);
   }
 

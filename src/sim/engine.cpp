@@ -1,7 +1,8 @@
 #include "sim/engine.h"
 
-// The queue is a header-only template over EventHeap; this TU exists to
-// compile the header standalone and anchor the library target.
+// The queue is header-only (run_until is a template over the dispatch
+// callback); this TU exists to compile the header standalone and anchor the
+// library target.
 
 namespace miras::sim {
 

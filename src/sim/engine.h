@@ -43,36 +43,36 @@ struct Event {
   EventType type = EventType::kWindowBoundary;
 };
 
-/// Common clock + counter bookkeeping shared by both queue flavours.
-/// `Entry` must carry `.time` and `.seq` (filled in by schedule()).
-template <typename Entry>
-class BasicEventQueue {
+/// The simulator's queue: POD events in (time, seq) order, dispatched
+/// through a caller-supplied callback (MicroserviceSystem's switch).
+class TypedEventQueue {
  public:
   SimTime now() const { return now_; }
 
-  /// Schedules `entry` at absolute time `when`; `when` must not precede the
-  /// current clock. The entry's time/seq fields are assigned here.
+  /// Schedules `event` at absolute time `when`; `when` must not precede the
+  /// current clock (so NaN is rejected too). The event's time/seq fields are
+  /// assigned here. A `when` of -0.0 is stored as +0.0 (see EventHeap).
   ///
   /// Boundary-equal contract: `when == now_` is explicitly accepted, and the
-  /// entry runs in the current sweep if one is active (it sorts after every
+  /// event runs in the current sweep if one is active (it sorts after every
   /// already-executed event by seq), so handlers may schedule follow-ups
   /// "now".
-  void schedule(SimTime when, Entry entry) {
+  void schedule(SimTime when, Event event) {
     MIRAS_EXPECTS(when >= now_);
-    entry.time = when;
-    entry.seq = next_seq_++;
+    event.time = when;
+    event.seq = next_seq_++;
     ++scheduled_;
-    heap_.push(std::move(entry));
+    heap_.push(event);
   }
 
   /// Convenience: schedules at now() + delay (delay >= 0).
-  void schedule_in(SimTime delay, Entry entry) {
+  void schedule_in(SimTime delay, Event event) {
     MIRAS_EXPECTS(delay >= 0.0);
-    schedule(now_ + delay, std::move(entry));
+    schedule(now_ + delay, event);
   }
 
   /// Executes all events with time <= `until` in (time, insertion) order via
-  /// `dispatch(Entry&&)`, then advances the clock to `until`. Dispatch may
+  /// `dispatch(Event&&)`, then advances the clock to `until`. Dispatch may
   /// schedule new events, including at the current time.
   template <typename Dispatch>
   void run_until(SimTime until, Dispatch&& dispatch) {
@@ -80,10 +80,10 @@ class BasicEventQueue {
     while (!heap_.empty() && heap_.min().time <= until) {
       // Move out before dispatching: the handler may schedule and thus
       // mutate the heap.
-      Entry entry = heap_.pop_min();
-      now_ = entry.time;
+      Event event = heap_.pop_min();
+      now_ = event.time;
       ++executed_;
-      dispatch(std::move(entry));
+      dispatch(std::move(event));
     }
     now_ = until;
 #if MIRAS_CONTRACTS
@@ -109,10 +109,7 @@ class BasicEventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t scheduled_ = 0;
-  EventHeap<Entry, 4> heap_;
+  EventHeap<Event, 4> heap_;
 };
-
-/// The simulator's queue: POD events, switch-dispatched by the caller.
-class TypedEventQueue : public BasicEventQueue<Event> {};
 
 }  // namespace miras::sim

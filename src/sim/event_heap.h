@@ -1,7 +1,17 @@
-// Flat d-ary min-heap keyed on (time, seq), the storage behind both event
-// queues. A 4-ary layout trades slightly more comparisons per level for half
+// Flat d-ary min-heap keyed on (time, seq), the storage behind the event
+// queue. A 4-ary layout trades slightly more comparisons per level for half
 // the tree depth and 4 children per cache line of entries, which wins for
 // the small POD entries the simulator stores by value.
+//
+// The (time, seq) order is one unsigned 128-bit key: the IEEE-754 bit
+// pattern of `time` in the high word, `seq` in the low word. For times that
+// are +0.0, positive or +inf, the bit patterns order exactly like the
+// values, so an integer compare is the (time, seq) compare, and picking the
+// smallest child needs no data-dependent branch. The queue guarantees the
+// domain (it rejects NaN and times before its clock, which never goes below
+// zero); the one value it lets through that breaks the rule is -0.0, whose
+// sign bit would sort it after every other time. push() therefore stores
+// -0.0 as +0.0, which the (time, seq) order cannot tell apart.
 //
 // Heap shape cannot affect execution order: (time, seq) keys are unique
 // (seq is a strictly increasing insertion counter), so the sequence of
@@ -10,14 +20,17 @@
 // tests/test_engine.cpp pins this across arities 2, 3, 4, and 8.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace miras::sim {
 
-/// Entry must expose `.time` and `.seq` members and be default-constructible
-/// and movable. Entries with equal time are ordered by ascending seq.
+/// Entry must expose a double `.time` and an unsigned 64-bit `.seq` and be
+/// default-constructible and movable. Entries with equal time are ordered
+/// by ascending seq. Times must be +-0.0, positive or +inf (never NaN).
 template <typename Entry, std::size_t Arity = 4>
 class EventHeap {
  public:
@@ -30,13 +43,15 @@ class EventHeap {
   const Entry& min() const { return slots_.front(); }
 
   void push(Entry entry) {
+    if (entry.time == 0.0) entry.time = 0.0;  // -0.0 keys as +0.0
+    const Key key = key_of(entry);
     // Hole-based sift-up: bubble the insertion point down from the back,
     // moving parents into the hole, and write the entry once at the end.
     std::size_t hole = slots_.size();
     slots_.emplace_back();
     while (hole > 0) {
       const std::size_t parent = (hole - 1) / Arity;
-      if (!before(entry, slots_[parent])) break;
+      if (!(key < key_of(slots_[parent]))) break;
       slots_[hole] = std::move(slots_[parent]);
       hole = parent;
     }
@@ -50,17 +65,25 @@ class EventHeap {
     slots_.pop_back();
     if (!slots_.empty()) {
       // Sift the hole down to a leaf-ward position for `last`.
+      const Key last_key = key_of(last);
       std::size_t hole = 0;
       const std::size_t count = slots_.size();
       for (;;) {
         const std::size_t first_child = hole * Arity + 1;
         if (first_child >= count) break;
-        std::size_t best = first_child;
         const std::size_t end =
             first_child + Arity < count ? first_child + Arity : count;
-        for (std::size_t c = first_child + 1; c < end; ++c)
-          if (before(slots_[c], slots_[best])) best = c;
-        if (!before(slots_[best], last)) break;
+        // Smallest child by selects, not branches: which child wins is
+        // data-dependent and unpredictable.
+        std::size_t best = first_child;
+        Key best_key = key_of(slots_[first_child]);
+        for (std::size_t c = first_child + 1; c < end; ++c) {
+          const Key key = key_of(slots_[c]);
+          const bool smaller = key < best_key;
+          best = smaller ? c : best;
+          best_key = smaller ? key : best_key;
+        }
+        if (!(best_key < last_key)) break;
         slots_[hole] = std::move(slots_[best]);
         hole = best;
       }
@@ -73,9 +96,11 @@ class EventHeap {
   void clear() { slots_.clear(); }
 
  private:
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  __extension__ typedef unsigned __int128 Key;
+
+  static Key key_of(const Entry& entry) {
+    return (static_cast<Key>(std::bit_cast<std::uint64_t>(entry.time)) << 64) |
+           entry.seq;
   }
 
   std::vector<Entry> slots_;

@@ -15,6 +15,15 @@ std::vector<double> arrival_rates_of(const workflows::Ensemble& ensemble) {
   return rates;
 }
 
+std::vector<workflows::ServiceTimeModel> service_times_of(
+    const workflows::Ensemble& ensemble) {
+  std::vector<workflows::ServiceTimeModel> models;
+  models.reserve(ensemble.num_task_types());
+  for (std::size_t j = 0; j < ensemble.num_task_types(); ++j)
+    models.push_back(ensemble.task_type(j).service_time);
+  return models;
+}
+
 Event make_event(EventType type, std::uint32_t target,
                  std::uint64_t instance = 0, std::uint32_t node = 0) {
   Event event;
@@ -29,6 +38,7 @@ Event make_event(EventType type, std::uint32_t target,
 MicroserviceSystem::MicroserviceSystem(workflows::Ensemble ensemble,
                                        SystemConfig config)
     : ensemble_(std::move(ensemble)),
+      service_times_(service_times_of(ensemble_)),
       config_(config),
       rng_(config.seed),
       dependency_service_(&ensemble_),
@@ -129,7 +139,7 @@ void MicroserviceSystem::enqueue_task(std::uint64_t instance,
                                       std::size_t workflow_type,
                                       std::size_t node) {
   const std::size_t task_type =
-      ensemble_.workflow(workflow_type).task_type_of(node);
+      dependency_service_.task_type_of(workflow_type, node);
   ++counters_.tasks_enqueued;
   ++window_task_arrivals_[task_type];
   queues_[task_type].push(TaskRequest{instance, node, events_.now()});
@@ -142,8 +152,7 @@ void MicroserviceSystem::try_dispatch(std::size_t task_type) {
   while (pool.idle() > 0 && !queue.empty()) {
     const TaskRequest request = queue.pop();
     pool.on_dispatch();
-    const double service_time =
-        ensemble_.task_type(task_type).service_time.sample(rng_);
+    const double service_time = service_times_[task_type].sample(rng_);
     events_.schedule_in(
         service_time,
         make_event(EventType::kTaskComplete,

@@ -8,7 +8,8 @@
 // "simulator internals" subsection for the typed-event core: events are
 // small POD values in a 4-ary (time, seq) min-heap, dispatched through the
 // switch in dispatch(), so steady-state stepping never touches the
-// allocator.
+// allocator; the per-event path reads the dependency service's flat
+// per-workflow tables and service_times_, never the Ensemble.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +50,8 @@ class MicroserviceSystem final : public Env {
  public:
   MicroserviceSystem(workflows::Ensemble ensemble, SystemConfig config);
 
-  // The dependency service (and the typed events in flight) point into this
-  // object; copying or moving it would leave them dangling. Construct in
-  // place (prvalue returns elide) or hold via unique_ptr.
+  // A long-lived object that pools its storage; construct in place
+  // (prvalue returns elide) or hold via unique_ptr.
   MicroserviceSystem(const MicroserviceSystem&) = delete;
   MicroserviceSystem& operator=(const MicroserviceSystem&) = delete;
   MicroserviceSystem(MicroserviceSystem&&) = delete;
@@ -126,6 +126,9 @@ class MicroserviceSystem final : public Env {
   void apply_allocation(const std::vector<int>& allocation);
 
   workflows::Ensemble ensemble_;
+  // Per-task-type service-time models, copied out of the ensemble so that
+  // a dispatch reads a flat array instead of calling Ensemble::task_type.
+  std::vector<workflows::ServiceTimeModel> service_times_;
   SystemConfig config_;
   Rng rng_;
 

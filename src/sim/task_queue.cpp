@@ -1,16 +1,6 @@
 #include "sim/task_queue.h"
 
-#include "common/contracts.h"
-
 namespace miras::sim {
-
-TaskRequest TaskQueue::pop() {
-  MIRAS_EXPECTS(count_ > 0);
-  TaskRequest front = slots_[head_];
-  head_ = (head_ + 1) & (slots_.size() - 1);
-  --count_;
-  return front;
-}
 
 void TaskQueue::grow() {
   const std::size_t capacity = slots_.empty() ? 8 : slots_.size() * 2;

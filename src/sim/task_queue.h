@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/contracts.h"
 #include "sim/engine.h"
 
 namespace miras::sim {
@@ -30,7 +31,13 @@ class TaskQueue {
   }
 
   /// Removes and returns the oldest request. Requires !empty().
-  TaskRequest pop();
+  TaskRequest pop() {
+    MIRAS_EXPECTS(count_ > 0);
+    const TaskRequest front = slots_[head_];
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --count_;
+    return front;
+  }
 
   void clear() {
     head_ = 0;

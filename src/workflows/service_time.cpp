@@ -29,16 +29,4 @@ ServiceTimeModel ServiceTimeModel::lognormal(double mean, double cv) {
   return {Kind::kLognormal, mean, cv};
 }
 
-double ServiceTimeModel::sample(Rng& rng) const {
-  switch (kind_) {
-    case Kind::kDeterministic:
-      return mean_;
-    case Kind::kExponential:
-      return rng.exponential(1.0 / mean_);
-    case Kind::kLognormal:
-      return rng.lognormal(log_mu_, log_sigma_);
-  }
-  return mean_;
-}
-
 }  // namespace miras::workflows

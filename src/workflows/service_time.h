@@ -27,8 +27,19 @@ class ServiceTimeModel {
   double mean() const { return mean_; }
   double cv() const { return cv_; }
 
-  /// Draws one service time (always > 0).
-  double sample(Rng& rng) const;
+  /// Draws one service time (always > 0). Inline: the simulator calls it
+  /// once per task dispatch.
+  double sample(Rng& rng) const {
+    switch (kind_) {
+      case Kind::kDeterministic:
+        return mean_;
+      case Kind::kExponential:
+        return rng.exponential(1.0 / mean_);
+      case Kind::kLognormal:
+        return rng.lognormal(log_mu_, log_sigma_);
+    }
+    return mean_;
+  }
 
  private:
   ServiceTimeModel(Kind kind, double mean, double cv);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/contracts.h"
@@ -196,7 +199,10 @@ TEST(TypedEventQueue, CounterConsistencyHoldsAcrossResetAndReuse) {
 
 // --- EventHeap: (time, seq) keys are unique, so pop order is a pure
 // function of the inserted set — the heap's arity cannot change it. Pin
-// that across arities with a randomized property test.
+// that across arities with a randomized property test, on every corner of
+// the integer key: signed-zero ties (the heap keys -0.0 as +0.0; without
+// that, -0.0's sign bit would sort it after every other time), subnormal
+// times, +inf, and coarse ties. Every time set below includes -0.0.
 
 struct HeapEntry {
   SimTime time = 0.0;
@@ -216,32 +222,81 @@ std::vector<std::uint64_t> drain_order(const std::vector<HeapEntry>& entries) {
   return order;
 }
 
+/// Seqs of `entries` in (time, seq) order, comparing times as doubles
+/// (so -0.0 ties with +0.0).
+std::vector<std::uint64_t> sorted_order(std::vector<HeapEntry> entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const HeapEntry& a, const HeapEntry& b) {
+              return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+            });
+  std::vector<std::uint64_t> order;
+  for (const HeapEntry& entry : entries) order.push_back(entry.seq);
+  return order;
+}
+
+/// 64 entries with times drawn from `times` (many exact ties), seq 0..63.
+std::vector<HeapEntry> entries_from(const std::vector<double>& times,
+                                    Rng& rng) {
+  std::vector<HeapEntry> entries;
+  for (std::uint64_t seq = 0; seq < 64; ++seq)
+    entries.push_back(HeapEntry{times[rng.next_u64() % times.size()], seq});
+  return entries;
+}
+
+const double kDenormMin = std::numeric_limits<double>::denorm_min();
+const double kInf = std::numeric_limits<double>::infinity();
+
+// Each time set exercises one corner of the key; all hold -0.0.
+const std::vector<std::vector<double>> kHeapTimeSets = {
+    {-0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0},  // coarse ties
+    {-0.0, 0.0},                                     // signed zeros only
+    {-0.0, 0.0, kDenormMin, 2 * kDenormMin,
+     std::numeric_limits<double>::min(), 1e-300},    // subnormals
+    {-0.0, 0.0, 1.0, std::numeric_limits<double>::max(), kInf},  // +inf
+};
+
 TEST(EventHeap, SameTimestampEventsPopInInsertionOrderAcrossArities) {
   Rng rng(2024);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<HeapEntry> entries;
-    for (std::uint64_t seq = 0; seq < 64; ++seq) {
-      HeapEntry entry;
-      // Coarse timestamps force many exact ties.
-      entry.time = static_cast<double>(rng.next_u64() % 8);
-      entry.seq = seq;
-      entries.push_back(entry);
+  for (std::size_t set = 0; set < kHeapTimeSets.size(); ++set) {
+    SCOPED_TRACE(testing::Message() << "time set " << set);
+    const std::vector<double>& times = kHeapTimeSets[set];
+    for (int round = 0; round < 20; ++round) {
+      const std::vector<HeapEntry> entries = entries_from(times, rng);
+      const auto binary = drain_order<2>(entries);
+      EXPECT_EQ(drain_order<3>(entries), binary);
+      EXPECT_EQ(drain_order<4>(entries), binary);
+      EXPECT_EQ(drain_order<8>(entries), binary);
+      // And the order itself is the (time, seq) sort of the inserted set
+      // whenever the heap drains only at the end — checked on a pure drain.
+      EventHeap<HeapEntry, 4> heap;
+      for (const HeapEntry& entry : entries) heap.push(entry);
+      std::vector<std::uint64_t> drained;
+      while (!heap.empty()) drained.push_back(heap.pop_min().seq);
+      EXPECT_EQ(drained, sorted_order(entries));
     }
-    const auto binary = drain_order<2>(entries);
-    EXPECT_EQ(drain_order<3>(entries), binary);
-    EXPECT_EQ(drain_order<4>(entries), binary);
-    EXPECT_EQ(drain_order<8>(entries), binary);
-    // And the order itself is the (time, seq) sort of the inserted set
-    // whenever the heap drains only at the end — checked on a pure drain.
-    EventHeap<HeapEntry, 4> heap;
-    for (const HeapEntry& entry : entries) heap.push(entry);
-    HeapEntry previous = heap.pop_min();
-    while (!heap.empty()) {
-      const HeapEntry next = heap.pop_min();
-      EXPECT_TRUE(previous.time < next.time ||
-                  (previous.time == next.time && previous.seq < next.seq));
-      previous = next;
+  }
+}
+
+TEST(TypedEventQueue, KeyCornersDispatchInTimeThenInsertionOrder) {
+  Rng rng(77);
+  for (std::size_t set = 0; set < kHeapTimeSets.size(); ++set) {
+    SCOPED_TRACE(testing::Message() << "time set " << set);
+    TypedEventQueue events;
+    std::vector<HeapEntry> scheduled;
+    for (const HeapEntry& entry : entries_from(kHeapTimeSets[set], rng)) {
+      events.schedule(entry.time,
+                      tagged(static_cast<std::uint32_t>(entry.seq)));
+      scheduled.push_back(entry);
     }
+    std::vector<std::uint64_t> order;
+    events.run_until(kInf, [&](Event&& ev) {
+      order.push_back(ev.target);
+      // A -0.0 event is stored, and so dispatched, at +0.0.
+      EXPECT_FALSE(std::signbit(ev.time));
+      EXPECT_FALSE(std::signbit(events.now()));
+    });
+    EXPECT_EQ(order, sorted_order(scheduled));
+    EXPECT_EQ(events.pending_events(), 0u);
   }
 }
 

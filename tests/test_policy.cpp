@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
 #include "common/contracts.h"
 #include "core/miras_agent.h"
 #include "rl/action.h"
@@ -58,6 +65,47 @@ TEST(DdpgPolicy, RespectsMinimumAllocationGuardrail) {
   const auto stats = rl::initial_window_stats({100.0, 0.0, 0.0}, 1, 3);
   const auto alloc = policy.decide(stats, 9);
   for (const int m : alloc) EXPECT_GE(m, 1);
+}
+
+TEST(DdpgPolicy, ReusedScratchMatchesFreshGreedyPathBitwise) {
+  // One policy (and so one scratch) decides 200 states whose magnitudes
+  // span 0 to 1e4; every decision must match the allocating greedy path,
+  // and the scratch path's weights must match act_greedy bit for bit.
+  constexpr std::size_t kDim = 9;
+  constexpr int kBudget = 30;
+  rl::DdpgConfig config = tiny_config();
+  config.actor_hidden = {16, 16};
+  rl::DdpgAgent agent(kDim, kDim, kBudget, config);
+  Rng rng(404);
+  auto random_state = [&](double magnitude) {
+    std::vector<double> state(kDim);
+    for (double& w : state)
+      w = rng.uniform() < 0.2 ? 0.0 : std::floor(rng.uniform() * magnitude);
+    return state;
+  };
+  // Non-trivial normaliser statistics, so the resolved map is not identity.
+  const std::vector<double> action(kDim, 1.0 / kDim);
+  for (int k = 0; k < 8; ++k)
+    agent.observe(random_state(100.0), action, -1.0, random_state(100.0));
+
+  core::DdpgPolicy policy(&agent, "p");
+  rl::DecisionScratch scratch;
+  std::vector<double> weights;
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<double> state =
+        random_state(std::pow(10.0, 4.0 * i / 199.0));
+    const auto stats = rl::initial_window_stats(state, 1, kDim);
+    EXPECT_EQ(policy.decide(stats, kBudget),
+              agent.act_allocation_greedy(state))
+        << "state " << i;
+    agent.act_greedy(state, scratch, weights);
+    const std::vector<double> fresh = agent.act_greedy(state);
+    ASSERT_EQ(weights.size(), fresh.size());
+    for (std::size_t j = 0; j < kDim; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(weights[j]),
+                std::bit_cast<std::uint64_t>(fresh[j]))
+          << "state " << i << " weight " << j;
+  }
 }
 
 TEST(DdpgPolicy, NullAgentRejected) {
