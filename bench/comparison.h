@@ -103,8 +103,6 @@ inline void run_comparison(const ComparisonSetup& setup,
     mf_agent = std::make_unique<rl::DdpgAgent>(
         pool != nullptr ? mf_future.get() : train_mf());
   }
-  auto miras_policy = miras.make_policy();
-  core::DdpgPolicy rl_policy(mf_agent.get(), "rl");
 
   // --- Evaluation grid: fresh policy instance per cell ("stream" is the
   // paper's label for DRS); the two DDPG policies view their trained agents

@@ -1,32 +1,18 @@
 // Raw matmul microkernels behind Tensor::matmul_into.
 //
-// Two kernel families, selected at compile time by MIRAS_NATIVE (which
-// defines MIRAS_NATIVE_KERNELS alongside -march=native):
+// One kernel family, one reduction order: `gemv` (one row) and the
+// row-blocked `gemm` both accumulate every output element's contributions
+// in ascending reduction-index (p) order, so a GEMM row is bit-identical
+// to that row pushed through the GEMV alone and to the plain i-k-j loop.
+// `gemm` advances four rows of A together (wider row blocking was
+// measured and rejected: at 512-wide layers an 8-row block's output
+// working set alone fills a 32 KB L1 and runs ~2.7x slower than 4-row)
+// and hands its leftover rows to `gemv`. DESIGN.md §5 has the measurement
+// any split-accumulator kernel must beat.
 //
-//  - Default build: `gemv_scalar` (m == 1) and the row-blocked
-//    `gemm_rows4` (m > 1) — the historical kernels, verbatim. Both
-//    accumulate every output element's contributions in ascending
-//    reduction-index (p) order, so they are bit-identical to each other
-//    and to the historical i-k-j loop. (Wider row blocking was measured
-//    and rejected: at 512-wide layers an 8-row block's output working set
-//    alone fills a 32 KB L1 and runs ~2.7x slower than 4-row.)
-//
-//  - Native build: `gemv_lanes` (m == 1) and `gemm_lanes2` (m > 1). Both
-//    split each element's reduction over four accumulator lanes (p % 4),
-//    each lane summing its subsequence in ascending order, then combine
-//    lanes in the FIXED order ((s0 + s1) + (s2 + s3)) and add the p
-//    remainder last, ascending. The order is a function of k alone —
-//    never of the batch size, the column tiling, or the matrix width — so
-//    within the native build a batched row is still bit-identical to the
-//    same row pushed through the GEMV alone (the kernel invariant in
-//    tensor.h, with the lane order substituted for ascending order).
-//    Lane splitting reorders the floating-point reduction, so the native
-//    kernels agree with the default ones only to rounding (≤ ~1 ulp per
-//    accumulation, pinned in test_kernels.cpp); that is why they are
-//    opt-in, exactly like -march=native's FMA contraction.
-//
-// All kernels assume finite inputs (the zero-skip fast paths drop
-// 0 * non-finite terms that a skipless kernel would propagate as NaN).
+// Both kernels assume finite inputs (the zero-skip fast paths drop
+// 0 * non-finite terms that a skipless kernel would propagate as NaN);
+// serve::require_finite_observation enforces this for outside requests.
 // `out` must not alias `a` or `w`/`b` and is fully written; callers need
 // not zero it.
 #pragma once
@@ -35,50 +21,13 @@
 
 namespace miras::nn::kern {
 
-#if defined(MIRAS_NATIVE_KERNELS) && MIRAS_NATIVE_KERNELS
-inline constexpr bool kNativeKernels = true;
-#else
-inline constexpr bool kNativeKernels = false;
-#endif
-
 /// out[j] = sum_p a[p] * w[p * n + j], p ascending. a is 1 x k, w is k x n.
-void gemv_scalar(const double* a, const double* w, double* out, std::size_t k,
-                 std::size_t n);
-
-/// Same contraction with four split accumulator lanes held in registers
-/// across eight-column tiles; agrees with gemv_scalar to rounding.
-void gemv_lanes(const double* a, const double* w, double* out, std::size_t k,
-                std::size_t n);
+void gemv(const double* a, const double* w, double* out, std::size_t k,
+          std::size_t n);
 
 /// out = a * b with a m x k, b k x n; 4-row register blocking, ascending
-/// per-element accumulation.
-void gemm_rows4(const double* a, const double* b, double* out, std::size_t m,
-                std::size_t k, std::size_t n);
-
-/// Lane-split GEMM: two rows per pass, per-element reduction order
-/// identical to gemv_lanes (row for row bit-identical to it).
-void gemm_lanes2(const double* a, const double* b, double* out, std::size_t m,
-                 std::size_t k, std::size_t n);
-
-/// Build-selected GEMV dispatch.
-inline void gemv(const double* a, const double* w, double* out, std::size_t k,
-                 std::size_t n) {
-  if constexpr (kNativeKernels) {
-    gemv_lanes(a, w, out, k, n);
-  } else {
-    gemv_scalar(a, w, out, k, n);
-  }
-}
-
-/// Build-selected GEMM dispatch; row for row bit-identical to gemv() in
-/// the same build.
-inline void gemm(const double* a, const double* b, double* out, std::size_t m,
-                 std::size_t k, std::size_t n) {
-  if constexpr (kNativeKernels) {
-    gemm_lanes2(a, b, out, m, k, n);
-  } else {
-    gemm_rows4(a, b, out, m, k, n);
-  }
-}
+/// per-element accumulation, row for row bit-identical to gemv().
+void gemm(const double* a, const double* b, double* out, std::size_t m,
+          std::size_t k, std::size_t n);
 
 }  // namespace miras::nn::kern

@@ -62,16 +62,10 @@ void Tensor::matmul_into(const Tensor& other, Tensor& out) const {
   MIRAS_EXPECTS(&out != this && &out != &other);
   const std::size_t m = rows_, k = cols_, n = other.cols_;
   out.resize(m, n);
-  // Kernel selection (nn/kernels.h): m == 1 is the single-request inference
-  // shape and routes to the dedicated GEMV; batched shapes route to the
-  // GEMM. Within either build the two share one per-element reduction
-  // order, preserving the invariant that batch results never depend on
-  // layout or kernel choice; only the native build's order differs from
-  // the default build's (lane-split vs ascending).
-  if (m == 1) {
-    kern::gemv(data_.data(), other.data_.data(), out.data_.data(), k, n);
-    return;
-  }
+  // One kernel family (nn/kernels.h): every element accumulates in
+  // ascending p, and a one-row product goes straight to the GEMV through
+  // the GEMM's leftover-row path, so batched and single-row results share
+  // one order and one set of bits.
   kern::gemm(data_.data(), other.data_.data(), out.data_.data(), m, k, n);
 }
 

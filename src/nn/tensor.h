@@ -15,12 +15,9 @@
 // row-at-a-time passes (see DESIGN.md §5) — blocked kernels may reorder
 // *across* output elements but never within one.
 //
-// matmul_into dispatches through nn/kernels.h: the default build keeps the
-// ascending order everywhere and is byte-identical to historical results;
-// under MIRAS_NATIVE both the GEMV and the GEMM switch to a four-lane split
-// accumulation with one fixed combine order, so the invariant still holds
-// within that build (batched ≡ row-at-a-time, bitwise) but native results
-// differ from default-build results by rounding (see kernels.h).
+// matmul_into runs nn/kernels.h's one kernel family, which keeps the
+// ascending order for every shape: a one-row product (the single-request
+// inference shape) is the GEMV, and every GEMM row is bit-identical to it.
 #pragma once
 
 #include <cstddef>

@@ -89,6 +89,7 @@ std::size_t BatchServer::pick_lane() {
 std::uint64_t BatchServer::decide(const std::vector<double>& state,
                                   std::vector<double>& weights_out) {
   MIRAS_EXPECTS(state.size() == servable_.state_dim());
+  require_finite_observation(state);
   Lane& lane = *lanes_[pick_lane()];
   lane.depth.fetch_add(1, std::memory_order_relaxed);
   std::size_t idx;
@@ -194,9 +195,11 @@ void BatchServer::run_pass(Lane& lane, std::size_t take, std::uint32_t depth) {
   const std::uint64_t oldest_ns = lane.slots[lane.batch_idx[0]].enqueue_ns;
 
   if (take == 1) {
-    // Single-request fast path: GEMV through the lane's scratch.
+    // Single-request fast path: GEMV through the lane's scratch. decide()
+    // already checked the observation, so this is the unchecked path.
     RequestSlot& slot = lane.slots[lane.batch_idx[0]];
-    snap.decide(*slot.state, lane.scratch, *slot.out);
+    rl::greedy_weights(snap.policy, snap.normalizer, *slot.state,
+                       lane.scratch, *slot.out);
     slot.version = snap.version;
   } else {
     const std::size_t state_dim = snap.state_dim();

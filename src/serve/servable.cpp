@@ -1,6 +1,8 @@
 #include "serve/servable.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/contracts.h"
@@ -25,9 +27,18 @@ ActorSnapshot ActorSnapshot::from_export(const rl::ServableExport& exported) {
   return snap;
 }
 
+void require_finite_observation(const std::vector<double>& state) {
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (!std::isfinite(state[i]))
+      throw std::invalid_argument("serve: observation[" + std::to_string(i) +
+                                  "] is not finite");
+  }
+}
+
 void ActorSnapshot::decide(const std::vector<double>& state,
                            DecisionScratch& scratch,
                            std::vector<double>& weights_out) const {
+  require_finite_observation(state);
   rl::greedy_weights(policy, normalizer, state, scratch, weights_out);
 }
 

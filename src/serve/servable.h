@@ -55,6 +55,13 @@ namespace miras::serve {
 /// one scratch type, shared with DdpgAgent::act_greedy.
 using rl::DecisionScratch;
 
+/// Rejects an observation that holds NaN or +-Inf: throws
+/// std::invalid_argument naming the first bad index. The kernels assume
+/// finite inputs (their zero-skip paths would turn a non-finite term into
+/// a finite-looking wrong answer), so every outside request is checked
+/// here, at the serving boundary, before any work is done for it.
+void require_finite_observation(const std::vector<double>& state);
+
 /// Immutable copy of everything the greedy decision path needs. Never
 /// mutated after construction, so any number of threads may decide()
 /// through one snapshot concurrently (each with its own scratch).
@@ -78,6 +85,7 @@ struct ActorSnapshot {
   static ActorSnapshot from_export(const rl::ServableExport& exported);
 
   /// Greedy simplex weights for `state`; allocation-free given a scratch.
+  /// Throws std::invalid_argument on a non-finite observation.
   void decide(const std::vector<double>& state, DecisionScratch& scratch,
               std::vector<double>& weights_out) const;
 

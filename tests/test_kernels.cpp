@@ -1,19 +1,12 @@
-// Parity and determinism tests for the matmul microkernels (nn/kernels.h).
+// Parity tests for the matmul microkernels (nn/kernels.h).
 //
-// The load-bearing properties:
-//  - In the default build the dispatchers are bit-identical to the
-//    historical scalar kernels, so every golden file and bit-identity
-//    suite is untouched by the kernel layer existing at all.
-//  - gemv_lanes / gemm_lanes2 share ONE per-element reduction order (the
-//    four-lane split), so under MIRAS_NATIVE batched inference stays
-//    bitwise equal to row-at-a-time inference (the tensor.h invariant).
-//  - The lane kernels are deterministic per build and their per-column
-//    reduction order does not depend on register tiling, so results are a
-//    function of (k) alone, never of output width or batch size.
-//  - Lane results differ from the ascending-order scalar results by at
-//    most the reassociation error bound (~1 ulp per accumulation).
+// The load-bearing property: there is one kernel family with one
+// reduction order. Every GEMM row and the GEMV on that row equal a plain
+// ascending i-k-j loop bit for bit, zero-skip rows included, so batched
+// inference is bitwise equal to row-at-a-time inference (the tensor.h
+// invariant) and every golden file holds in every build.
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,19 +18,12 @@
 namespace miras::nn {
 namespace {
 
-using kern::gemm;
-using kern::gemm_lanes2;
-using kern::gemm_rows4;
-using kern::gemv;
-using kern::gemv_lanes;
-using kern::gemv_scalar;
-
 struct Shape {
   std::size_t m, k, n;
 };
 
-// Ragged shapes exercising every tail path: k%4 lanes remainders, n%tile
-// column tails, m%8 and m%2 row tails, degenerate singletons.
+// Ragged shapes exercising every tail path: m%4 row tails (including
+// m < 4, which is all tail), k and n tails, degenerate singletons.
 const Shape kShapes[] = {
     {1, 1, 1},   {1, 3, 5},   {1, 4, 8},    {1, 5, 7},   {1, 129, 40},
     {2, 8, 16},  {3, 5, 7},   {4, 17, 9},   {5, 31, 33}, {7, 64, 12},
@@ -48,149 +34,103 @@ std::vector<double> random_matrix(std::size_t rows, std::size_t cols,
                                   Rng& rng) {
   std::vector<double> m(rows * cols);
   for (double& v : m) v = rng.normal() * 2.0;
-  // Sprinkle exact zeros: the historical kernels have zero-skip fast paths
-  // and parity must hold through them.
+  // Sprinkle exact zeros: the kernels have zero-skip fast paths and parity
+  // must hold through them.
   for (std::size_t i = 0; i < m.size(); i += 7) m[i] = 0.0;
   return m;
 }
 
-// Bound on the error introduced by reassociating one dot product of length
-// k: a small multiple of eps per accumulation step, scaled by the sum of
-// absolute products.
-double reassociation_bound(const double* a, const double* w, std::size_t k,
-                           std::size_t j, std::size_t n) {
-  double abs_sum = 0.0;
-  for (std::size_t p = 0; p < k; ++p) abs_sum += std::abs(a[p] * w[p * n + j]);
-  const double eps = std::numeric_limits<double>::epsilon();
-  return 4.0 * static_cast<double>(k + 1) * eps * abs_sum + 1e-300;
+/// The reference order: out[i][j] = sum_p a[i][p] * b[p][j], p ascending,
+/// with no skips and no blocking.
+std::vector<double> ascending_ikj(const std::vector<double>& a,
+                                  const std::vector<double>& b, std::size_t m,
+                                  std::size_t k, std::size_t n) {
+  std::vector<double> out(m * n, 0.0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t j = 0; j < n; ++j)
+        out[i * n + j] += a[i * k + p] * b[p * n + j];
+  return out;
 }
 
+struct Case {
+  std::vector<double> a, w, expected;
+};
+
+/// Random operands for one shape, with the zero-skip paths forced: a zero
+/// column makes the GEMM's whole-block skip fire at p = 0, and an all-zero
+/// row makes the GEMV skip every term of that row.
+Case make_case(const Shape& s, Rng& rng) {
+  Case c;
+  c.a = random_matrix(s.m, s.k, rng);
+  for (std::size_t r = 0; r < s.m; ++r) c.a[r * s.k] = 0.0;
+  if (s.m >= 2)
+    for (std::size_t p = 0; p < s.k; ++p) c.a[1 * s.k + p] = 0.0;
+  c.w = random_matrix(s.k, s.n, rng);
+  c.expected = ascending_ikj(c.a, c.w, s.m, s.k, s.n);
+  return c;
+}
+
+// Every build runs the one kernel family; the GEMV that Tensor::matmul_into
+// reaches for single rows equals the ascending loop on every row.
 TEST(Kernels, DispatchMatchesScalarBitwiseInDefaultBuild) {
-  if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
   Rng rng(11);
   for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> via_dispatch(s.m * s.n), via_scalar(s.m * s.n);
-    gemm(a.data(), w.data(), via_dispatch.data(), s.m, s.k, s.n);
-    for (std::size_t r = 0; r < s.m; ++r)
-      gemv_scalar(a.data() + r * s.k, w.data(), via_scalar.data() + r * s.n,
-                  s.k, s.n);
-    for (std::size_t i = 0; i < via_dispatch.size(); ++i)
-      EXPECT_EQ(via_dispatch[i], via_scalar[i]) << "shape m=" << s.m;
-    // And the GEMV dispatcher on each row individually.
+    const Case c = make_case(s, rng);
     for (std::size_t r = 0; r < s.m; ++r) {
-      std::vector<double> row(s.n);
-      gemv(a.data() + r * s.k, w.data(), row.data(), s.k, s.n);
+      // NaN-filled outputs prove the kernel writes every element.
+      std::vector<double> row(s.n, std::nan(""));
+      kern::gemv(c.a.data() + r * s.k, c.w.data(), row.data(), s.k, s.n);
       for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(row[j], via_scalar[r * s.n + j]);
+        EXPECT_EQ(row[j], c.expected[r * s.n + j])
+            << "gemv k=" << s.k << " n=" << s.n << " row " << r << " col "
+            << j;
     }
   }
 }
 
+// The 4-row-blocked GEMM, its m%4 row tail included, equals the ascending
+// loop and the GEMV on every row.
 TEST(Kernels, Rows4MatchesRowwiseScalarBitwise) {
   Rng rng(12);
   for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> blocked(s.m * s.n), rowwise(s.n);
-    gemm_rows4(a.data(), w.data(), blocked.data(), s.m, s.k, s.n);
+    const Case c = make_case(s, rng);
+    std::vector<double> batched(s.m * s.n, std::nan(""));
+    kern::gemm(c.a.data(), c.w.data(), batched.data(), s.m, s.k, s.n);
     for (std::size_t r = 0; r < s.m; ++r) {
-      gemv_scalar(a.data() + r * s.k, w.data(), rowwise.data(), s.k, s.n);
-      for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(blocked[r * s.n + j], rowwise[j]);
-    }
-  }
-}
-
-TEST(Kernels, LanesGemmRowsMatchLanesGemvBitwise) {
-  // The within-build batched ≡ single invariant for the native kernels:
-  // every row of gemm_lanes2 must equal gemv_lanes on that row alone.
-  Rng rng(13);
-  for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> batched(s.m * s.n), single(s.n);
-    gemm_lanes2(a.data(), w.data(), batched.data(), s.m, s.k, s.n);
-    for (std::size_t r = 0; r < s.m; ++r) {
-      gemv_lanes(a.data() + r * s.k, w.data(), single.data(), s.k, s.n);
-      for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(batched[r * s.n + j], single[j])
-            << "m=" << s.m << " k=" << s.k << " n=" << s.n << " row " << r;
-    }
-  }
-}
-
-TEST(Kernels, LanesReductionOrderIndependentOfColumnTiling) {
-  // Append extra columns to W: the first n columns land in different
-  // register tiles, but each column's reduction order is a function of k
-  // alone, so their results must not move.
-  Rng rng(14);
-  for (std::size_t k : {1u, 3u, 4u, 7u, 31u, 128u, 129u}) {
-    for (std::size_t n : {1u, 5u, 8u, 13u}) {
-      const std::size_t wide = n + 5;
-      const auto a = random_matrix(1, k, rng);
-      const auto w_wide = random_matrix(k, wide, rng);
-      std::vector<double> w_narrow(k * n);
-      for (std::size_t p = 0; p < k; ++p)
-        for (std::size_t j = 0; j < n; ++j)
-          w_narrow[p * n + j] = w_wide[p * wide + j];
-      std::vector<double> out_narrow(n), out_wide(wide);
-      gemv_lanes(a.data(), w_narrow.data(), out_narrow.data(), k, n);
-      gemv_lanes(a.data(), w_wide.data(), out_wide.data(), k, wide);
-      for (std::size_t j = 0; j < n; ++j)
-        EXPECT_EQ(out_narrow[j], out_wide[j]) << "k=" << k << " n=" << n;
-    }
-  }
-}
-
-TEST(Kernels, LanesDeterministicAcrossCalls) {
-  Rng rng(15);
-  const std::size_t k = 129, n = 17;
-  const auto a = random_matrix(1, k, rng);
-  const auto w = random_matrix(k, n, rng);
-  std::vector<double> first(n), again(n);
-  gemv_lanes(a.data(), w.data(), first.data(), k, n);
-  for (int rep = 0; rep < 8; ++rep) {
-    gemv_lanes(a.data(), w.data(), again.data(), k, n);
-    for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(first[j], again[j]);
-  }
-}
-
-TEST(Kernels, LanesWithinReassociationBoundOfScalar) {
-  Rng rng(16);
-  for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> lanes(s.m * s.n), scalar(s.n);
-    gemm_lanes2(a.data(), w.data(), lanes.data(), s.m, s.k, s.n);
-    for (std::size_t r = 0; r < s.m; ++r) {
-      gemv_scalar(a.data() + r * s.k, w.data(), scalar.data(), s.k, s.n);
+      std::vector<double> row(s.n);
+      kern::gemv(c.a.data() + r * s.k, c.w.data(), row.data(), s.k, s.n);
       for (std::size_t j = 0; j < s.n; ++j) {
-        const double bound =
-            reassociation_bound(a.data() + r * s.k, w.data(), s.k, j, s.n);
-        EXPECT_LE(std::abs(lanes[r * s.n + j] - scalar[j]), bound)
-            << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+        EXPECT_EQ(batched[r * s.n + j], c.expected[r * s.n + j])
+            << "gemm m=" << s.m << " k=" << s.k << " n=" << s.n << " row "
+            << r << " col " << j;
+        EXPECT_EQ(batched[r * s.n + j], row[j])
+            << "gemm vs gemv m=" << s.m << " row " << r << " col " << j;
       }
     }
   }
 }
 
 TEST(Kernels, MatmulIntoDispatchesGemvForSingleRow) {
-  // Tensor::matmul_into with m == 1 must agree bitwise with the GEMV
-  // dispatcher — the serving fast path relies on it.
+  // Tensor::matmul_into with m == 1 must agree bitwise with the GEMV —
+  // the serving fast path relies on it — across k and n tails.
   Rng rng(17);
-  const std::size_t k = 33, n = 12;
-  const auto a = random_matrix(1, k, rng);
-  const auto w = random_matrix(k, n, rng);
-  Tensor ta(1, k), tw(k, n), out;
-  for (std::size_t p = 0; p < k; ++p) ta(0, p) = a[p];
-  for (std::size_t p = 0; p < k; ++p)
-    for (std::size_t j = 0; j < n; ++j) tw(p, j) = w[p * n + j];
-  ta.matmul_into(tw, out);
-  std::vector<double> direct(n);
-  gemv(a.data(), w.data(), direct.data(), k, n);
-  for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(out(0, j), direct[j]);
+  const Shape single_rows[] = {{1, 1, 1}, {1, 33, 12}, {1, 129, 40}};
+  for (const Shape& s : single_rows) {
+    const auto a = random_matrix(1, s.k, rng);
+    const auto w = random_matrix(s.k, s.n, rng);
+    Tensor ta(1, s.k), tw(s.k, s.n), out;
+    for (std::size_t p = 0; p < s.k; ++p) ta(0, p) = a[p];
+    for (std::size_t p = 0; p < s.k; ++p)
+      for (std::size_t j = 0; j < s.n; ++j) tw(p, j) = w[p * s.n + j];
+    ta.matmul_into(tw, out);
+    ASSERT_EQ(out.rows(), 1u);
+    ASSERT_EQ(out.cols(), s.n);
+    std::vector<double> direct(s.n);
+    kern::gemv(a.data(), w.data(), direct.data(), s.k, s.n);
+    for (std::size_t j = 0; j < s.n; ++j)
+      EXPECT_EQ(out(0, j), direct[j]) << "k=" << s.k << " n=" << s.n;
+  }
 }
 
 }  // namespace

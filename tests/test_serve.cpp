@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -495,6 +496,56 @@ TEST(BatchServer, StopDrainsAdmittedRequestsThenRejectsNewOnes) {
   EXPECT_THROW(server.decide(states[0], weights), std::runtime_error);
   EXPECT_EQ(server.dropped(), 1u);
   server.stop();  // idempotent
+}
+
+// The serving boundary rejects NaN/+-Inf observations, naming the first
+// bad index, before any work is done: the server counts neither a served
+// nor a dropped request and keeps serving valid ones with unchanged bits.
+TEST(BatchServer, RejectsNonFiniteObservationsAndKeepsServing) {
+  const rl::DdpgAgent agent = make_seeded_agent();
+  ActorServable servable(ActorSnapshot::from_agent(agent));
+  const std::shared_ptr<const ActorSnapshot> snap = servable.acquire();
+  BatchServer server(servable, AdmissionConfig{});
+  const auto states = make_states(4, 23);
+  DecisionScratch scratch;
+  std::vector<double> weights;
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const double bad : bad_values) {
+    for (const std::size_t index : {std::size_t{0}, kStateDim - 1}) {
+      SCOPED_TRACE("value " + std::to_string(bad) + " at index " +
+                   std::to_string(index));
+      std::vector<double> state = states[0];
+      state[index] = bad;
+      const std::string expected_message =
+          "observation[" + std::to_string(index) + "]";
+      for (int entry = 0; entry < 2; ++entry) {
+        try {
+          if (entry == 0)
+            snap->decide(state, scratch, weights);
+          else
+            server.decide(state, weights);
+          ADD_FAILURE() << "entry point " << entry << " accepted the state";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(expected_message),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(server.served(), 0u);
+  EXPECT_EQ(server.dropped(), 0u);
+
+  std::vector<double> expected;
+  for (const auto& state : states) {
+    EXPECT_EQ(server.decide(state, weights), servable.decide(state, scratch,
+                                                            expected));
+    EXPECT_EQ(weights, expected);
+  }
+  EXPECT_EQ(server.served(), states.size());
+  EXPECT_EQ(server.dropped(), 0u);
 }
 
 TEST(ServeCheckpoint, StandaloneServableRoundTripsBitwise) {
