@@ -6,9 +6,21 @@
 // xoshiro256++ seeded through splitmix64, which is fast, has a 2^256-1
 // period, and is identical across platforms (unlike std::mt19937's
 // distribution implementations, which libstdc++/libc++ are free to vary).
+//
+// Which draws touch libm. next_u64, uniform, uniform_int, shuffle and split
+// are integer arithmetic plus one exact int-to-double scaling: the same bits
+// on every IEEE-754 platform. normal() and normal(mean, stddev) return from
+// a table lookup and one multiply on ~98.5% of draws; the other ~1.5% (the
+// ziggurat's wedge and tail rejections) call std::exp or std::log.
+// lognormal() always calls std::exp, and exponential() always calls
+// std::log. Those calls go through the C library's libm (on glibc x86-64 an
+// ifunc-selected variant), so values drawn through them are reproducible
+// only where libm rounds them the same way. The invariance suites compare
+// runs on one machine; the value goldens assume such a libm.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,24 +36,39 @@ std::uint64_t splitmix64(std::uint64_t& state);
 /// or scheduling order — determines all random streams.
 std::uint64_t shard_seed(std::uint64_t root_seed, std::uint64_t shard_index);
 
-/// Complete serialisable state of an Rng: the four xoshiro256++ words plus
-/// the Box-Muller cache. Restoring it replays the exact draw sequence the
-/// captured generator would have produced — including a pending cached
-/// normal — which is what crash-resume bit-identity requires.
+/// Complete serialisable state of an Rng: the four xoshiro256++ words. No
+/// distribution keeps a cache between draws, so restoring the words replays
+/// the exact draw sequence the captured generator would have produced,
+/// which is what crash-resume bit-identity requires.
 struct RngState {
   std::array<std::uint64_t, 4> words{};
-  bool has_cached_normal = false;
-  double cached_normal = 0.0;
 
   friend bool operator==(const RngState&, const RngState&) = default;
 };
+
+/// The 256-layer ziggurat behind Rng::normal() (Marsaglia & Tsang 2000).
+/// Layer i is the rectangle [0, kX[i]) x [kF[i], kF[i + 1]] under the
+/// unnormalised density f(x) = exp(-x^2 / 2), so kF[i] = f(kX[i]) for
+/// i >= 1. Layer 0 is the base strip: kF[0] = 0, and its part beyond
+/// kX[1] = R stands for the tail. Every layer has area V, and kX[256] = 0
+/// closes the top layer at the peak. The tables are hexfloat literals in
+/// rng.cpp; they are declared here so a test can recompute them.
+namespace ziggurat {
+inline constexpr std::size_t kLayers = 256;
+/// R: where the tail begins (kX[1]).
+inline constexpr double kTailStart = 0x1.d3bb48209ad33p+1;
+/// V: the common area of every layer.
+inline constexpr double kLayerArea = 0x1.43016a5a43732p-8;
+extern const std::array<double, kLayers + 1> kX;
+extern const std::array<double, kLayers + 1> kF;
+}  // namespace ziggurat
 
 /// Deterministic xoshiro256++ generator with portable distributions.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Captures the full generator state (stream position + normal cache).
+  /// Captures the full generator state (the stream position).
   RngState state() const;
 
   /// Restores a state captured by state(); the next draws reproduce the
@@ -60,7 +87,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal via Box-Muller (portable across platforms).
+  /// Standard normal by the ziggurat above. One next_u64 feeds both the
+  /// layer (bits 0-7) and the position within it (bits 11-62, sign bit 63),
+  /// so the two are independent (Doornik 2005). Wedge and tail rejections
+  /// draw further uniforms.
   double normal();
 
   /// Normal with the given mean and standard deviation (stddev >= 0).
@@ -88,9 +118,6 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_;
-  // Cached second output of Box-Muller.
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
 
 }  // namespace miras

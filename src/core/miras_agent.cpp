@@ -292,6 +292,14 @@ void MirasAgent::save_checkpoint(const std::string& path) const {
 
 void MirasAgent::restore_checkpoint(const std::string& path) {
   const persist::CheckpointReader ckpt = persist::CheckpointReader::open(path);
+  if (ckpt.format_version() < persist::kMinResumableFormat)
+    throw std::runtime_error(
+        "checkpoint: '" + path + "' is format " +
+        std::to_string(ckpt.format_version()) +
+        ", whose random streams were drawn by the normal sampler that "
+        "Rng::normal's ziggurat replaced; resuming them would diverge from "
+        "the uninterrupted run, so restart training (its servable still "
+        "loads)");
 
   persist::BinaryReader meta = ckpt.section("meta");
   const std::uint64_t fingerprint = meta.u64();

@@ -207,6 +207,8 @@ std::vector<core::CollectedEpisode> CollectorPool::collect(
             "dist: unexpected message type from collector " +
             std::to_string(k));
 
+      // Not caught: a batch holding a NaN or Inf is thrown out of collect()
+      // as decoded. A respawn would replay the same deterministic episode.
       decode_batch_into(in, batch_scratch_);
       in.expect_end();
       const BatchMsg& batch = batch_scratch_;

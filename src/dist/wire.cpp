@@ -1,10 +1,24 @@
 #include "dist/wire.h"
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace miras::dist {
+
+namespace {
+/// Throws naming transition `t` and the first non-finite entry of `field`.
+void require_finite(const std::vector<double>& values, const char* field,
+                    std::size_t t) {
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if (!std::isfinite(values[i]))
+      throw std::runtime_error(
+          "dist: Batch transition " + std::to_string(t) + " has non-finite " +
+          field + "[" + std::to_string(i) + "] = " +
+          std::to_string(values[i]));
+}
+}  // namespace
 
 void encode_hello(persist::BinaryWriter& out, const HelloMsg& m) {
   out.u8(static_cast<std::uint8_t>(MsgType::kHello));
@@ -123,11 +137,18 @@ void decode_batch_into(persist::BinaryReader& in, BatchMsg& out) {
   // resize keeps existing elements' vector capacity; with a stable episode
   // shape no steady-state allocation happens here.
   out.transitions.resize(static_cast<std::size_t>(count));
-  for (envmodel::Transition& t : out.transitions) {
+  for (std::size_t k = 0; k < out.transitions.size(); ++k) {
+    envmodel::Transition& t = out.transitions[k];
     in.vec_f64_into(t.state);
+    require_finite(t.state, "state", k);
     in.vec_i32_into(t.action);
     in.vec_f64_into(t.next_state);
+    require_finite(t.next_state, "next_state", k);
     t.reward = in.f64();
+    if (!std::isfinite(t.reward))
+      throw std::runtime_error("dist: Batch transition " + std::to_string(k) +
+                               " has non-finite reward = " +
+                               std::to_string(t.reward));
   }
 }
 

@@ -105,7 +105,10 @@ HeartbeatMsg decode_heartbeat(persist::BinaryReader& in);
 
 /// Batch decoding into a reused message: transition vectors keep their
 /// capacity across calls, so the learner's steady-state ingest of
-/// same-shaped batches allocates nothing.
+/// same-shaped batches allocates nothing. Throws std::runtime_error naming
+/// the transition and index of the first NaN or +-Inf in a state,
+/// next_state or reward: a collector runs a deterministic episode, so such
+/// a batch is a fault to surface, not a death to respawn past.
 void decode_batch_into(persist::BinaryReader& in, BatchMsg& out);
 
 /// Framing + scratch-buffer glue over one ByteStream. send_message frames

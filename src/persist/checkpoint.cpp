@@ -157,15 +157,11 @@ BinaryReader CheckpointReader::section(const std::string& name) const {
 
 void write_rng_state(BinaryWriter& out, const RngState& state) {
   for (const std::uint64_t word : state.words) out.u64(word);
-  out.boolean(state.has_cached_normal);
-  out.f64(state.cached_normal);
 }
 
 RngState read_rng_state(BinaryReader& in) {
   RngState state;
   for (std::uint64_t& word : state.words) word = in.u64();
-  state.has_cached_normal = in.boolean();
-  state.cached_normal = in.f64();
   return state;
 }
 

@@ -18,6 +18,17 @@
 // by name — so the version only bumps when an existing section's encoding
 // changes.
 //
+// Format history:
+//   1  every rng stream carried its four xoshiro words plus the pending
+//      second value of the old two-at-a-time normal sampler.
+//   2  rng streams are the four words alone (Rng::normal became a ziggurat,
+//      which keeps no value between draws).
+// A format-1 file still opens, and its "servable" section still loads (it
+// holds no rng state). Resuming *training* from it is refused with its own
+// error (kMinResumableFormat): its streams were drawn by the old sampler,
+// and continuing them with the new one would silently diverge from the
+// uninterrupted run.
+//
 // Writes are atomic: the file is written to "<path>.tmp", flushed and
 // fsync'd, then rename(2)'d over the destination — a crash or SIGKILL at
 // any instant leaves either the old complete file or the new complete
@@ -34,7 +45,9 @@
 
 namespace miras::persist {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
+/// Oldest format whose rng streams the current Rng can continue.
+inline constexpr std::uint32_t kMinResumableFormat = 2;
 inline constexpr char kMagic[8] = {'M', 'I', 'R', 'A', 'S', 'C', 'K', 'P'};
 
 /// Accumulates named sections and writes the container atomically.
@@ -91,7 +104,8 @@ class CheckpointReader {
   std::vector<Section> sections_;
 };
 
-/// Rng stream encoding shared by every subsystem's snapshot.
+/// Rng stream encoding shared by every subsystem's snapshot: the four
+/// xoshiro words (format 2).
 void write_rng_state(BinaryWriter& out, const RngState& state);
 RngState read_rng_state(BinaryReader& in);
 

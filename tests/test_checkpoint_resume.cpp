@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -213,6 +216,42 @@ TEST(CheckpointResume, EnvironmentMismatchIsRejected) {
   sim::MicroserviceSystem ligo = make_system("ligo");
   MirasAgent restored(&ligo, tiny_config("msd"));
   EXPECT_THROW(restored.restore_checkpoint(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, FormatOneCheckpointIsRefusedNamingTheSampler) {
+  // Format 1 stored rng streams drawn by the normal sampler the ziggurat
+  // replaced. Continuing them with the new sampler would silently diverge
+  // from the uninterrupted run, so the resume must fail with its own error.
+  const std::string path = temp_path("format1.ckpt");
+  sim::MicroserviceSystem system = make_system("msd");
+  MirasAgent agent(&system, tiny_config("msd"));
+  (void)agent.run_iteration();
+  agent.save_checkpoint(path);
+  {
+    // Stamp the header's format_version (u32 at offset 8) as 1.
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    ASSERT_GT(bytes.size(), 12u);
+    bytes[8] = 1;
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_EQ(persist::CheckpointReader::open(path).format_version(), 1u);
+
+  sim::MicroserviceSystem fresh = make_system("msd");
+  MirasAgent restored(&fresh, tiny_config("msd"));
+  try {
+    restored.restore_checkpoint(path);
+    ADD_FAILURE() << "a format-1 checkpoint resumed";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("format 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("normal sampler"), std::string::npos) << message;
+  }
   std::remove(path.c_str());
 }
 

@@ -183,7 +183,10 @@ TEST(Ddpg, ActorClimbsTowardRewardingAction) {
     const double a0 = rng.uniform();
     agent.observe(state, {a0, 1.0 - a0}, a0, state);
   }
-  (void)agent.update(1500);
+  // 2000 updates: over config seeds 1-40 the lowest exploit share is then
+  // 0.78, so the bound holds for the initialisation stream of any seed
+  // rather than for a lucky one (at 1500 updates the mean sat at 0.76).
+  (void)agent.update(2000);
   const auto action = agent.act(state, false);
   EXPECT_GT(action[0], 0.75) << "actor did not exploit the bandit";
 }

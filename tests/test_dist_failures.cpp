@@ -1,15 +1,19 @@
 // Failure handling of the distributed actor-learner topology: credit-based
 // back-pressure (a stalled learner bounds the bytes a collector can put in
 // flight), collector death mid-round (respawn resumes the batch_seq and the
-// merged result is unchanged), and the handshake refusing a collector built
-// from a different config. Thread collectors over loopback streams — no
-// fork, so the suite runs under TSan.
+// merged result is unchanged), a batch holding a NaN thrown rather than
+// respawned past, and the handshake refusing a collector built from a
+// different config. Thread collectors over loopback streams — no fork, so
+// the suite runs under TSan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -203,6 +207,83 @@ TEST(DistFailures, CollectorDeathPreservesResultAndRespawns) {
       train_distributed(2, /*first_spawn_dies_after=*/1, &respawns);
   EXPECT_GE(respawns, 1u);
   expect_identical_traces(reference, with_death);
+}
+
+TEST(DistFailures, NonFiniteBatchIsSurfacedNotRespawned) {
+  // A hand-written collector on a loopback stream completes the handshake
+  // and answers its assignment with a crafted Batch frame whose second
+  // transition carries a NaN. Episodes are deterministic, so a respawn
+  // would replay the same batch: collect() must throw the decoder's error
+  // and spawn nothing more.
+  constexpr std::uint64_t kFingerprint = 0xfeed;
+  std::atomic<int> spawns{0};
+  const SpawnFn spawn = [&spawns](std::uint32_t collector_id) {
+    ++spawns;
+    auto [learner_end, collector_end] = LoopbackStream::make_pair();
+    Endpoint endpoint;
+    endpoint.stream = std::move(learner_end);
+    endpoint.thread = std::thread(
+        [stream = std::shared_ptr<LoopbackStream>(std::move(collector_end)),
+         collector_id] {
+          MessageChannel channel(stream.get());
+          persist::BinaryWriter out;
+          encode_hello(out, HelloMsg{kProtocolVersion, collector_id,
+                                     kFingerprint});
+          channel.send_message(out);
+          std::vector<std::uint8_t> payload;
+          std::uint64_t round = 0;
+          for (;;) {  // Weights, Assign, then Credit
+            if (channel.poll_payload(payload, 10000) != RecvStatus::kData)
+              return;
+            persist::BinaryReader in(payload.data(), payload.size(), "in");
+            const MsgType type = decode_type(in);
+            if (type == MsgType::kAssign) round = decode_assign(in).round;
+            if (type == MsgType::kCredit) break;
+          }
+          BatchMsg batch;
+          batch.collector_id = collector_id;
+          batch.round = round;
+          for (int i = 0; i < 3; ++i) {
+            envmodel::Transition t;
+            t.state = {1.0, 2.0};
+            t.action = {1, 1};
+            t.next_state = {2.0, 1.0};
+            t.reward = -1.0;
+            batch.transitions.push_back(t);
+          }
+          batch.transitions[1].next_state[1] =
+              std::numeric_limits<double>::quiet_NaN();
+          out.clear();
+          encode_batch(out, batch);
+          channel.send_message(out);
+          // Stay until the learner shuts down or drops the stream.
+          while (channel.poll_payload(payload, 10000) == RecvStatus::kData) {
+            persist::BinaryReader in(payload.data(), payload.size(), "in");
+            if (decode_type(in) == MsgType::kShutdown) return;
+          }
+        });
+    return endpoint;
+  };
+
+  PoolOptions options;
+  options.config_fingerprint = kFingerprint;
+  CollectorPool pool(options, spawn);
+  core::EpisodeSpec spec;
+  spec.length = 3;
+  spec.seed = 1;
+  const rl::DdpgAgent probe(2, 2, 4, tiny_config(9).ddpg);
+  try {
+    (void)pool.collect({spec}, /*random_actions=*/true,
+                       probe.behavior_snapshot());
+    ADD_FAILURE() << "a batch holding a NaN was folded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("transition 1 has non-finite next_state[1]"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(pool.respawn_count(), 0u);
+  EXPECT_EQ(spawns.load(), 1);
 }
 
 TEST(DistFailures, ConfigFingerprintMismatchRefused) {

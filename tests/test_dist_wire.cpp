@@ -1,13 +1,16 @@
 // Wire protocol layer (dist/wire.h): every message round-trips exactly,
-// decode_batch_into reuses its scratch buffers, unknown types are rejected,
+// decode_batch_into reuses its scratch buffers and rejects non-finite
+// transitions, unknown types are rejected,
 // and MessageChannel frames messages over a live ByteStream (including the
 // closed-peer and corrupted-stream behaviours the learner's failure
 // handling depends on).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dist/transport.h"
@@ -168,6 +171,47 @@ TEST(DistWire, DecodeBatchIntoReusesScratchCapacity) {
   EXPECT_EQ(scratch.transitions.data(), transitions_buf);
   EXPECT_EQ(scratch.transitions[0].state.data(), state_buf);
   EXPECT_EQ(scratch.transitions[0].action.data(), action_buf);
+}
+
+TEST(DistWire, DecodeBatchRejectsNonFiniteValuesNamingTheFirst) {
+  // Each case plants one NaN or Inf in a copy of make_batch()'s batch and
+  // expects the error to name that transition and index.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::size_t transition;
+    const char* field;
+    std::size_t index;
+    double value;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      {2, "state", 1, kNan, "transition 2 has non-finite state[1]"},
+      {0, "next_state", 2, kInf, "transition 0 has non-finite next_state[2]"},
+      {3, "next_state", 0, -kInf, "transition 3 has non-finite next_state[0]"},
+      {1, "reward", 0, kNan, "transition 1 has non-finite reward"},
+  };
+  for (const Case& c : cases) {
+    BatchMsg batch = make_batch();
+    envmodel::Transition& t = batch.transitions[c.transition];
+    if (std::string(c.field) == "state") t.state[c.index] = c.value;
+    if (std::string(c.field) == "next_state") t.next_state[c.index] = c.value;
+    if (std::string(c.field) == "reward") t.reward = c.value;
+    // A later transition's NaN must not be the one reported.
+    batch.transitions.back().reward = kNan;
+    persist::BinaryWriter out;
+    encode_batch(out, batch);
+    persist::BinaryReader in(out.bytes().data(), out.size(), "batch");
+    ASSERT_EQ(decode_type(in), MsgType::kBatch);
+    BatchMsg decoded;
+    try {
+      decode_batch_into(in, decoded);
+      ADD_FAILURE() << "accepted " << c.expected;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.expected), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(DistWire, CreditHeartbeatShutdownRoundTrip) {

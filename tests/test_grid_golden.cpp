@@ -3,10 +3,14 @@
 // windows through EvaluationHarness. Every GridSummary statistic is pinned
 // as a hexfloat and compared with exact equality, so any drift in the event
 // engine, the baselines' decide() or the greedy actor path — across
-// commits, not just within one run — fails here. The constants were
-// recorded by printing these summaries with "%a" before the event heap's
-// integer key, the flat dispatch tables and the scratch-reusing decides
-// went in.
+// commits, not just within one run — fails here.
+//
+// Recording: the engine of commit 4907e33 with Rng's ziggurat normal
+// sampler (src/common/rng.{h,cpp} of the commit that introduced it; its
+// lognormal service times and the actor's initial weights changed every
+// summary). Generator: run_ligo_grid(nullptr), printing each summary's
+// scenario, policy and replications, then count, mean, m2, min and max of
+// its four RunningStats with "%a", in kGolden's layout.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -83,89 +87,90 @@ void expect_stats(const RunningStats& stats, const GoldenStats& golden,
 
 const std::vector<GoldenSummary> kGolden = {
     {"burst0", "drs", 4,
-     {0x1p+2, -0x1.e628p+11, 0x1.b6c76p+17, -0x1.00ep+12, -0x1.b46p+11},
-     {0x1.4p+7, 0x1.f1c9c040ec2c8p+6, 0x1.4f1fe8b2517dcp+21, 0x0p+0,
-      0x1.c9ad83f27908fp+8},
-     {0x1p+2, 0x1.b6fe17771b5ep+4, 0x1.5676bdc08bf5p+3, 0x1.9064323bae897p+4,
-      0x1.d6e4519f2b98ep+4},
-     {0x1p+2, 0x1p+3, 0x1.8p+2, 0x1.cp+2, 0x1.4p+3}},
+     {0x1p+2, -0x1.e428p+11, 0x1.aa2e5fffffffdp+17, -0x1.01dp+12, -0x1.b52p+11},
+     {0x1.4p+7, 0x1.eaf13c196cd92p+6, 0x1.4891a89b710cep+21, 0x0p+0,
+      0x1.b4d3c281ab011p+8},
+     {0x1p+2, 0x1.adba6791bcaaap+4, 0x1.67a5afb6226ebp+2, 0x1.9c8cd1510fa25p+4,
+      0x1.cd754d8e53cf3p+4},
+     {0x1p+2, 0x1.ep+2, 0x1.5p+4, 0x1p+2, 0x1.4p+3}},
     {"burst0", "heft", 4,
-     {0x1p+2, -0x1.c8fp+11, 0x1.c7aaffffffffep+16, -0x1.ddcp+11, -0x1.a54p+11},
-     {0x1.4p+7, 0x1.dc99a158131bap+6, 0x1.85ecaa240c796p+19, 0x0p+0,
-      0x1.414aab321fc2ep+8},
-     {0x1p+2, 0x1.87b196449eb89p+6, 0x1.6f47372a3146p+8, 0x1.57732b31317cfp+6,
-      0x1.c2464a327a1bap+6},
-     {0x1p+2, 0x1.9p+4, 0x1.ccp+7, 0x1.ap+3, 0x1.1p+5}},
+     {0x1p+2, -0x1.d49p+11, 0x1.d489p+16, -0x1.e88p+11, -0x1.b06p+11},
+     {0x1.4p+7, 0x1.f26a4344c974p+6, 0x1.817a8173df46p+19, 0x0p+0,
+      0x1.35da136c4f2acp+8},
+     {0x1p+2, 0x1.97db75b16b76ap+6, 0x1.7c705223ecc95p+8, 0x1.5528c3704ce6ap+6,
+      0x1.b845ab275645dp+6},
+     {0x1p+2, 0x1.e4p+4, 0x1.f6cp+8, 0x1.6p+3, 0x1.38p+5}},
     {"burst0", "monad", 4,
-     {0x1p+2, -0x1.87a8p+11, 0x1.40c4cp+16, -0x1.9fep+11, -0x1.6f6p+11},
-     {0x1.4p+7, 0x1.8f4c8ada8c716p+6, 0x1.9097e7f1a7e7cp+20, 0x0p+0,
-      0x1.7710dd4e23015p+8},
-     {0x1p+2, 0x1.2ab6affe1be1ap+5, 0x1.32d4e51601ba2p+5, 0x1.0cd47c412310dp+5,
-      0x1.513301beb06d6p+5},
-     {0x1p+2, 0x1.18p+3, 0x1.06p+5, 0x1.4p+2, 0x1.8p+3}},
+     {0x1p+2, -0x1.8368p+11, 0x1.14cbp+14, -0x1.8e6p+11, -0x1.784p+11},
+     {0x1.4p+7, 0x1.8b489de039b41p+6, 0x1.887f8d45b56cbp+20, 0x0p+0,
+      0x1.6892db6446eb2p+8},
+     {0x1p+2, 0x1.21073aa5a89f7p+5, 0x1.23abc9e5dee51p+5, 0x1.0a5602a1545adp+5,
+      0x1.482881ff864a3p+5},
+     {0x1p+2, 0x1.48p+3, 0x1.96p+5, 0x1.4p+2, 0x1.cp+3}},
     {"burst0", "ddpg", 4,
-     {0x1p+2, -0x1.993cp+12, 0x1.6bdcac0000002p+20, -0x1.ccp+12, -0x1.613p+12},
-     {0x1.4p+7, 0x1.57266724e0588p+8, 0x1.fefc13a589f3ep+21,
-      0x1.4ae55f41d376bp+4, 0x1.7b407e9ed8de9p+9},
-     {0x1p+2, 0x1.8a04cab5de62cp+8, 0x1.5f34a1361fcaap+14, 0x1.2067b3bcf8489p+8,
-      0x1.f4286009e9d53p+8},
-     {0x1p+2, 0x1.5p+6, 0x1.b17ffffffffffp+10, 0x1.d8p+5, 0x1.dp+6}},
+     {0x1p+2, -0x1.0d0ep+13, 0x1.d87098p+19, -0x1.20d8p+13, -0x1.ecep+12},
+     {0x1.4p+7, 0x1.9424afbf1aa71p+8, 0x1.2862d6f989fdep+23,
+      0x1.46bcf4932c052p+4, 0x1.06e99aa8c0778p+10},
+     {0x1p+2, 0x1.6296623b4bb18p+9, 0x1.1cff75369c52cp+12, 0x1.52cc7500c08efp+9,
+      0x1.7ebc25d2e4c2ap+9},
+     {0x1p+2, 0x1.9fp+7, 0x1.6a2p+11, 0x1.54p+7, 0x1.dep+7}},
     {"burst1", "drs", 4,
-     {0x1p+2, -0x1.c1ap+12, 0x1.179bc00000003p+19, -0x1.d5dp+12, -0x1.9b1p+12},
-     {0x1.4p+7, 0x1.ba961efdc8157p+7, 0x1.485e52da57p+22, 0x0p+0,
-      0x1.18b45c4aea607p+9},
-     {0x1p+2, 0x1.f2f00b5eac542p+4, 0x1.5f09dabf3f44bp+6, 0x1.aad7cce790785p+4,
-      0x1.3841d8ca9de87p+5},
-     {0x1p+2, 0x1p+3, 0x1.4p+4, 0x1.4p+2, 0x1.6p+3}},
+     {0x1p+2, -0x1.c2d8p+12, 0x1.7319a00000002p+19, -0x1.e06p+12, -0x1.999p+12},
+     {0x1.4p+7, 0x1.b65ba9e74a58fp+7, 0x1.4e73e10a3e7b3p+22, 0x0p+0,
+      0x1.25ed76bf7bf9ep+9},
+     {0x1p+2, 0x1.d5ff228f24e16p+4, 0x1.62afc4706b396p+2, 0x1.c3bf53b4083bap+4,
+      0x1.f1ee8d036f0c6p+4},
+     {0x1p+2, 0x1.bp+2, 0x1.4cp+4, 0x1p+2, 0x1.2p+3}},
     {"burst1", "heft", 4,
-     {0x1p+2, -0x1.af7cp+12, 0x1.5bafafffffffep+18, -0x1.bdep+12, -0x1.8fbp+12},
-     {0x1.4p+7, 0x1.4fca1888d18ebp+7, 0x1.227d1eb027d05p+21, 0x0p+0,
-      0x1.c0c9e91490b4p+8},
-     {0x1p+2, 0x1.7e8faa28273f8p+6, 0x1.3c7b046a4fe66p+8, 0x1.5f2d4f423a70ap+6,
-      0x1.b65f1a860d92p+6},
-     {0x1p+2, 0x1.e8p+4, 0x1.2e8p+9, 0x1.6p+3, 0x1.6p+5}},
+     {0x1p+2, -0x1.b6b8p+12, 0x1.3d583fffffffdp+18, -0x1.c94p+12, -0x1.998p+12},
+     {0x1.4p+7, 0x1.513226286194p+7, 0x1.3d2d7713b5edep+21, 0x0p+0,
+      0x1.bcb77dbfedda8p+8},
+     {0x1p+2, 0x1.6303a394a091cp+6, 0x1.867ef5ef33f11p+8, 0x1.26194234a9509p+6,
+      0x1.8ed27038d7c24p+6},
+     {0x1p+2, 0x1.ep+4, 0x1.d4p+7, 0x1.3p+4, 0x1.4p+5}},
     {"burst1", "monad", 4,
-     {0x1p+2, -0x1.8574p+12, 0x1.8b402ffffffffp+18, -0x1.9cbp+12, -0x1.671p+12},
-     {0x1.4p+7, 0x1.637f361e0ecd2p+7, 0x1.017e3beb2e328p+22, 0x0p+0,
-      0x1.1c2ad54e8405bp+9},
-     {0x1p+2, 0x1.2731097e10166p+5, 0x1.3adc15286df35p+3, 0x1.1917861d351a7p+5,
-      0x1.3790a3c0a39fp+5},
-     {0x1p+2, 0x1.18p+3, 0x1.86p+5, 0x1.8p+1, 0x1.8p+3}},
+     {0x1p+2, -0x1.8078p+12, 0x1.5964800000005p+17, -0x1.8fp+12, -0x1.6b4p+12},
+     {0x1.4p+7, 0x1.55b2feefba8d8p+7, 0x1.070f96922a718p+22, 0x0p+0,
+      0x1.fc9e4d5a04aa9p+8},
+     {0x1p+2, 0x1.1ae70f203a36cp+5, 0x1.55526a2ebc838p+4, 0x1.f74cf84a99c26p+4,
+      0x1.2a74d0fc27426p+5},
+     {0x1p+2, 0x1.38p+3, 0x1.16p+5, 0x1.4p+2, 0x1.ap+3}},
     {"burst1", "ddpg", 4,
-     {0x1p+2, -0x1.8678p+13, 0x1.83e89fffffffcp+20, -0x1.a01p+13, -0x1.6acp+13},
-     {0x1.4p+7, 0x1.c64ff1f67913cp+8, 0x1.328db030d9608p+23,
-      0x1.45b721643718dp+4, 0x1.f9dbcdb74665bp+9},
-     {0x1p+2, 0x1.83f5c840b214cp+9, 0x1.e520455aa94ddp+10, 0x1.7403fe7d8446ep+9,
-      0x1.8f51328c45bp+9},
-     {0x1p+2, 0x1.e2p+7, 0x1.3fp+11, 0x1.9ap+7, 0x1.0fp+8}},
+     {0x1p+2, -0x1.a0ep+13, 0x1.81fcbfffffffap+19, -0x1.ae78p+13,
+      -0x1.8af8p+13},
+     {0x1.4p+7, 0x1.9cbdfd55747dcp+8, 0x1.29f75ad09d257p+23,
+      0x1.49598d5a86f6dp+4, 0x1.1a32236a0b078p+10},
+     {0x1p+2, 0x1.697e9adbedde7p+9, 0x1.1fe1e80c0eb2ap+13, 0x1.48d99b125ee47p+9,
+      0x1.8ca0696729e58p+9},
+     {0x1p+2, 0x1.43p+8, 0x1.0a40000000003p+11, 0x1.23p+8, 0x1.5ep+8}},
     {"burst2", "drs", 4,
-     {0x1p+2, -0x1.51dp+12, 0x1.b29ap+18, -0x1.703p+12, -0x1.37fp+12},
-     {0x1.4p+7, 0x1.47e52a90ac56p+7, 0x1.e6e395f62d111p+21, 0x0p+0,
-      0x1.f7f07b9844aa7p+8},
-     {0x1p+2, 0x1.d6d3577fa5ba8p+4, 0x1.03d67b3549baep+4, 0x1.a2661cf5cea93p+4,
-      0x1.f1a9e1cafb28ap+4},
-     {0x1p+2, 0x1.bp+2, 0x1.6cp+4, 0x1p+2, 0x1.4p+3}},
+     {0x1p+2, -0x1.5d48p+12, 0x1.4cbe1fffffffdp+19, -0x1.824p+12, -0x1.3a7p+12},
+     {0x1.4p+7, 0x1.4f9bb2ee09192p+7, 0x1.01b42ad39f9ap+22, 0x0p+0,
+      0x1.126e91e880393p+9},
+     {0x1p+2, 0x1.b9e09585f28f9p+4, 0x1.2883a76532f62p+2, 0x1.a43e0468e1856p+4,
+      0x1.cd312b05dfd48p+4},
+     {0x1p+2, 0x1p+3, 0x1.2p+4, 0x1.4p+2, 0x1.4p+3}},
     {"burst2", "heft", 4,
-     {0x1p+2, -0x1.4208p+12, 0x1.532d800000002p+17, -0x1.4eap+12, -0x1.2c4p+12},
-     {0x1.4p+7, 0x1.1f7bd026082adp+7, 0x1.8268f3b8fa83dp+20, 0x0p+0,
-      0x1.90cdac189a12fp+8},
-     {0x1p+2, 0x1.86aec6ebea854p+6, 0x1.253b50e37eea1p+9, 0x1.3baaf2e653447p+6,
-      0x1.bc82e4cb59b5ep+6},
-     {0x1p+2, 0x1.04p+5, 0x1.128p+9, 0x1.ap+3, 0x1.58p+5}},
+     {0x1p+2, -0x1.475p+12, 0x1.59f4000000006p+16, -0x1.54p+12, -0x1.39ep+12},
+     {0x1.4p+7, 0x1.2546094e73dd8p+7, 0x1.8ceb225219376p+20, 0x0p+0,
+      0x1.843bc48947787p+8},
+     {0x1p+2, 0x1.6bde87891a9e8p+6, 0x1.213da5d3d5d16p+10, 0x1.0f7a898d7f0ccp+6,
+      0x1.ced3b45e13178p+6},
+     {0x1p+2, 0x1.c8p+4, 0x1.498p+9, 0x1.2p+3, 0x1.48p+5}},
     {"burst2", "monad", 4,
-     {0x1p+2, -0x1.2358p+12, 0x1.07774p+18, -0x1.351p+12, -0x1.096p+12},
-     {0x1.4p+7, 0x1.261de9c09f18bp+7, 0x1.68ca818bcddc8p+21, 0x0p+0,
-      0x1.d021c3fd543afp+8},
-     {0x1p+2, 0x1.381c2995a6c21p+5, 0x1.59e80ba72954ep+6, 0x1.fa05de9f841bp+4,
-      0x1.593bd74d6ca4dp+5},
-     {0x1p+2, 0x1.28p+3, 0x1.6cp+4, 0x1.8p+2, 0x1.8p+3}},
+     {0x1p+2, -0x1.1eb4p+12, 0x1.7d497fffffff6p+15, -0x1.27fp+12, -0x1.149p+12},
+     {0x1.4p+7, 0x1.19446b167a4aap+7, 0x1.6adc218cd49a6p+21, 0x0p+0,
+      0x1.d2c69ce0ffc2dp+8},
+     {0x1p+2, 0x1.1dc4e67d296f4p+5, 0x1.f83b10fdf11f1p+3, 0x1.0e1941adf541fp+5,
+      0x1.383e382c49b65p+5},
+     {0x1p+2, 0x1.4p+3, 0x1.2p+6, 0x1p+2, 0x1p+4}},
     {"burst2", "ddpg", 4,
-     {0x1p+2, -0x1.217p+13, 0x1.5700fp+21, -0x1.381p+13, -0x1.e9dp+12},
-     {0x1.4p+7, 0x1.abcae5b41bf95p+8, 0x1.063595cbb9a84p+23,
-      0x1.4d99a4fb2e75fp+4, 0x1.d8cc48f4fbd43p+9},
-     {0x1p+2, 0x1.57898bc0d318fp+9, 0x1.dc15fda074b17p+14, 0x1.0cedc3030ab51p+9,
-      0x1.7a587fe46b496p+9},
-     {0x1p+2, 0x1.46p+7, 0x1.2c4p+12, 0x1.ap+6, 0x1.8p+7}},
+     {0x1p+2, -0x1.56a6p+13, 0x1.0736acp+20, -0x1.6cap+13, -0x1.3edp+13},
+     {0x1.4p+7, 0x1.9d0a212e9b83bp+8, 0x1.47cec03f95231p+23,
+      0x1.5836f018bce35p+4, 0x1.284446af5163ep+10},
+     {0x1p+2, 0x1.6f13a3f45fa3fp+9, 0x1.6a52ddbac4ec6p+14, 0x1.416a6d3e88b3ap+9,
+      0x1.aad30f06c2c6ep+9},
+     {0x1p+2, 0x1.108p+8, 0x1.724p+10, 0x1.e8p+7, 0x1.27p+8}},
 };
 
 void expect_matches_golden(const GridResult& grid) {

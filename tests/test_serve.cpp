@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -145,7 +148,7 @@ TEST(BatchServer, BatchedResultsMatchDirectDecisionsBitwise) {
   config.max_batch = 8;
   BatchServer server(servable, config);
 
-  const auto states = make_states(64, 11);
+  const auto states = make_states(512, 11);
   // Direct (unbatched) reference answers.
   std::vector<std::vector<double>> expected(states.size());
   {
@@ -154,12 +157,22 @@ TEST(BatchServer, BatchedResultsMatchDirectDecisionsBitwise) {
       servable.decide(states[i], scratch, expected[i]);
   }
 
+  // Coalescing comes from the construction, not from thread start-up
+  // timing: no client sends before all eight are running (the latch), and
+  // each then keeps one request outstanding for 64 rounds. The worker
+  // admits everything pending, so a pass takes one request only while the
+  // other seven are all between requests; for no batch to form, that would
+  // have to hold at every one of the 512 admissions. Without the latch, a
+  // slowly spawned client (thread creation under TSan) could start after
+  // the earlier ones had finished, serialising every request.
   constexpr std::size_t kClients = 8;
+  std::latch all_running(kClients);
   std::vector<std::thread> clients;
   std::atomic<bool> mismatch{false};
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       std::vector<double> weights;
+      all_running.arrive_and_wait();
       for (std::size_t i = c; i < states.size(); i += kClients) {
         const std::uint64_t version = server.decide(states[i], weights);
         if (version != 1 || weights != expected[i]) mismatch = true;
@@ -609,6 +622,49 @@ TEST(ServeCheckpoint, LoadsServableSectionFromFullTrainingCheckpoint) {
     for (std::size_t j = 0; j < got.size(); ++j) EXPECT_EQ(got[j], want[j]);
     EXPECT_EQ(loaded.decide_allocation(probe, scratch),
               frozen.ddpg().act_allocation_greedy(probe));
+  }
+}
+
+TEST(ServeCheckpoint, LoadsServableFromFormatOneTrainingCheckpoint) {
+  // Format 1 differs from format 2 only in how rng streams are stored; the
+  // servable section holds none, so serving keeps loading old checkpoints
+  // that training refuses to resume.
+  sim::SystemConfig sys_config;
+  sys_config.consumer_budget = workflows::kMsdConsumerBudget;
+  sys_config.seed = 21;
+  sim::MicroserviceSystem system(workflows::make_msd_ensemble(), sys_config);
+  core::MirasConfig config;
+  config.ddpg.actor_hidden = {16, 16};
+  config.ddpg.critic_hidden = {16, 16};
+  config.seed = 5;
+  const core::MirasAgent miras(&system, config);
+
+  const std::string path = temp_path("format1_training.ckpt");
+  miras.save_checkpoint(path);
+  {
+    // Stamp the header's format_version (u32 at offset 8) as 1.
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    ASSERT_GT(bytes.size(), 12u);
+    bytes[8] = 1;
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_EQ(persist::CheckpointReader::open(path).format_version(), 1u);
+  const ActorSnapshot loaded = load_servable(path);
+  std::remove(path.c_str());
+
+  DecisionScratch scratch;
+  std::vector<double> got;
+  std::vector<double> probe(miras.ddpg().state_dim());
+  Rng probe_rng(47);
+  for (int i = 0; i < 10; ++i) {
+    for (double& s : probe) s = probe_rng.uniform(0.0, 800.0);
+    loaded.decide(probe, scratch, got);
+    EXPECT_EQ(got, miras.ddpg().act_greedy(probe));
   }
 }
 

@@ -1,9 +1,16 @@
-// Golden WIP-trace tests: the typed-event engine replayed against traces
-// recorded from the std::function-based engine it replaced (same seeds,
-// bursts, and allocation sequence). Every value is compared with exact
-// double equality — the rewrite's contract is bit-identity, not closeness.
-// The constants were captured by driving the pre-rewrite engine with the
-// generator below (hexfloat output, so the round-trip is lossless).
+// Golden WIP-trace tests: the event engine replayed against pinned traces
+// (same seeds, bursts, and allocation sequence). Every value is compared
+// with exact double equality — the contract is bit-identity, not
+// closeness. The traces were first recorded from the std::function-based
+// engine the typed-event engine replaced, and matched it bit for bit.
+//
+// Recording: the engine of commit 4907e33 with Rng's ziggurat normal
+// sampler (src/common/rng.{h,cpp} of the commit that introduced it; its
+// lognormal service times changed every trace). Generator: run
+// expect_matches_golden's drive, but instead of each EXPECT print
+// result.state, result.reward and stats.overall_mean_response_time of each
+// window with "%a" (hexfloat, so the round-trip is lossless), then the
+// four counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,54 +70,43 @@ void expect_matches_golden(MicroserviceSystem& system, std::uint64_t seed,
   EXPECT_EQ(system.counters().tasks_completed, counters.done);
 }
 
-// Recorded from the pre-rewrite engine: MSD, seed 21, burst 40/type, 10
-// windows of random allocations.
+// MSD, seed 21, burst 40/type, 10 windows of random allocations.
 const std::vector<GoldenStep> kMsdGolden = {
-    {{0x1.d8p+6, 0x1p+1, 0x0p+0, 0x1p+1}, -0x1.e4p+6, 0x1.6b1c0d2966934p+4},
-    {{0x1.bp+6, 0x1.ap+3, 0x0p+0, 0x1p+0}, -0x1.e4p+6, 0x1.2e9f49b039f27p+5},
-    {{0x1p+6, 0x1.2p+4, 0x1.28p+5, 0x1p+1}, -0x1.ep+6, 0x1.3eb47166660a8p+6},
-    {{0x1p+4, 0x1.1p+5, 0x1.44p+6, 0x1.9p+4}, -0x1.36p+7, 0x1.757a164efb51ep+6},
-    {{0x0p+0, 0x1.4p+5, 0x1.3cp+6, 0x1p+2}, -0x1.e8p+6, 0x1.13220e6076ecdp+7},
-    {{0x0p+0, 0x1.dp+4, 0x1.28p+6, 0x1p+0}, -0x1.9cp+6, 0x1.40cf9b725ef81p+7},
-    {{0x0p+0, 0x1.8p+2, 0x1.3p+6, 0x1p+0}, -0x1.48p+6, 0x1.d9d041f4484c8p+6},
-    {{0x0p+0, 0x1p+0, 0x1.2p+6, 0x0p+0}, -0x1.2p+6, 0x1.63ac374b0bda5p+7},
-    {{0x1.ap+3, 0x0p+0, 0x1.ep+5, 0x1p+0}, -0x1.24p+6, 0x1.0115ada04b2afp+8},
-    {{0x0p+0, 0x1.8p+2, 0x1.f8p+5, 0x1.8p+1}, -0x1.1cp+6, 0x1.cb2f9f014acebp+7},
+    {{0x1.e4p+6, 0x1p+1, 0x0p+0, 0x1p+0}, -0x1.ecp+6, 0x1.7509eca414808p+4},
+    {{0x1.bp+6, 0x1.cp+3, 0x0p+0, 0x0p+0}, -0x1.e4p+6, 0x1.3fbea65095d2fp+5},
+    {{0x1.18p+6, 0x1p+4, 0x1p+5, 0x1p+2}, -0x1.e4p+6, 0x1.32f597768d897p+6},
+    {{0x1.4p+3, 0x1.5p+5, 0x1.54p+6, 0x1.ap+4},
+     -0x1.44p+7, 0x1.6f3bbbe6fc56ap+6},
+    {{0x0p+0, 0x1.7p+5, 0x1.5p+6, 0x1p+0}, -0x1.04p+7, 0x1.122b43c27b01cp+7},
+    {{0x0p+0, 0x1.18p+5, 0x1.34p+6, 0x1p+0}, -0x1.cp+6, 0x1.47f19f364c2ebp+7},
+    {{0x0p+0, 0x1.ap+3, 0x1.34p+6, 0x1.8p+1}, -0x1.7p+6, 0x1.360afbee4eaafp+7},
+    {{0x0p+0, 0x1.8p+2, 0x1.18p+6, 0x0p+0}, -0x1.2cp+6, 0x1.5c0152c1d79c7p+7},
+    {{0x1.ap+3, 0x0p+0, 0x1.dp+5, 0x1p+0}, -0x1.1cp+6, 0x1.c2e43974c42ep+7},
+    {{0x1p+0, 0x1.2p+3, 0x1.cp+5, 0x1p+1}, -0x1.0cp+6, 0x1.0405efd715a45p+8},
 };
 
-// Recorded from the pre-rewrite engine: LIGO, seed 22, burst 25/type, 10
-// windows of random allocations.
+// LIGO, seed 22, burst 25/type, 10 windows of random allocations.
 const std::vector<GoldenStep> kLigoGolden = {
-    {{0x1.4p+2, 0x1.2p+6, 0x1p+1, 0x0p+0, 0x0p+0, 0x1p+0, 0x1p+0, 0x1.3p+4,
-      0x1.8p+1},
-     -0x1.98p+6, 0x1.52317d7e15709p+4},
-    {{0x1.8p+2, 0x1.38p+6, 0x1p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x1p+1, 0x1.8p+3,
-      0x0p+0},
-     -0x1.8cp+6, 0x1.629de7ebb7058p+5},
-    {{0x0p+0, 0x1.0cp+6, 0x1.cp+3, 0x0p+0, 0x0p+0, 0x1p+1, 0x1.8p+1, 0x1p+0,
-      0x1p+1},
-     -0x1.6p+6, 0x1.c32bb58ad2d07p+5},
-    {{0x0p+0, 0x1.f8p+5, 0x1.4p+4, 0x0p+0, 0x1p+0, 0x0p+0, 0x1p+0, 0x0p+0,
-      0x0p+0},
-     -0x1.5p+6, 0x1.2e30327ced5e2p+6},
-    {{0x1p+0, 0x1.4p+5, 0x1.78p+5, 0x1p+0, 0x0p+0, 0x0p+0, 0x1p+1, 0x0p+0,
-      0x0p+0},
-     -0x1.68p+6, 0x1.0e61579603b42p+7},
-    {{0x0p+0, 0x1.7p+4, 0x1.1p+6, 0x1p+2, 0x1p+0, 0x0p+0, 0x0p+0, 0x1p+0,
-      0x0p+0},
-     -0x1.8p+6, 0x1.4b9956c540807p+6},
-    {{0x0p+0, 0x1p+2, 0x1.5p+6, 0x1p+0, 0x0p+0, 0x0p+0, 0x1p+3, 0x1p+1,
-      0x0p+0},
-     -0x1.88p+6, 0x1.5dedd508d4da8p+3},
-    {{0x0p+0, 0x1p+1, 0x1.68p+6, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.6p+3, 0x1p+0,
-      0x0p+0},
-     -0x1.9cp+6, 0x1.ff50c2b5236b5p+2},
-    {{0x1p+0, 0x1p+0, 0x1.7p+6, 0x1p+0, 0x0p+0, 0x1p+0, 0x1p+3, 0x1p+0,
-      0x0p+0},
-     -0x1.ap+6, 0x1.b0936a88fcafep+7},
-    {{0x0p+0, 0x1.8p+2, 0x1.7p+6, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8p+2, 0x1p+0,
-      0x0p+0},
-     -0x1.ap+6, 0x1.7150198567336p+7},
+    {{0x1p+2, 0x1.3p+6, 0x1p+1, 0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0, 0x1.4p+4,
+      0x1p+1}, -0x1.ap+6, 0x1.5044eeb8bda72p+4},
+    {{0x1.8p+2, 0x1.4p+6, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.4p+2, 0x1p+4,
+      0x0p+0}, -0x1.a8p+6, 0x1.8027cc8be467bp+5},
+    {{0x0p+0, 0x1.2p+6, 0x1.4p+3, 0x1p+0, 0x0p+0, 0x1p+1, 0x1.8p+1, 0x1.8p+1,
+      0x1p+1}, -0x1.7p+6, 0x1.ff506a74e9f53p+5},
+    {{0x0p+0, 0x1.1p+6, 0x1.2p+4, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8p+1, 0x1p+0,
+      0x0p+0}, -0x1.64p+6, 0x1.10980c537d2afp+6},
+    {{0x1p+0, 0x1.88p+5, 0x1.3p+5, 0x1p+2, 0x1p+1, 0x0p+0, 0x1p+1, 0x0p+0,
+      0x0p+0}, -0x1.7cp+6, 0x1.a95353f447b85p+6},
+    {{0x0p+0, 0x1.1p+5, 0x1.c8p+5, 0x1.cp+2, 0x1.8p+1, 0x0p+0, 0x0p+0, 0x1p+0,
+      0x0p+0}, -0x1.94p+6, 0x1.52fdbb2c62b1p+6},
+    {{0x1p+0, 0x1.4p+3, 0x1.34p+6, 0x0p+0, 0x1p+1, 0x0p+0, 0x1.ap+3, 0x1p+0,
+      0x0p+0}, -0x1.9cp+6, 0x1.368830196711p+2},
+    {{0x0p+0, 0x1.4p+2, 0x1.58p+6, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.ep+3, 0x1p+0,
+      0x0p+0}, -0x1.a8p+6, 0x1.18be66baf5fc5p+3},
+    {{0x0p+0, 0x1p+1, 0x1.74p+6, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.ap+3, 0x0p+0,
+      0x0p+0}, -0x1.acp+6, 0x1.3d04cebaa5195p+7},
+    {{0x0p+0, 0x1.4p+2, 0x1.78p+6, 0x0p+0, 0x0p+0, 0x0p+0, 0x1p+3, 0x1p+0,
+      0x0p+0}, -0x1.acp+6, 0x1.b448c0b5cce9bp+7},
 };
 
 TEST(SimGolden, MsdTraceMatchesPreRewriteEngine) {
@@ -119,7 +115,7 @@ TEST(SimGolden, MsdTraceMatchesPreRewriteEngine) {
   config.consumer_budget = workflows::kMsdConsumerBudget;
   MicroserviceSystem system(workflows::make_msd_ensemble(), config);
   expect_matches_golden(system, 21, 40, kMsdGolden,
-                        GoldenCounters{204, 136, 612, 540});
+                        GoldenCounters{204, 139, 612, 544});
 }
 
 TEST(SimGolden, LigoTraceMatchesPreRewriteEngine) {
@@ -128,7 +124,7 @@ TEST(SimGolden, LigoTraceMatchesPreRewriteEngine) {
   config.consumer_budget = workflows::kLigoConsumerBudget;
   MicroserviceSystem system(workflows::make_ligo_ensemble(), config);
   expect_matches_golden(system, 22, 25, kLigoGolden,
-                        GoldenCounters{187, 82, 629, 524});
+                        GoldenCounters{187, 79, 631, 523});
 }
 
 TEST(SimGolden, ReseedReplaysTheGoldenTrace) {
@@ -142,7 +138,7 @@ TEST(SimGolden, ReseedReplaysTheGoldenTrace) {
     (void)system.step(std::vector<int>(system.action_dim(), 3));
   ASSERT_TRUE(system.reseed(21));
   expect_matches_golden(system, 21, 40, kMsdGolden,
-                        GoldenCounters{204, 136, 612, 540});
+                        GoldenCounters{204, 139, 612, 544});
 }
 
 }  // namespace
