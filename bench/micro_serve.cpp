@@ -31,13 +31,12 @@
 // cross-thread quantities) and links no google-benchmark.
 // The `cpus` field is load-bearing: on a 1-core box the batched-vs-serial
 // ratio collapses toward 1 and the lane sweep cannot scale, and the
-// artifact must say so. CI floors run on multi-core runners
-// (.github/workflows/ci.yml). `--ref <path>` prints decisions/sec against
-// a checked-in reference, with the [1-cpu-reference] marker when that
-// reference was recorded on a 1-CPU container.
+// artifact must say so. The bounds CI checks on these fields live in
+// bench/gates.json.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -47,11 +46,6 @@
 #include <thread>
 #include <vector>
 
-// This TU installs its own byte-counting allocator and owns its timing
-// loop; bench_json.h contributes only the reference-comparison helpers.
-#define MIRAS_BENCH_JSON_NO_ALLOC_HOOKS
-#define MIRAS_BENCH_JSON_NO_GBENCH
-#include "bench_json.h"
 #include "common/rng.h"
 #include "rl/ddpg.h"
 #include "serve/admission.h"
@@ -62,7 +56,7 @@ std::atomic<std::uint64_t> g_heap_bytes{0};
 }  // namespace
 
 // new/delete pair up malloc/free consistently here; GCC's mismatch
-// heuristic only sees the free (same pragma as bench_json.h's allocator).
+// heuristic only sees the free.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
@@ -406,45 +400,29 @@ bool write_serve_json(const std::string& path,
   return out.good();
 }
 
-void print_reference_comparison(const bench::RefBench& ref,
-                                const std::vector<ArmResult>& records) {
-  if (!ref.loaded) return;
-  std::printf("\nvs checked-in reference:\n");
-  for (const ArmResult& r : records) {
-    const auto it = ref.ops.find(r.op);
-    if (it == ref.ops.end()) continue;
-    const auto dps = it->second.find("decisions_per_sec");
-    if (dps == it->second.end() || dps->second <= 0.0) continue;
-    std::printf("  %-52s %10.0f dec/s vs ref %10.0f dec/s (%.2fx)%s\n",
-                r.op.c_str(), r.decisions_per_sec, dps->second,
-                r.decisions_per_sec / dps->second,
-                bench::one_cpu_marker(it->second));
-  }
-}
-
 int serve_main(int argc, char** argv) {
   std::string json_path;
-  bench::RefBench reference;
   double measure_ms = 300.0;
   double warmup_ms = 50.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--ref" && i + 1 < argc) {
-      // Loaded before any arm runs (and before --json writes), so --ref
-      // may name the same checked-in file --json later overwrites.
-      reference = bench::load_bench_reference(argv[++i]);
-    } else if (arg == "--measure-ms" && i + 1 < argc) {
-      measure_ms = std::stod(argv[++i]);
-    } else if (arg == "--warmup-ms" && i + 1 < argc) {
-      warmup_ms = std::stod(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: micro_serve [--json path] [--ref path] "
-                   "[--measure-ms n] [--warmup-ms n]\n");
-      return 2;
+      continue;
     }
+    if ((arg == "--measure-ms" || arg == "--warmup-ms") && i + 1 < argc) {
+      // A positive finite number of milliseconds, or the usage line.
+      char* end = nullptr;
+      const double ms = std::strtod(argv[++i], &end);
+      if (end != argv[i] && *end == '\0' && std::isfinite(ms) && ms > 0.0) {
+        (arg == "--measure-ms" ? measure_ms : warmup_ms) = ms;
+        continue;
+      }
+    }
+    std::fprintf(stderr,
+                 "usage: micro_serve [--json path] [--measure-ms n] "
+                 "[--warmup-ms n]\n");
+    return 2;
   }
 
   const unsigned cpus = std::thread::hardware_concurrency();
@@ -483,8 +461,6 @@ int serve_main(int argc, char** argv) {
       ok = false;
     }
   }
-
-  print_reference_comparison(reference, records);
 
   if (!json_path.empty() && !write_serve_json(json_path, records, cpus)) {
     std::fprintf(stderr, "failed to write serve json to %s\n",

@@ -176,8 +176,14 @@ std::vector<core::CollectedEpisode> CollectorPool::collect(
       RecvStatus status;
       try {
         status = slot.channel->poll_payload(payload, kSliceTimeoutMs);
+      } catch (const CorruptedStream& error) {
+        // Never folded and never respawned past: the replacement would
+        // replay the same deterministic episode through the same encoder.
+        throw std::runtime_error("dist: collector " + std::to_string(k) +
+                                 " sent a corrupted frame (" + error.what() +
+                                 ")");
       } catch (const std::runtime_error& error) {
-        // Corrupted stream: indistinguishable from a broken collector.
+        // A transport failure (poll/read error): the collector is gone.
         log_warn("dist: collector ", k, " stream error: ", error.what());
         recover_slot(k, specs, weights_payload);
         continue;

@@ -13,11 +13,12 @@
 // in-process sharded engine's, bit for bit.
 //
 // Failure handling: any message refreshes a collector's liveness; a
-// heartbeat-silent, closed, or corrupted-stream collector is declared dead,
-// its process (if any) reaped, and the SpawnFn is invoked again — the
-// replacement re-handshakes and is assigned exactly the episodes whose
-// batches have not been folded yet, with start_seq continuing the folded
-// prefix, so the merge key sequence stays gapless.
+// heartbeat-silent or closed collector is declared dead, its process (if
+// any) reaped, and the SpawnFn is invoked again — the replacement
+// re-handshakes and is assigned exactly the episodes whose batches have
+// not been folded yet, with start_seq continuing the folded prefix, so the
+// merge key sequence stays gapless. A corrupted frame or a non-finite
+// Batch is a hard error out of collect(), never respawned past.
 #pragma once
 
 #include <sys/types.h>
@@ -78,7 +79,8 @@ class CollectorPool final : public core::CollectionBackend {
 
   /// Executes one collection phase across the pool. Blocks until every
   /// episode's batch has been folded; survives collector deaths by
-  /// respawning. Results are returned in specs order.
+  /// respawning, and throws on a corrupted frame or a non-finite Batch.
+  /// Results are returned in specs order.
   std::vector<core::CollectedEpisode> collect(
       const std::vector<core::EpisodeSpec>& specs, bool random_actions,
       const rl::BehaviorSnapshot& behavior) override;

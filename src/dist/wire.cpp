@@ -171,7 +171,7 @@ RecvStatus MessageChannel::poll_payload(std::vector<std::uint8_t>& payload,
       // expected during failure handling, so it closes rather than throws.
       if (closed_ && decoder_.error() == persist::FrameError::kTruncated)
         return RecvStatus::kClosed;
-      throw std::runtime_error(
+      throw CorruptedStream(
           std::string("dist: corrupted message stream: ") +
           persist::frame_error_name(decoder_.error()));
     }

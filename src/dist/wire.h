@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/collection.h"
@@ -111,12 +112,18 @@ HeartbeatMsg decode_heartbeat(persist::BinaryReader& in);
 /// a batch is a fault to surface, not a death to respawn past.
 void decode_batch_into(persist::BinaryReader& in, BatchMsg& out);
 
+/// Thrown by MessageChannel::poll_payload on a corrupted frame (bad
+/// magic/CRC/length), as distinct from a transport failure: a collector's
+/// encoder is deterministic, so a respawn would resend the same bytes.
+struct CorruptedStream : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Framing + scratch-buffer glue over one ByteStream. send_message frames
 /// an encoded payload (reusing the frame scratch); poll_payload feeds
 /// received bytes through a FrameDecoder and yields one message payload at
-/// a time. A corrupted frame (bad magic/CRC/length) throws — on this
-/// protocol's point-to-point streams corruption means a broken peer, which
-/// the learner handles like a death.
+/// a time. A corrupted frame throws CorruptedStream; the learner surfaces
+/// it rather than folding or respawning past it.
 class MessageChannel {
  public:
   explicit MessageChannel(ByteStream* stream);

@@ -1,15 +1,16 @@
 // Failure handling of the distributed actor-learner topology: credit-based
 // back-pressure (a stalled learner bounds the bytes a collector can put in
 // flight), collector death mid-round (respawn resumes the batch_seq and the
-// merged result is unchanged), a batch holding a NaN thrown rather than
-// respawned past, and the handshake refusing a collector built from a
-// different config. Thread collectors over loopback streams — no fork, so
-// the suite runs under TSan.
+// merged result is unchanged), a batch holding a NaN and a corrupted frame
+// thrown rather than respawned past, and the handshake refusing a collector
+// built from a different config. Thread collectors over loopback streams —
+// no fork, so the suite runs under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -23,6 +24,7 @@
 #include "dist/learner.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
+#include "persist/frame_stream.h"
 #include "sim/system.h"
 #include "workflows/msd.h"
 
@@ -209,22 +211,26 @@ TEST(DistFailures, CollectorDeathPreservesResultAndRespawns) {
   expect_identical_traces(reference, with_death);
 }
 
-TEST(DistFailures, NonFiniteBatchIsSurfacedNotRespawned) {
-  // A hand-written collector on a loopback stream completes the handshake
-  // and answers its assignment with a crafted Batch frame whose second
-  // transition carries a NaN. Episodes are deterministic, so a respawn
-  // would replay the same batch: collect() must throw the decoder's error
-  // and spawn nothing more.
+/// One collection round against hand-written collectors on loopback
+/// streams: each completes the handshake, waits for its assignment's
+/// credit, then sends one 3-transition Batch frame, edited by `edit` before
+/// encoding and with its byte `flip_at` flipped when nonzero, and idles
+/// until shutdown. Episodes are deterministic, so a respawn would resend
+/// the same bytes: collect() must throw an error containing `expected` and
+/// spawn nothing more.
+void expect_surfaced_not_respawned(
+    const std::function<void(BatchMsg&)>& edit, std::size_t flip_at,
+    const std::string& expected) {
   constexpr std::uint64_t kFingerprint = 0xfeed;
   std::atomic<int> spawns{0};
-  const SpawnFn spawn = [&spawns](std::uint32_t collector_id) {
+  const SpawnFn spawn = [&](std::uint32_t collector_id) {
     ++spawns;
     auto [learner_end, collector_end] = LoopbackStream::make_pair();
     Endpoint endpoint;
     endpoint.stream = std::move(learner_end);
     endpoint.thread = std::thread(
         [stream = std::shared_ptr<LoopbackStream>(std::move(collector_end)),
-         collector_id] {
+         collector_id, &edit, flip_at] {
           MessageChannel channel(stream.get());
           persist::BinaryWriter out;
           encode_hello(out, HelloMsg{kProtocolVersion, collector_id,
@@ -251,11 +257,13 @@ TEST(DistFailures, NonFiniteBatchIsSurfacedNotRespawned) {
             t.reward = -1.0;
             batch.transitions.push_back(t);
           }
-          batch.transitions[1].next_state[1] =
-              std::numeric_limits<double>::quiet_NaN();
+          edit(batch);
           out.clear();
           encode_batch(out, batch);
-          channel.send_message(out);
+          std::vector<std::uint8_t> frame;
+          persist::append_frame(frame, out.bytes().data(), out.size());
+          if (flip_at != 0) frame[flip_at] ^= 0x01;
+          stream->send(frame.data(), frame.size());
           // Stay until the learner shuts down or drops the stream.
           while (channel.poll_payload(payload, 10000) == RecvStatus::kData) {
             persist::BinaryReader in(payload.data(), payload.size(), "in");
@@ -275,15 +283,33 @@ TEST(DistFailures, NonFiniteBatchIsSurfacedNotRespawned) {
   try {
     (void)pool.collect({spec}, /*random_actions=*/true,
                        probe.behavior_snapshot());
-    ADD_FAILURE() << "a batch holding a NaN was folded";
+    ADD_FAILURE() << "a bad batch was folded";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what())
-                  .find("transition 1 has non-finite next_state[1]"),
-              std::string::npos)
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
         << error.what();
   }
   EXPECT_EQ(pool.respawn_count(), 0u);
   EXPECT_EQ(spawns.load(), 1);
+}
+
+TEST(DistFailures, NonFiniteBatchIsSurfacedNotRespawned) {
+  // The second transition carries a NaN: collect() throws the decoder's
+  // error.
+  expect_surfaced_not_respawned(
+      [](BatchMsg& batch) {
+        batch.transitions[1].next_state[1] =
+            std::numeric_limits<double>::quiet_NaN();
+      },
+      0, "transition 1 has non-finite next_state[1]");
+}
+
+TEST(DistFailures, CorruptedFrameIsSurfacedNotRespawned) {
+  // One payload byte of a valid Batch frame flipped: the CRC check fails,
+  // and collect() names the collector and the frame error.
+  expect_surfaced_not_respawned(
+      [](BatchMsg&) {}, persist::kFrameHeaderSize + 20,
+      "collector 0 sent a corrupted frame (dist: corrupted message stream: "
+      "frame crc mismatch)");
 }
 
 TEST(DistFailures, ConfigFingerprintMismatchRefused) {
