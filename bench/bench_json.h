@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -93,7 +94,12 @@ inline void record_bytes_per_op(benchmark::State& state, std::uint64_t mark) {
 }
 
 /// Console reporter that additionally captures per-iteration runs (skipping
-/// aggregate rows) for the JSON dump.
+/// aggregate rows) for the JSON dump. The repetitions of one op
+/// (--benchmark_repetitions) fold into one record: the median ns_per_op and
+/// the median of every other counter, so a ratio gate reads medians, but
+/// the largest bytes_per_op, so an allocation gate can only get stricter.
+/// Its iterations are the repetitions' total. One repetition folds to
+/// itself.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -118,15 +124,56 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
       // The machine width: a speedup ratio means nothing without it.
       record.extra.emplace_back(
           "cpus", static_cast<double>(std::thread::hardware_concurrency()));
-      records_.push_back(std::move(record));
+      repetitions_of(record.op).push_back(std::move(record));
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  const std::vector<BenchRecord>& records() const { return records_; }
+  /// One folded record per op, in the order the ops first ran.
+  std::vector<BenchRecord> records() const {
+    std::vector<BenchRecord> folded;
+    folded.reserve(runs_.size());
+    for (const std::vector<BenchRecord>& repetitions : runs_)
+      folded.push_back(fold(repetitions));
+    return folded;
+  }
 
  private:
-  std::vector<BenchRecord> records_;
+  static double median(std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid]
+                                   : (values[mid - 1] + values[mid]) / 2.0;
+  }
+
+  static BenchRecord fold(const std::vector<BenchRecord>& repetitions) {
+    BenchRecord out;
+    out.op = repetitions.front().op;
+    std::vector<double> ns;
+    for (const BenchRecord& r : repetitions) {
+      ns.push_back(r.ns_per_op);
+      out.bytes_per_op = std::max(out.bytes_per_op, r.bytes_per_op);
+      out.iterations += r.iterations;
+    }
+    out.ns_per_op = median(std::move(ns));
+    for (const auto& [name, unused] : repetitions.front().extra) {
+      std::vector<double> values;
+      for (const BenchRecord& r : repetitions)
+        for (const auto& [other, value] : r.extra)
+          if (other == name) values.push_back(value);
+      out.extra.emplace_back(name, median(std::move(values)));
+    }
+    return out;
+  }
+
+  std::vector<BenchRecord>& repetitions_of(const std::string& op) {
+    for (std::vector<BenchRecord>& repetitions : runs_)
+      if (repetitions.front().op == op) return repetitions;
+    return runs_.emplace_back();
+  }
+
+  /// Every captured run, grouped by op.
+  std::vector<std::vector<BenchRecord>> runs_;
 };
 
 /// Drop-in replacement for BENCHMARK_MAIN()'s body: strips `--json <path>`

@@ -1,7 +1,7 @@
 // Microbenchmarks of the neural-network substrate (google-benchmark):
 // matmul, gradient-block forward/backward passes at the paper's network
-// sizes, the batched vs per-sample inference paths, the Adam step, and one
-// full DDPG update.
+// sizes, the batched vs per-sample inference paths, and the Adam step. The
+// full DDPG update is micro_train's BM_DdpgUpdateSharded.
 // Every benchmark reports a bytes_per_op counter (heap bytes requested per
 // timed iteration) — the workspace-based hot paths are expected to sit at
 // zero after warmup. Pass `--json <path>` to dump {op, ns_per_op,
@@ -17,7 +17,6 @@
 #include "nn/optimizer.h"
 #include "nn/train_shards.h"
 #include "nn/workspace.h"
-#include "rl/ddpg.h"
 
 namespace miras {
 namespace {
@@ -150,27 +149,6 @@ void BM_AdamStep(benchmark::State& state) {
   bench::record_bytes_per_op(state, alloc0);
 }
 BENCHMARK(BM_AdamStep);
-
-void BM_DdpgUpdate(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  rl::DdpgConfig config;
-  config.actor_hidden = {width, width, width};
-  config.critic_hidden = {width, width, width};
-  config.batch_size = 64;
-  config.warmup = 64;
-  rl::DdpgAgent agent(4, 4, 14, config);
-  Rng rng(5);
-  for (int i = 0; i < 256; ++i) {
-    std::vector<double> s{rng.uniform(0, 50), rng.uniform(0, 50),
-                          rng.uniform(0, 50), rng.uniform(0, 50)};
-    agent.observe(s, {0.25, 0.25, 0.25, 0.25}, rng.uniform(-5, 0), s);
-  }
-  agent.update(1);  // warmup sizes the agent's scratch tensors
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) benchmark::DoNotOptimize(agent.update(1));
-  bench::record_bytes_per_op(state, alloc0);
-}
-BENCHMARK(BM_DdpgUpdate)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace miras

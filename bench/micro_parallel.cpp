@@ -1,7 +1,8 @@
 // Microbenchmarks of the parallel execution layer (google-benchmark):
-// seed-shard derivation, lockstep rollout batching, and the evaluation grid
-// on a ThreadPool of 1..N workers (same result every time — only the wall
-// clock moves). Pooled episode scaling is micro_sim's BM_PooledEpisodes.
+// seed-shard derivation and lockstep rollout batching (same result at every
+// width — only the wall clock moves). Pooled episode scaling is micro_sim's
+// BM_PooledEpisodes; the evaluation grid on a pool is perfbench's
+// eval_ligo_grid workload.
 // Pass `--json <path>` to dump {op, ns_per_op, bytes_per_op, iterations}
 // records (the BENCH_parallel.json CI artifact).
 #include <benchmark/benchmark.h>
@@ -10,16 +11,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/heft.h"
 #include "bench_json.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "core/evaluation.h"
 #include "envmodel/dataset.h"
 #include "envmodel/dynamics_model.h"
 #include "envmodel/synthetic_env.h"
-#include "sim/system.h"
-#include "workflows/msd.h"
 
 namespace miras {
 namespace {
@@ -35,45 +31,6 @@ void BM_ShardSeed(benchmark::State& state) {
   bench::record_bytes_per_op(state, alloc0);
 }
 BENCHMARK(BM_ShardSeed);
-
-void BM_EvaluationGrid(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  common::ThreadPool pool(threads);
-  const workflows::Ensemble ensemble = workflows::make_msd_ensemble();
-  core::EvaluationHarness harness(
-      [](std::uint64_t seed) {
-        sim::SystemConfig config;
-        config.consumer_budget = workflows::kMsdConsumerBudget;
-        config.seed = seed;
-        return std::make_unique<sim::MicroserviceSystem>(
-            workflows::make_msd_ensemble(), config);
-      },
-      &pool);
-  const std::vector<core::PolicySpec> policies{{"heft", [&ensemble] {
-                                                  return std::make_unique<
-                                                      baselines::HeftPolicy>(
-                                                      ensemble);
-                                                }}};
-  const std::vector<core::ScenarioSpec> scenarios{
-      {"steady", core::ScenarioConfig{sim::BurstSpec{}, 10}},
-      {"burst", core::ScenarioConfig{sim::BurstSpec{{100, 100, 100}}, 10}}};
-  const std::vector<std::uint64_t> seeds{1, 2, 3, 4};
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    const core::GridResult grid = harness.run(policies, scenarios, seeds, 4);
-    benchmark::DoNotOptimize(grid.summaries.data());
-  }
-  bench::record_bytes_per_op(state, alloc0);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(scenarios.size() * seeds.size()));
-}
-BENCHMARK(BM_EvaluationGrid)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // Lockstep rollout generation at varying group widths: 8 lanes advanced 25
 // steps through a fitted dynamics model in groups of `width`. Width 1 is

@@ -14,6 +14,25 @@
 
 namespace miras::core {
 
+namespace {
+// Rewards are multiplied by this before entering the critic (WIP sums reach
+// hundreds; scaling keeps Q-targets well-conditioned). Affects learning
+// only — reported rewards are unscaled. MIRAS and the model-free comparator
+// (§VI-D) share it.
+constexpr double kRewardScale = 0.01;
+
+// Why a checkpoint older than persist::kMinResumableFormat cannot resume
+// training (checkpoint.h's format history).
+const char* unresumable_reason(std::uint32_t format) {
+  if (format < 2)
+    return "whose random streams were drawn by the normal sampler that "
+           "Rng::normal's ziggurat replaced; resuming them would diverge "
+           "from the uninterrupted run";
+  return "whose DDPG section still carries the twin-critic flag byte that "
+         "format 3 dropped, so it no longer parses";
+}
+}  // namespace
+
 MirasAgent::MirasAgent(sim::MicroserviceSystem* env, MirasConfig config)
     : env_(env),
       config_(std::move(config)),
@@ -187,7 +206,7 @@ void MirasAgent::train_policy_on_model() {
       agent_.resample_exploration();
       for (const SyntheticStep& step : rollout) {
         agent_.observe(step.state, step.weights,
-                       step.reward * config_.reward_scale, step.next_state);
+                       step.reward * kRewardScale, step.next_state);
         agent_.update(config_.updates_per_synthetic_step);
       }
     }
@@ -212,9 +231,10 @@ IterationTrace MirasAgent::run_iteration() {
   IterationTrace trace;
   trace.iteration = ++iteration_;
 
-  const bool random_actions =
-      config_.random_first_iteration && iteration_ == 1;
-  collect_real_interactions(config_.real_steps_per_iteration, random_actions);
+  // The first data-collection pass uses uniformly random simplex actions
+  // (§VI-B: "actions are randomly selected").
+  collect_real_interactions(config_.real_steps_per_iteration,
+                            /*random_actions=*/iteration_ == 1);
   trace.dataset_size = dataset_.size();
 
   trace.model_train_loss = model_.fit(dataset_);
@@ -295,11 +315,9 @@ void MirasAgent::restore_checkpoint(const std::string& path) {
   if (ckpt.format_version() < persist::kMinResumableFormat)
     throw std::runtime_error(
         "checkpoint: '" + path + "' is format " +
-        std::to_string(ckpt.format_version()) +
-        ", whose random streams were drawn by the normal sampler that "
-        "Rng::normal's ziggurat replaced; resuming them would diverge from "
-        "the uninterrupted run, so restart training (its servable still "
-        "loads)");
+        std::to_string(ckpt.format_version()) + ", " +
+        unresumable_reason(ckpt.format_version()) +
+        ", so restart training (its servable still loads)");
 
   persist::BinaryReader meta = ckpt.section("meta");
   const std::uint64_t fingerprint = meta.u64();
@@ -373,7 +391,7 @@ rl::DdpgAgent train_model_free_ddpg(sim::Env& env,
         weights, env.consumer_budget(), config.ddpg.rounding,
         config.ddpg.min_consumers_per_type);
     const sim::StepResult result = env.step(allocation);
-    agent.observe(state, weights, result.reward * config.reward_scale,
+    agent.observe(state, weights, result.reward * kRewardScale,
                   result.state);
     agent.update(config.updates_per_step);
     state = result.state;

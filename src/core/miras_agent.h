@@ -155,7 +155,6 @@ struct ModelFreeConfig {
   std::size_t total_steps = 11000;
   std::size_t reset_interval = 25;
   std::size_t updates_per_step = 1;
-  double reward_scale = 0.01;
 };
 rl::DdpgAgent train_model_free_ddpg(sim::Env& env, const ModelFreeConfig& config);
 

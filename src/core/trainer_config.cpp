@@ -80,8 +80,6 @@ std::uint64_t config_fingerprint(const MirasConfig& config) {
   out.f64(config.model.learning_rate);
   out.u64(config.model.batch_size);
   out.u64(config.model.epochs);
-  out.boolean(config.model.predict_delta);
-  out.f64(config.model.grad_clip);
   out.u64(config.model.seed);
 
   out.f64(config.refiner.percentile_p);
@@ -92,22 +90,14 @@ std::uint64_t config_fingerprint(const MirasConfig& config) {
   out.vec_u64({d.critic_hidden.begin(), d.critic_hidden.end()});
   out.f64(d.actor_learning_rate);
   out.f64(d.critic_learning_rate);
-  out.f64(d.actor_final_layer_scale);
   out.f64(d.actor_entropy_coef);
-  out.f64(d.actor_logit_decay);
   out.f64(d.gamma);
   out.u64(d.n_step);
-  out.boolean(d.twin_critics);
-  out.f64(d.target_policy_smoothing);
-  out.u64(d.policy_delay);
-  out.f64(d.tau);
   out.u64(d.batch_size);
   out.u64(d.replay_capacity);
   out.u64(d.warmup);
-  out.f64(d.grad_clip);
   out.u64(static_cast<std::uint64_t>(d.exploration));
   out.f64(d.parameter_noise_initial);
-  out.f64(d.parameter_noise_target_distance);
   out.f64(d.action_noise_stddev);
   out.f64(d.epsilon_random);
   out.f64(d.epsilon_demo);
@@ -123,8 +113,6 @@ std::uint64_t config_fingerprint(const MirasConfig& config) {
   out.u64(config.synthetic_rollouts_per_iteration);
   out.u64(config.updates_per_synthetic_step);
   out.u64(config.eval_steps);
-  out.f64(config.reward_scale);
-  out.boolean(config.random_first_iteration);
   out.f64(config.random_episode_fraction);
   out.f64(config.demo_episode_fraction);
   out.boolean(config.use_refiner);

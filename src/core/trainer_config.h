@@ -41,15 +41,6 @@ struct MirasConfig {
   /// (25 for MSD, 100 for LIGO, §VI-C).
   std::size_t eval_steps = 25;
 
-  /// Rewards are multiplied by this before entering the critic (WIP sums
-  /// reach hundreds; scaling keeps Q-targets well-conditioned). Affects
-  /// learning only — reported rewards are unscaled.
-  double reward_scale = 0.01;
-
-  /// First data-collection pass uses uniformly random simplex actions
-  /// (§VI-B: "actions are randomly selected").
-  bool random_first_iteration = true;
-
   /// Fraction of episodes (collection episodes and synthetic rollouts)
   /// driven end-to-end by a uniformly random simplex policy. Pure on-policy
   /// collection rapidly narrows the dataset to the states the current

@@ -21,12 +21,14 @@ namespace {
 /// Per-endpoint receive timeout while the pool multiplexes over its slots;
 /// small so one silent collector cannot starve the others' folds.
 constexpr int kSliceTimeoutMs = 20;
+/// In-flight batch allowance per collector each round; bounds a stalled
+/// learner's buffered bytes to kCredit × batch size per collector.
+constexpr std::uint32_t kCredit = 2;
 }  // namespace
 
 CollectorPool::CollectorPool(PoolOptions options, SpawnFn spawn)
     : options_(std::move(options)), spawn_(std::move(spawn)) {
   MIRAS_EXPECTS(options_.collectors >= 1);
-  MIRAS_EXPECTS(options_.credit >= 1);
   MIRAS_EXPECTS(spawn_ != nullptr);
   slots_.resize(options_.collectors);
   for (std::size_t k = 0; k < slots_.size(); ++k) spawn_slot(k);
@@ -107,8 +109,7 @@ void CollectorPool::send_round_state(
   slot.channel->send_message(assign_payload);
 
   persist::BinaryWriter credit_payload;
-  encode_credit(credit_payload,
-                CreditMsg{static_cast<std::uint32_t>(options_.credit)});
+  encode_credit(credit_payload, CreditMsg{kCredit});
   slot.channel->send_message(credit_payload);
 }
 

@@ -53,9 +53,6 @@ using SpawnFn = std::function<Endpoint(std::uint32_t collector_id)>;
 
 struct PoolOptions {
   std::size_t collectors = 1;
-  /// In-flight batch allowance per collector (>=1); bounds a stalled
-  /// learner's buffered bytes to credit × batch size per collector.
-  std::size_t credit = 2;
   /// Silence threshold after which a collector is declared dead.
   int heartbeat_timeout_ms = 10000;
   /// Handshake validation: collectors advertising a different fingerprint

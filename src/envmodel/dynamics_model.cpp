@@ -16,7 +16,9 @@ namespace miras::envmodel {
 
 namespace {
 constexpr double kMinStddev = 1e-6;
-}
+// Global-norm gradient clip for every fit() minibatch step.
+constexpr double kGradClip = 10.0;
+}  // namespace
 
 DynamicsModel::DynamicsModel(std::size_t state_dim, std::size_t action_dim,
                              DynamicsModelConfig config)
@@ -61,12 +63,8 @@ void DynamicsModel::compute_normalizers(const TransitionDataset& data) {
     for (std::size_t j = 0; j < state_dim_; ++j) in_stats[j].add(t.state[j]);
     for (std::size_t j = 0; j < action_dim_; ++j)
       in_stats[state_dim_ + j].add(static_cast<double>(t.action[j]));
-    for (std::size_t j = 0; j < state_dim_; ++j) {
-      const double target = config_.predict_delta
-                                ? t.next_state[j] - t.state[j]
-                                : t.next_state[j];
-      out_stats[j].add(target);
-    }
+    for (std::size_t j = 0; j < state_dim_; ++j)
+      out_stats[j].add(t.next_state[j] - t.state[j]);
   }
   auto to_normalizer = [](const std::vector<RunningStats>& stats) {
     Normalizer norm;
@@ -112,12 +110,10 @@ double DynamicsModel::fit(const TransitionDataset& data) {
           (static_cast<double>(t.action[j]) - input_norm_.mean[c]) /
           input_norm_.stddev[c];
     }
-    for (std::size_t j = 0; j < state_dim_; ++j) {
-      const double raw = config_.predict_delta ? t.next_state[j] - t.state[j]
-                                               : t.next_state[j];
-      design_out_(i, j) =
-          (raw - output_norm_.mean[j]) / output_norm_.stddev[j];
-    }
+    for (std::size_t j = 0; j < state_dim_; ++j)
+      design_out_(i, j) = (t.next_state[j] - t.state[j] -
+                           output_norm_.mean[j]) /
+                          output_norm_.stddev[j];
   }
 
   // Every minibatch decomposes into fixed 16-row gradient blocks; block m
@@ -173,8 +169,7 @@ double DynamicsModel::fit(const TransitionDataset& data) {
           for (std::size_t m = 0; m < blocks; ++m) loss += passes_[m].loss;
           // Fused zero + reduce + clip + step: one serial tail per batch
           // (sharded_adam_step).
-          network_.sharded_update(passes_, blocks, config_.grad_clip,
-                                  optimizer_);
+          network_.sharded_update(passes_, blocks, kGradClip, optimizer_);
           epoch_loss += loss;
         });
     final_epoch_loss = epoch_loss / static_cast<double>(num_batches);
@@ -206,7 +201,7 @@ std::vector<double> DynamicsModel::predict(
   for (std::size_t j = 0; j < state_dim_; ++j) {
     const double raw =
         normalized[j] * output_norm_.stddev[j] + output_norm_.mean[j];
-    next_state[j] = config_.predict_delta ? state[j] + raw : raw;
+    next_state[j] = state[j] + raw;
   }
   return next_state;
 }
@@ -244,8 +239,7 @@ void DynamicsModel::predict_batch(const nn::Tensor& states,
     for (std::size_t j = 0; j < state_dim_; ++j) {
       const double raw =
           ws.concat(r, j) * output_norm_.stddev[j] + output_norm_.mean[j];
-      next_states(r, j) =
-          config_.predict_delta ? states(r, j) + raw : raw;
+      next_states(r, j) = states(r, j) + raw;
     }
   }
 }

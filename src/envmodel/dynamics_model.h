@@ -4,10 +4,10 @@
 // dataset D with minibatch Adam.
 //
 // Two deviations from the bare paper description, both standard practice
-// and both configurable:
-//  - predict_delta (default on): the network predicts s(k+1) - s(k) rather
-//    than s(k+1) directly (Nagabandi et al. 2017); the public predict()
-//    still returns s(k+1).
+// and both fixed:
+//  - delta targets: the network predicts s(k+1) - s(k) rather than s(k+1)
+//    directly (Nagabandi et al. 2017); the public predict() still returns
+//    s(k+1).
 //  - Inputs/outputs are z-normalised with statistics frozen at the first
 //    fit() so that incremental refits (Algorithm 2's outer loop) keep the
 //    parameter space consistent.
@@ -34,8 +34,6 @@ struct DynamicsModelConfig {
   std::size_t batch_size = 64;
   /// Epochs per fit() call.
   std::size_t epochs = 40;
-  bool predict_delta = true;
-  double grad_clip = 10.0;
   std::uint64_t seed = 11;
 };
 

@@ -23,11 +23,14 @@
 //      second value of the old two-at-a-time normal sampler.
 //   2  rng streams are the four words alone (Rng::normal became a ziggurat,
 //      which keeps no value between draws).
-// A format-1 file still opens, and its "servable" section still loads (it
-// holds no rng state). Resuming *training* from it is refused with its own
-// error (kMinResumableFormat): its streams were drawn by the old sampler,
-// and continuing them with the new one would silently diverge from the
-// uninterrupted run.
+//   3  the "ddpg" section drops its twin-critic flag byte; the second
+//      critic, its target and its optimiser are always present.
+// Format-1 and format-2 files still open, and their "servable" section
+// still loads (its encoding never changed). Resuming *training* from either
+// is refused (kMinResumableFormat), each with its own error: a format-1
+// file's streams were drawn by the old sampler, and continuing them with
+// the new one would silently diverge from the uninterrupted run; a format-2
+// file's "ddpg" section no longer parses.
 //
 // Writes are atomic: the file is written to "<path>.tmp", flushed and
 // fsync'd, then rename(2)'d over the destination — a crash or SIGKILL at
@@ -45,9 +48,9 @@
 
 namespace miras::persist {
 
-inline constexpr std::uint32_t kFormatVersion = 2;
-/// Oldest format whose rng streams the current Rng can continue.
-inline constexpr std::uint32_t kMinResumableFormat = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
+/// Oldest format whose training state the current code can continue.
+inline constexpr std::uint32_t kMinResumableFormat = 3;
 inline constexpr char kMagic[8] = {'M', 'I', 'R', 'A', 'S', 'C', 'K', 'P'};
 
 /// Accumulates named sections and writes the container atomically.

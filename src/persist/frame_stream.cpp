@@ -116,31 +116,6 @@ bool FrameDecoder::next(std::vector<std::uint8_t>& payload) {
 
 void FrameDecoder::finish() { finished_ = true; }
 
-bool FrameDecoder::resync() {
-  if (head_ < buffer_.size()) ++head_;  // skip the offending byte
-  while (head_ < buffer_.size()) {
-    if (buffer_.size() - head_ < 4) break;
-    if (get_u32(buffer_.data() + head_) == kFrameMagic) {
-      error_ = FrameError::kNone;
-      compact();
-      return true;
-    }
-    ++head_;
-  }
-  compact();
-  // No candidate header buffered; stay in the error state only if nothing
-  // could ever match — more bytes may still arrive.
-  error_ = FrameError::kNone;
-  return false;
-}
-
-void FrameDecoder::reset() {
-  buffer_.clear();
-  head_ = 0;
-  error_ = FrameError::kNone;
-  finished_ = false;
-}
-
 void write_all_fd(int fd, const void* data, std::size_t size) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::size_t written = 0;

@@ -19,8 +19,8 @@
 // apart: a stream ending mid-frame is kTruncated, a frame whose payload
 // fails its CRC is kBadCrc, bytes between frames that are not a frame
 // header are kBadMagic, and a length field beyond the sanity cap is
-// kBadLength. Errors are sticky until resync(), which scans forward for the
-// next plausible header.
+// kBadLength. Errors are sticky: a decoder that reported one never decodes
+// again, and its owner treats the stream as dead.
 //
 // The raw-fd helpers at the bottom retry EINTR and short reads/writes; they
 // are what the pipe transport builds on.
@@ -67,8 +67,7 @@ class FrameDecoder {
   /// Extracts the next complete frame's payload into `payload` (resized,
   /// capacity reused). Returns true when a frame was produced; false when
   /// more bytes are needed *or* the decoder is in an error state — check
-  /// error() to distinguish. After an error, next() keeps returning false
-  /// until resync() or reset().
+  /// error() to distinguish. After an error, next() keeps returning false.
   bool next(std::vector<std::uint8_t>& payload);
 
   /// Declares end-of-stream: a partially buffered frame becomes kTruncated.
@@ -79,15 +78,6 @@ class FrameDecoder {
 
   /// True when no partial frame is buffered (a clean stream boundary).
   bool at_boundary() const { return buffer_.size() == head_; }
-
-  /// Recovers from kBadMagic/kBadCrc/kBadLength: skips one byte, then scans
-  /// forward to the next byte sequence that looks like a frame header, and
-  /// clears the error so decoding can continue. Returns false when no
-  /// further header candidate is buffered (callers feed more and retry).
-  bool resync();
-
-  /// Drops all buffered bytes and clears the error state.
-  void reset();
 
   std::size_t buffered_bytes() const { return buffer_.size() - head_; }
 

@@ -22,6 +22,32 @@ namespace {
 constexpr double kMinStddevRaw = 1.0;
 constexpr double kMinStddevLog = 0.1;
 
+// The actor's output layer weights are scaled by this at construction so
+// the initial policy is near-uniform and the softmax starts far from its
+// saturating corners (where dQ/da gradients vanish and the policy would
+// freeze on one microservice).
+constexpr double kActorFinalLayerScale = 0.1;
+// Decoupled weight decay applied to the actor's final (logit) layer each
+// update. The entropy bonus acts through the softmax Jacobian and so
+// vanishes exactly where it is needed most — at saturated corners; logit
+// decay instead shrinks the saturated logits directly until gradients flow
+// again, letting the actor escape a corner the critic has learned to
+// disfavour.
+constexpr double kActorLogitDecay = 5e-4;
+// Target policy smoothing (TD3): the bootstrap action is mixed with the
+// uniform distribution, mu'(s') <- (1-kappa) mu'(s') + kappa/J, so value
+// estimates reflect a small neighbourhood instead of one knife-edge corner
+// of the simplex.
+constexpr double kTargetPolicySmoothing = 0.1;
+// Actor (and target) updates run once per this many critic updates (TD3).
+constexpr std::size_t kPolicyDelay = 2;
+// Polyak factor for target-network updates.
+constexpr double kTau = 0.01;
+// Global-norm gradient clip for every actor and critic step.
+constexpr double kGradClip = 5.0;
+// The action-space distance the adaptive parameter noise steers toward.
+constexpr double kParameterNoiseTargetDistance = 0.08;
+
 // The exploring roll of DdpgAgent::act(state, true) and
 // ExplorationSnapshot::act; `settings` is a DdpgConfig or a
 // BehaviorSnapshot, whose exploration fields share their names. One roll
@@ -129,13 +155,12 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
       critic2_optimizer_(config_.critic_learning_rate),
       replay_(config_.replay_capacity),
       parameter_noise_(config_.parameter_noise_initial,
-                       config_.parameter_noise_target_distance),
+                       kParameterNoiseTargetDistance),
       state_stats_(state_dim) {
   MIRAS_EXPECTS(state_dim > 0);
   MIRAS_EXPECTS(action_dim > 0);
   MIRAS_EXPECTS(consumer_budget > 0);
   MIRAS_EXPECTS(config_.gamma >= 0.0 && config_.gamma < 1.0);
-  MIRAS_EXPECTS(config_.tau > 0.0 && config_.tau <= 1.0);
   MIRAS_EXPECTS(config_.action_noise_stddev >= 0.0);
   pending_slots_.resize(std::max<std::size_t>(config_.n_step, 1));
 
@@ -146,7 +171,7 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   actor_spec.hidden_activation = nn::Activation::kRelu;
   actor_spec.output_activation = nn::Activation::kSoftmax;
   actor_ = nn::Network(actor_spec, rng_);
-  actor_.layers().back().weights() *= config_.actor_final_layer_scale;
+  actor_.layers().back().weights() *= kActorFinalLayerScale;
   actor_target_ = actor_;
   perturbed_actor_ = actor_;
 
@@ -154,12 +179,13 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   critic_spec.state_dim = state_dim;
   critic_spec.action_dim = action_dim;
   critic_spec.hidden_dims = config_.critic_hidden;
+  // Clipped-double-Q (TD3): two critics, and the bootstrap takes the
+  // minimum of their targets. Counters the overestimation spiral in which
+  // the actor chases the critic's optimistic errors into corners.
   critic_ = nn::CriticNetwork(critic_spec, rng_);
   critic_target_ = critic_;
-  if (config_.twin_critics) {
-    critic2_ = nn::CriticNetwork(critic_spec, rng_);  // independent init
-    critic2_target_ = critic2_;
-  }
+  critic2_ = nn::CriticNetwork(critic_spec, rng_);  // independent init
+  critic2_target_ = critic2_;
 }
 
 StateNormalizer DdpgAgent::normalizer() const {
@@ -403,22 +429,19 @@ double DdpgAgent::update(std::size_t count) {
       // Targets for this block's rows: ~mu'(s') then min_i Q_i'.
       nn::copy_rows(batch_next_states_, rows, pass.in);
       actor_target_.predict_batch(pass.in, pass.ws, pass.out);
-      if (config_.target_policy_smoothing > 0.0) {
-        // Mix the bootstrap action with uniform so the target values a
-        // small neighbourhood of the policy, not a knife-edge corner.
-        const double kappa = config_.target_policy_smoothing;
-        const double uniform_mass = kappa / static_cast<double>(action_dim_);
-        for (std::size_t r = 0; r < rows.size(); ++r)
-          for (std::size_t j = 0; j < action_dim_; ++j)
-            pass.out(r, j) = (1.0 - kappa) * pass.out(r, j) + uniform_mass;
-      }
+      // Mix the bootstrap action with uniform so the target values a small
+      // neighbourhood of the policy, not a knife-edge corner.
+      const double uniform_mass =
+          kTargetPolicySmoothing / static_cast<double>(action_dim_);
+      for (std::size_t r = 0; r < rows.size(); ++r)
+        for (std::size_t j = 0; j < action_dim_; ++j)
+          pass.out(r, j) =
+              (1.0 - kTargetPolicySmoothing) * pass.out(r, j) + uniform_mass;
       critic_target_.predict_batch(pass.in, pass.out, pass.ws, pass.target);
-      if (config_.twin_critics) {
-        critic2_target_.predict_batch(pass.in, pass.out, pass.ws,
-                                      pass.loss_grad);
-        for (std::size_t r = 0; r < rows.size(); ++r)
-          pass.target(r, 0) = std::min(pass.target(r, 0), pass.loss_grad(r, 0));
-      }
+      critic2_target_.predict_batch(pass.in, pass.out, pass.ws,
+                                    pass.loss_grad);
+      for (std::size_t r = 0; r < rows.size(); ++r)
+        pass.target(r, 0) = std::min(pass.target(r, 0), pass.loss_grad(r, 0));
       for (std::size_t r = 0; r < rows.size(); ++r) {
         const Experience* e = batch_scratch_[rows.begin + r];
         pass.target(r, 0) = std::clamp(
@@ -433,36 +456,30 @@ double DdpgAgent::update(std::size_t count) {
       pass.loss = nn::huber_loss_partial_into(q_values, pass.target, 10.0,
                                               b_size, pass.loss_grad);
       critic_.backward_shard(pass.in, pass.actions, pass.loss_grad, pass);
-      if (config_.twin_critics) {
-        nn::TrainPass& pass2 = critic2_passes_[m];
-        nn::prepare_pass(critic2_.layers(), pass2);
-        const nn::Tensor& q2_values =
-            critic2_.forward_shard(pass.in, pass.actions, pass2);
-        nn::huber_loss_partial_into(q2_values, pass.target, 10.0, b_size,
-                                    pass2.loss_grad);
-        critic2_.backward_shard(pass.in, pass.actions, pass2.loss_grad, pass2);
-      }
+      nn::TrainPass& pass2 = critic2_passes_[m];
+      nn::prepare_pass(critic2_.layers(), pass2);
+      const nn::Tensor& q2_values =
+          critic2_.forward_shard(pass.in, pass.actions, pass2);
+      nn::huber_loss_partial_into(q2_values, pass.target, 10.0, b_size,
+                                  pass2.loss_grad);
+      critic2_.backward_shard(pass.in, pass.actions, pass2.loss_grad, pass2);
     });
     double critic_loss = 0.0;
     for (std::size_t m = 0; m < blocks; ++m)
       critic_loss += critic_passes_[m].loss;
     // Fused zero + reduce + clip + step per critic: one serial tail between
     // pool barriers instead of three full parameter walks each.
-    critic_.sharded_update(critic_passes_, blocks, config_.grad_clip,
+    critic_.sharded_update(critic_passes_, blocks, kGradClip,
                            critic_optimizer_);
     critic_loss_sum += critic_loss;
-
-    if (config_.twin_critics)
-      critic2_.sharded_update(critic2_passes_, blocks, config_.grad_clip,
-                              critic2_optimizer_);
+    critic2_.sharded_update(critic2_passes_, blocks, kGradClip,
+                            critic2_optimizer_);
 
     ++updates_performed_;
     ++ran;
 
     // ---- Delayed actor + target updates (TD3).
-    if (updates_performed_ % std::max<std::size_t>(config_.policy_delay, 1) !=
-        0)
-      continue;
+    if (updates_performed_ % kPolicyDelay != 0) continue;
 
     // The critic is only a conduit for dQ/da here: its per-block conduit
     // gradients land in critic_passes_[m].grads and are simply never
@@ -492,20 +509,16 @@ double DdpgAgent::update(std::size_t count) {
       }
       actor_.backward_shard(apass.in, cpass.grad_actions, apass);
     });
-    actor_.sharded_update(actor_passes_, blocks, config_.grad_clip,
-                          actor_optimizer_);
-    if (config_.actor_logit_decay > 0.0) {
-      nn::DenseLayer& head = actor_.layers().back();
-      const double keep = 1.0 - config_.actor_logit_decay;
-      head.weights() *= keep;
-      head.bias() *= keep;
-    }
+    actor_.sharded_update(actor_passes_, blocks, kGradClip, actor_optimizer_);
+    nn::DenseLayer& head = actor_.layers().back();
+    const double keep = 1.0 - kActorLogitDecay;
+    head.weights() *= keep;
+    head.bias() *= keep;
 
     // ---- Target networks.
-    actor_target_.soft_update_from(actor_, config_.tau);
-    critic_target_.soft_update_from(critic_, config_.tau);
-    if (config_.twin_critics)
-      critic2_target_.soft_update_from(critic2_, config_.tau);
+    actor_target_.soft_update_from(actor_, kTau);
+    critic_target_.soft_update_from(critic_, kTau);
+    critic2_target_.soft_update_from(critic2_, kTau);
 
     if (config_.exploration == ExplorationMode::kParameterNoise)
       adapt_parameter_noise(norm);
@@ -562,7 +575,6 @@ void DdpgAgent::save_state(persist::BinaryWriter& out) const {
   out.u64(state_dim_);
   out.u64(action_dim_);
   out.i64(consumer_budget_);
-  out.boolean(config_.twin_critics);
 
   persist::write_rng_state(out, rng_.state());
 
@@ -571,14 +583,12 @@ void DdpgAgent::save_state(persist::BinaryWriter& out) const {
   nn::write_network(out, perturbed_actor_);
   nn::write_critic(out, critic_);
   nn::write_critic(out, critic_target_);
-  if (config_.twin_critics) {
-    nn::write_critic(out, critic2_);
-    nn::write_critic(out, critic2_target_);
-  }
+  nn::write_critic(out, critic2_);
+  nn::write_critic(out, critic2_target_);
 
   actor_optimizer_.save_state(out);
   critic_optimizer_.save_state(out);
-  if (config_.twin_critics) critic2_optimizer_.save_state(out);
+  critic2_optimizer_.save_state(out);
 
   replay_.save_state(out);
 
@@ -608,14 +618,12 @@ void DdpgAgent::restore_state(persist::BinaryReader& in) {
   const std::uint64_t state_dim = in.u64();
   const std::uint64_t action_dim = in.u64();
   const std::int64_t budget = in.i64();
-  const bool twin = in.boolean();
   if (state_dim != state_dim_ || action_dim != action_dim_ ||
-      budget != consumer_budget_ || twin != config_.twin_critics)
+      budget != consumer_budget_)
     throw std::runtime_error(
         "checkpoint: DDPG agent shape mismatch — saved (state_dim=" +
         std::to_string(state_dim) + ", action_dim=" +
         std::to_string(action_dim) + ", budget=" + std::to_string(budget) +
-        ", twin_critics=" + (twin ? "true" : "false") +
         ") does not match this agent's configuration");
 
   rng_.set_state(persist::read_rng_state(in));
@@ -625,14 +633,12 @@ void DdpgAgent::restore_state(persist::BinaryReader& in) {
   perturbed_actor_ = nn::read_network(in);
   critic_ = nn::read_critic(in);
   critic_target_ = nn::read_critic(in);
-  if (config_.twin_critics) {
-    critic2_ = nn::read_critic(in);
-    critic2_target_ = nn::read_critic(in);
-  }
+  critic2_ = nn::read_critic(in);
+  critic2_target_ = nn::read_critic(in);
 
   actor_optimizer_.restore_state(in);
   critic_optimizer_.restore_state(in);
-  if (config_.twin_critics) critic2_optimizer_.restore_state(in);
+  critic2_optimizer_.restore_state(in);
 
   replay_.restore_state(in);
 

@@ -37,24 +37,12 @@ struct DdpgConfig {
   std::vector<std::size_t> critic_hidden = {256, 256, 256};
   double actor_learning_rate = 1e-4;
   double critic_learning_rate = 1e-3;
-  /// The actor's output layer weights are scaled by this at construction so
-  /// the initial policy is near-uniform and the softmax starts far from its
-  /// saturating corners (where dQ/da gradients vanish and the policy would
-  /// freeze on one microservice).
-  double actor_final_layer_scale = 0.1;
   /// Entropy bonus on the actor's categorical output. The softmax head has
   /// vanishing gradients at its corners; once the policy saturates on a
   /// single microservice it can never recover, even when the critic learns
   /// the corner is bad. The entropy term is a principled barrier that keeps
   /// the distribution away from corners unless Q decisively favours them.
   double actor_entropy_coef = 0.05;
-  /// Decoupled weight decay applied to the actor's final (logit) layer each
-  /// update. The entropy bonus acts through the softmax Jacobian and so
-  /// vanishes exactly where it is needed most — at saturated corners; logit
-  /// decay instead shrinks the saturated logits directly until gradients
-  /// flow again, letting the actor escape a corner the critic has learned
-  /// to disfavour.
-  double actor_logit_decay = 5e-4;
   double gamma = 0.95;
   /// Critic targets use n-step returns: R = sum_{i<n} gamma^i r_i +
   /// gamma^n Q'(s_{t+n}, mu'(s_{t+n})). One-step bootstrapping evaluates
@@ -64,28 +52,13 @@ struct DdpgConfig {
   /// demonstration sequences, which is essential for the deep LIGO DAGs
   /// where serving an upstream queue pays off only 5-7 windows later.
   std::size_t n_step = 5;
-  /// Clipped-double-Q (TD3): train two critics and bootstrap from the
-  /// minimum of their targets. Counters the overestimation spiral in which
-  /// the actor chases the critic's optimistic errors into corners.
-  bool twin_critics = true;
-  /// Target policy smoothing (TD3): the bootstrap action is mixed with the
-  /// uniform distribution, mu'(s') <- (1-kappa) mu'(s') + kappa/J, so value
-  /// estimates reflect a small neighbourhood instead of one knife-edge
-  /// corner of the simplex.
-  double target_policy_smoothing = 0.1;
-  /// Actor (and target) updates run once per this many critic updates.
-  std::size_t policy_delay = 2;
-  /// Polyak factor for target-network updates.
-  double tau = 0.01;
   std::size_t batch_size = 64;
   std::size_t replay_capacity = 200000;
   /// Minimum replay size before updates run.
   std::size_t warmup = 128;
-  double grad_clip = 5.0;
 
   ExplorationMode exploration = ExplorationMode::kParameterNoise;
   double parameter_noise_initial = 0.05;
-  double parameter_noise_target_distance = 0.08;
   double action_noise_stddev = 0.15;
   /// With this probability an exploring act() returns a uniformly random
   /// simplex point instead of the (perturbed) policy action. Parameter

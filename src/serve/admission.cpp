@@ -26,6 +26,17 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Adaptive batch-formation window, per lane: when the lane's PREVIOUS pass
+/// was full (the lane is under sustained load), its worker waits up to this
+/// long for the next batch to fill before admitting a partial one. Without
+/// it, clients released by a full pass re-enqueue a few microseconds apart
+/// and the worker — already awake — would admit ragged 1-2 request
+/// batches, forfeiting the coalescing the queue exists for. After a
+/// NON-full pass the worker admits immediately, so a lightly loaded lane
+/// (the GEMV fast path) never pays the window even while another lane
+/// saturates.
+constexpr std::chrono::microseconds kBatchWindow{50};
+
 }  // namespace
 
 BatchServer::BatchServer(const ActorServable& servable, AdmissionConfig config)
@@ -146,15 +157,13 @@ void BatchServer::worker_loop(Lane& lane) {
         lane.work_ready.wait(lock);
       }
       if (lane.pending_count == 0) return;  // stop requested, fully drained
-      if (lane.last_pass_full && config_.batch_window_us > 0 &&
-          lane.pending_count < config_.max_batch && !lane.stop_requested) {
+      if (lane.last_pass_full && lane.pending_count < config_.max_batch &&
+          !lane.stop_requested) {
         // Under sustained load, give the clients just released by the last
         // pass a bounded moment to re-enqueue so the batch forms fully.
         // Per-lane state: a saturated lane waits here while a light lane
         // stays on the immediate GEMV path.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(config_.batch_window_us);
+        const auto deadline = std::chrono::steady_clock::now() + kBatchWindow;
         lane.work_ready.wait_until(lock, deadline, [this, &lane] {
           return lane.pending_count >= config_.max_batch ||
                  lane.stop_requested;

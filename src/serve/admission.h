@@ -72,16 +72,6 @@ struct AdmissionConfig {
   std::size_t queue_capacity = 64;
   /// Per-lane TelemetryRing capacity (rounded up to a power of two).
   std::size_t telemetry_capacity = 1024;
-  /// Adaptive batch-formation window, per lane: when the lane's PREVIOUS
-  /// pass was full (the lane is under sustained load), its worker waits up
-  /// to this long for the next batch to fill before admitting a partial
-  /// one. Without it, clients released by a full pass re-enqueue a few
-  /// microseconds apart and the worker — already awake — would admit
-  /// ragged 1-2 request batches, forfeiting the coalescing the queue
-  /// exists for. After a NON-full pass the worker admits immediately, so a
-  /// lightly loaded lane (the GEMV fast path) never pays the window even
-  /// while another lane saturates. 0 disables.
-  std::uint32_t batch_window_us = 50;
   /// Worker lanes (independent admission queues + GEMM streams sharing one
   /// snapshot source). Decisions/sec scales with lanes up to core count;
   /// results are bit-identical at every value.

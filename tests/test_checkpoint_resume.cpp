@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_test_util.h"
 #include "common/thread_pool.h"
 #include "core/miras_agent.h"
 #include "persist/checkpoint.h"
@@ -251,6 +252,32 @@ TEST(CheckpointResume, FormatOneCheckpointIsRefusedNamingTheSampler) {
     const std::string message = error.what();
     EXPECT_NE(message.find("format 1"), std::string::npos) << message;
     EXPECT_NE(message.find("normal sampler"), std::string::npos) << message;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, FormatTwoCheckpointIsRefusedNamingTheTwinCriticByte) {
+  // Format 2's "ddpg" section carried a twin-critic flag byte that format 3
+  // dropped, so the resume must fail with its own error up front rather
+  // than misparse the section.
+  const std::string path = temp_path("format2.ckpt");
+  sim::MicroserviceSystem system = make_system("msd");
+  MirasAgent agent(&system, tiny_config("msd"));
+  (void)agent.run_iteration();
+  agent.save_checkpoint(path);
+  persist::test::downgrade_to_format_two(path);
+  ASSERT_EQ(persist::CheckpointReader::open(path).format_version(), 2u);
+
+  sim::MicroserviceSystem fresh = make_system("msd");
+  MirasAgent restored(&fresh, tiny_config("msd"));
+  try {
+    restored.restore_checkpoint(path);
+    ADD_FAILURE() << "a format-2 checkpoint resumed";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("format 2"), std::string::npos) << message;
+    EXPECT_NE(message.find("twin-critic"), std::string::npos) << message;
+    EXPECT_EQ(message.find("normal sampler"), std::string::npos) << message;
   }
   std::remove(path.c_str());
 }

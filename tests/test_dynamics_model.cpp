@@ -78,15 +78,11 @@ TEST(DynamicsModel, IncrementalRefitImproves) {
   EXPECT_LT(model.evaluate(data), after_first);
 }
 
-TEST(DynamicsModel, DeltaAndAbsoluteModesBothLearn) {
+TEST(DynamicsModel, DeltaTargetsLearn) {
   const TransitionDataset data = linear_dynamics_dataset(2000, 4);
-  for (const bool delta : {true, false}) {
-    DynamicsModelConfig config = small_config();
-    config.predict_delta = delta;
-    DynamicsModel model(2, 2, config);
-    model.fit(data);
-    EXPECT_LT(model.evaluate(data), 3.0) << "predict_delta=" << delta;
-  }
+  DynamicsModel model(2, 2, small_config());
+  model.fit(data);
+  EXPECT_LT(model.evaluate(data), 3.0);
 }
 
 TEST(DynamicsModel, RewardOfMatchesEquationOne) {

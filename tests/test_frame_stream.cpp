@@ -1,7 +1,7 @@
 // Frame streaming (persist/frame_stream.h): the incremental decoder must
-// survive arbitrary chunking (down to one byte at a time), classify each
-// corruption class with its own distinct error code, and recover via
-// resync(). The fd helpers must mask EINTR and short reads/writes.
+// survive arbitrary chunking (down to one byte at a time) and classify each
+// corruption class with its own distinct, sticky error code. The fd helpers
+// must mask EINTR and short reads/writes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -93,7 +93,7 @@ TEST(DistFrameStream, FlippedCrcIsDistinctError) {
   std::vector<std::uint8_t> out;
   EXPECT_FALSE(decoder.next(out));
   EXPECT_EQ(decoder.error(), FrameError::kBadCrc);
-  // Sticky until resync/reset: feeding more does not clear it.
+  // Sticky: feeding more does not clear it.
   decoder.feed(bytes.data(), bytes.size());
   EXPECT_FALSE(decoder.next(out));
   EXPECT_EQ(decoder.error(), FrameError::kBadCrc);
@@ -109,7 +109,7 @@ TEST(DistFrameStream, CorruptPayloadIsBadCrc) {
   EXPECT_EQ(decoder.error(), FrameError::kBadCrc);
 }
 
-TEST(DistFrameStream, GarbageBetweenFramesIsBadMagicAndResyncRecovers) {
+TEST(DistFrameStream, GarbageBetweenFramesIsBadMagic) {
   const auto first = payload_bytes("first");
   const auto second = payload_bytes("second");
   std::vector<std::uint8_t> stream = framed(first);
@@ -125,10 +125,9 @@ TEST(DistFrameStream, GarbageBetweenFramesIsBadMagicAndResyncRecovers) {
   EXPECT_EQ(out, first);
   EXPECT_FALSE(decoder.next(out));
   EXPECT_EQ(decoder.error(), FrameError::kBadMagic);
-  ASSERT_TRUE(decoder.resync());  // scan past the garbage
-  ASSERT_TRUE(decoder.next(out));
-  EXPECT_EQ(out, second);
-  EXPECT_EQ(decoder.error(), FrameError::kNone);
+  // Sticky: the valid frame after the garbage is never decoded.
+  EXPECT_FALSE(decoder.next(out));
+  EXPECT_EQ(decoder.error(), FrameError::kBadMagic);
 }
 
 TEST(DistFrameStream, OversizedLengthIsBadLength) {
@@ -156,23 +155,6 @@ TEST(DistFrameStream, DistinctErrorNames) {
   EXPECT_NE(bad_magic, bad_crc);
   EXPECT_NE(bad_magic, bad_length);
   EXPECT_NE(bad_crc, bad_length);
-}
-
-TEST(DistFrameStream, ResetClearsErrorAndBuffer) {
-  auto bytes = framed(payload_bytes("x"));
-  bytes[8] ^= 0xFF;
-  FrameDecoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
-  std::vector<std::uint8_t> out;
-  EXPECT_FALSE(decoder.next(out));
-  EXPECT_EQ(decoder.error(), FrameError::kBadCrc);
-  decoder.reset();
-  EXPECT_EQ(decoder.error(), FrameError::kNone);
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
-  const auto clean = framed(payload_bytes("clean"));
-  decoder.feed(clean.data(), clean.size());
-  ASSERT_TRUE(decoder.next(out));
-  EXPECT_EQ(out, payload_bytes("clean"));
 }
 
 TEST(DistFrameStream, AppendFrameReusesCapacity) {

@@ -167,7 +167,6 @@ TEST(MirasAgent, CountsConstraintViolationsOfSyntheticRollouts) {
   // whichever factory and pool the collection runs on.
   auto system = make_msd_system();
   MirasConfig config = tiny_miras_config();
-  config.random_first_iteration = true;
   config.random_episode_fraction = 0.0;
   config.demo_episode_fraction = 0.0;
   config.ddpg.exploration = rl::ExplorationMode::kActionNoise;

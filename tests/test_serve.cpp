@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint_test_util.h"
 #include "core/miras_agent.h"
 #include "nn/serialize.h"
 #include "persist/checkpoint.h"
@@ -625,10 +626,12 @@ TEST(ServeCheckpoint, LoadsServableSectionFromFullTrainingCheckpoint) {
   }
 }
 
-TEST(ServeCheckpoint, LoadsServableFromFormatOneTrainingCheckpoint) {
-  // Format 1 differs from format 2 only in how rng streams are stored; the
-  // servable section holds none, so serving keeps loading old checkpoints
-  // that training refuses to resume.
+// Saves a training checkpoint, rewrites it as an older `format` with
+// `downgrade`, and requires load_servable() to serve the agent's greedy
+// decisions bitwise: the servable section's encoding never changed, so
+// serving keeps loading old checkpoints that training refuses to resume.
+void expect_servable_loads_after_downgrade(
+    std::uint32_t format, void (*downgrade)(const std::string& path)) {
   sim::SystemConfig sys_config;
   sys_config.consumer_budget = workflows::kMsdConsumerBudget;
   sys_config.seed = 21;
@@ -639,21 +642,11 @@ TEST(ServeCheckpoint, LoadsServableFromFormatOneTrainingCheckpoint) {
   config.seed = 5;
   const core::MirasAgent miras(&system, config);
 
-  const std::string path = temp_path("format1_training.ckpt");
+  const std::string path =
+      temp_path("format" + std::to_string(format) + "_training.ckpt");
   miras.save_checkpoint(path);
-  {
-    // Stamp the header's format_version (u32 at offset 8) as 1.
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    in.close();
-    ASSERT_GT(bytes.size(), 12u);
-    bytes[8] = 1;
-    bytes[9] = bytes[10] = bytes[11] = 0;
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  ASSERT_EQ(persist::CheckpointReader::open(path).format_version(), 1u);
+  downgrade(path);
+  ASSERT_EQ(persist::CheckpointReader::open(path).format_version(), format);
   const ActorSnapshot loaded = load_servable(path);
   std::remove(path.c_str());
 
@@ -666,6 +659,20 @@ TEST(ServeCheckpoint, LoadsServableFromFormatOneTrainingCheckpoint) {
     loaded.decide(probe, scratch, got);
     EXPECT_EQ(got, miras.ddpg().act_greedy(probe));
   }
+}
+
+TEST(ServeCheckpoint, LoadsServableFromFormatOneTrainingCheckpoint) {
+  // Format 1 differs from format 2 only in how rng streams are stored; the
+  // servable section holds none.
+  expect_servable_loads_after_downgrade(1, [](const std::string& path) {
+    persist::test::stamp_format_version(path, 1);
+  });
+}
+
+TEST(ServeCheckpoint, LoadsServableFromFormatTwoTrainingCheckpoint) {
+  // Format 3 dropped a byte from the "ddpg" section only.
+  expect_servable_loads_after_downgrade(
+      2, persist::test::downgrade_to_format_two);
 }
 
 TEST(ServeCheckpoint, MissingServableSectionFailsLoudly) {
