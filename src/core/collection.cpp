@@ -12,11 +12,25 @@ namespace miras::core {
 EnvFactory system_factory(workflows::Ensemble ensemble,
                           sim::SystemConfig config) {
   return [ensemble = std::move(ensemble),
-          config](std::uint64_t seed) -> std::unique_ptr<sim::Env> {
+          config](std::uint64_t seed)
+             -> std::unique_ptr<sim::MicroserviceSystem> {
     sim::SystemConfig episode_config = config;
     episode_config.seed = seed;
     return std::make_unique<sim::MicroserviceSystem>(ensemble, episode_config);
   };
+}
+
+std::unique_ptr<sim::MicroserviceSystem> acquire_system(
+    common::ObjectPool<sim::MicroserviceSystem>& pool,
+    const EnvFactory& make_env, std::uint64_t seed) {
+  std::unique_ptr<sim::MicroserviceSystem> system = pool.try_acquire();
+  if (system != nullptr) {
+    system->reseed(seed);
+  } else {
+    system = make_env(seed);
+    MIRAS_EXPECTS(system != nullptr);
+  }
+  return system;
 }
 
 CollectionBehavior pick_collection_behavior(const MirasConfig& config,
@@ -28,18 +42,16 @@ CollectionBehavior pick_collection_behavior(const MirasConfig& config,
   return CollectionBehavior::kPolicy;
 }
 
-void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
-                                   Rng& rng) {
+void maybe_inject_collection_burst(const MirasConfig& config,
+                                   sim::MicroserviceSystem& env, Rng& rng) {
   if (config.collection_burst_probability <= 0.0) return;
   if (rng.uniform() >= config.collection_burst_probability) return;
-  auto* system = dynamic_cast<sim::MicroserviceSystem*>(env);
-  if (system == nullptr) return;
   sim::BurstSpec burst;
-  burst.counts.resize(system->ensemble().num_workflows());
+  burst.counts.resize(env.ensemble().num_workflows());
   for (auto& count : burst.counts)
     count = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(config.collection_burst_max)));
-  system->inject_burst(burst);
+  env.inject_burst(burst);
 }
 
 std::vector<double> behavior_weights(CollectionBehavior behavior,
@@ -58,26 +70,21 @@ std::vector<double> behavior_weights(CollectionBehavior behavior,
   return rl::uniform_simplex_weights(action_dim, rng);
 }
 
-CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
-                                   bool random_actions,
-                                   const rl::BehaviorSnapshot& behavior,
-                                   const MirasConfig& config,
-                                   const EnvFactory& make_env,
-                                   common::ObjectPool<sim::Env>* env_pool) {
+CollectedEpisode run_shard_episode(
+    const EpisodeSpec& spec, bool random_actions,
+    const rl::BehaviorSnapshot& behavior, const MirasConfig& config,
+    const EnvFactory& make_env,
+    common::ObjectPool<sim::MicroserviceSystem>* env_pool) {
+  MIRAS_EXPECTS(env_pool != nullptr);
   // Draw order is the contract: env seed, burst, behaviour, exploration
   // snapshot, then per-step draws. Any reordering changes every seeded run.
   Rng ep_rng(spec.seed);
   const std::uint64_t env_seed = ep_rng.next_u64();
-  // Recycle a pooled environment when it supports in-place reseeding
-  // (reseed ≡ fresh construction with env_seed); otherwise build one.
-  // Per-episode construction caused allocator contention across shards.
-  std::unique_ptr<sim::Env> env;
-  if (env_pool != nullptr) env = env_pool->try_acquire();
-  if (env == nullptr || !env->reseed(env_seed)) env = make_env(env_seed);
-  MIRAS_EXPECTS(env != nullptr);
+  std::unique_ptr<sim::MicroserviceSystem> env =
+      acquire_system(*env_pool, make_env, env_seed);
 
   std::vector<double> state = env->reset();
-  maybe_inject_collection_burst(config, env.get(), ep_rng);
+  maybe_inject_collection_burst(config, *env, ep_rng);
   const CollectionBehavior chosen =
       random_actions ? CollectionBehavior::kRandom
                      : pick_collection_behavior(config, ep_rng);
@@ -102,7 +109,7 @@ CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
   }
   if (snapshot)
     episode.constraint_violations = snapshot->constraint_violations();
-  if (env_pool != nullptr) env_pool->release(std::move(env));
+  env_pool->release(std::move(env));
   return episode;
 }
 

@@ -21,7 +21,6 @@
 #include "core/trainer_config.h"
 #include "envmodel/dataset.h"
 #include "rl/ddpg.h"
-#include "sim/env.h"
 #include "sim/system.h"
 #include "workflows/ensemble.h"
 
@@ -44,13 +43,15 @@ struct CollectedEpisode {
   std::size_t constraint_violations = 0;
 };
 
-/// Builds an isolated environment for one collection episode; the seed is
-/// the episode's shard seed, so the episode's arrivals are a function of the
-/// decomposition, not of any shared stream. A factory must be pure in the
-/// seed (the seed enters only as the environment's master seed): collection
-/// recycles environments across episodes via Env::reseed(), which is only
-/// equivalent to construction under that contract.
-using EnvFactory = std::function<std::unique_ptr<sim::Env>(std::uint64_t)>;
+/// Builds an isolated environment for one collection episode or evaluation
+/// cell; the seed is the episode's shard seed (or the cell's system seed),
+/// so its arrivals are a function of the decomposition, not of any shared
+/// stream. A factory must be pure in the seed (the seed enters only as the
+/// system's master seed): collection and evaluation recycle systems via
+/// MicroserviceSystem::reseed(), which is only equivalent to construction
+/// under that contract.
+using EnvFactory =
+    std::function<std::unique_ptr<sim::MicroserviceSystem>(std::uint64_t)>;
 
 /// The collection factory of a real environment: each call builds a
 /// MicroserviceSystem over `ensemble` with `config`, its seed replaced by
@@ -59,14 +60,23 @@ using EnvFactory = std::function<std::unique_ptr<sim::Env>(std::uint64_t)>;
 EnvFactory system_factory(workflows::Ensemble ensemble,
                           sim::SystemConfig config);
 
+/// Takes an idle system from `pool` and reseeds it to `seed`, or builds one
+/// with `make_env` when the pool is empty. Reseeding equals construction, so
+/// which object the caller gets never reaches a result; release() it back
+/// to `pool` when done. Per-episode construction caused allocator contention
+/// across shards.
+std::unique_ptr<sim::MicroserviceSystem> acquire_system(
+    common::ObjectPool<sim::MicroserviceSystem>& pool,
+    const EnvFactory& make_env, std::uint64_t seed);
+
 /// Draws the episode behaviour from the configured episode-type fractions.
 CollectionBehavior pick_collection_behavior(const MirasConfig& config,
                                             Rng& rng);
 
 /// With the configured probability, injects a random workload burst into
-/// `env` (MicroserviceSystem only; other envs are left untouched).
-void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
-                                   Rng& rng);
+/// `env`.
+void maybe_inject_collection_burst(const MirasConfig& config,
+                                   sim::MicroserviceSystem& env, Rng& rng);
 
 /// Simplex weights of one step under `behavior`. kPolicy acts through
 /// `snapshot`, which must then be non-null.
@@ -77,14 +87,13 @@ std::vector<double> behavior_weights(CollectionBehavior behavior,
 
 /// Runs one collection episode. Every stochastic choice — environment
 /// arrivals, burst, behaviour, exploration — flows from spec.seed in a
-/// fixed draw order. `env_pool` (optional) recycles environments across
-/// episodes via Env::reseed(); recycling is invisible to results.
-CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
-                                   bool random_actions,
-                                   const rl::BehaviorSnapshot& behavior,
-                                   const MirasConfig& config,
-                                   const EnvFactory& make_env,
-                                   common::ObjectPool<sim::Env>* env_pool);
+/// fixed draw order. `env_pool` (non-null) recycles systems across episodes
+/// through acquire_system(); recycling is invisible to results.
+CollectedEpisode run_shard_episode(
+    const EpisodeSpec& spec, bool random_actions,
+    const rl::BehaviorSnapshot& behavior, const MirasConfig& config,
+    const EnvFactory& make_env,
+    common::ObjectPool<sim::MicroserviceSystem>* env_pool);
 
 /// Pluggable executor for one sharded collection phase. MirasAgent hands
 /// the full fixed schedule (specs) plus the frozen behaviour to the

@@ -71,7 +71,7 @@ const GridSummary& GridResult::summary(std::size_t scenario,
   return summaries[index];
 }
 
-EvaluationHarness::EvaluationHarness(SystemFactory make_system,
+EvaluationHarness::EvaluationHarness(EnvFactory make_system,
                                      common::ThreadPool* pool)
     : make_system_(std::move(make_system)), pool_(pool) {
   MIRAS_EXPECTS(make_system_ != nullptr);
@@ -104,16 +104,9 @@ GridResult EvaluationHarness::run(const std::vector<PolicySpec>& policies,
     cell.policy_index = policy_index;
     cell.replication = replication;
     cell.system_seed = seeds[replication];
-    // Reuse an idle system when one exists (reseed ≡ fresh construction);
-    // per-cell construction was the allocation hot spot of the grid.
+    // Per-cell construction was the allocation hot spot of the grid.
     std::unique_ptr<sim::MicroserviceSystem> system =
-        spare_systems_.try_acquire();
-    if (system != nullptr) {
-      system->reseed(cell.system_seed);
-    } else {
-      system = make_system_(cell.system_seed);
-      MIRAS_EXPECTS(system != nullptr);
-    }
+        acquire_system(spare_systems_, make_system_, cell.system_seed);
     const std::unique_ptr<rl::Policy> policy = policies[policy_index].make();
     MIRAS_EXPECTS(policy != nullptr);
     cell.trace =

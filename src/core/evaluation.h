@@ -17,6 +17,7 @@
 #include "common/object_pool.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "core/collection.h"
 #include "rl/policy.h"
 #include "sim/system.h"
 
@@ -112,18 +113,13 @@ struct GridResult {
 
 class EvaluationHarness {
  public:
-  /// Builds the evaluation system for a given master seed. The factory must
-  /// be pure in the seed: every system it returns is identical up to
-  /// SystemConfig::seed. The harness relies on this to recycle systems
-  /// across grid cells via reseed() instead of constructing one per cell.
-  using SystemFactory =
-      std::function<std::unique_ptr<sim::MicroserviceSystem>(std::uint64_t)>;
-
-  /// `make_system` builds the evaluation system for a given seed; `pool`
-  /// (optional, must outlive the harness) runs the grid cells. Without a
-  /// pool the grid runs inline — by construction this produces exactly the
-  /// same result as any pool, just on one core.
-  explicit EvaluationHarness(SystemFactory make_system,
+  /// `make_system` builds the evaluation system for a given seed and must be
+  /// pure in it (EnvFactory): the harness recycles systems across grid
+  /// cells through acquire_system() instead of constructing one per cell.
+  /// `pool` (optional, must outlive the harness) runs the grid cells.
+  /// Without a pool the grid runs inline — by construction this produces
+  /// exactly the same result as any pool, just on one core.
+  explicit EvaluationHarness(EnvFactory make_system,
                              common::ThreadPool* pool = nullptr);
 
   /// Runs every (scenario, policy, seed) cell. Replication k of every cell
@@ -136,7 +132,7 @@ class EvaluationHarness {
                  std::size_t tail_windows) const;
 
  private:
-  SystemFactory make_system_;
+  EnvFactory make_system_;
   common::ThreadPool* pool_;
   /// Idle systems recycled across cells (and across run() calls). At most
   /// one per concurrent worker ever exists; reseed() makes which cell gets

@@ -379,7 +379,7 @@ MirasAgent MirasAgent::resume(sim::MicroserviceSystem* env, MirasConfig config,
   return agent;
 }
 
-rl::DdpgAgent train_model_free_ddpg(sim::Env& env,
+rl::DdpgAgent train_model_free_ddpg(sim::MicroserviceSystem& env,
                                     const ModelFreeConfig& config) {
   rl::DdpgAgent agent(env.state_dim(), env.action_dim(),
                       env.consumer_budget(), config.ddpg);

@@ -20,7 +20,6 @@
 #include "envmodel/refiner.h"
 #include "rl/ddpg.h"
 #include "rl/policy.h"
-#include "sim/env.h"
 #include "sim/system.h"
 
 namespace miras::core {
@@ -144,7 +143,7 @@ class MirasAgent {
   CollectionBackend* collection_backend_ = nullptr;
   /// Idle collection environments recycled across episodes (at most one per
   /// concurrent shard); reseed() makes the recycling invisible to results.
-  common::ObjectPool<sim::Env> env_pool_;
+  common::ObjectPool<sim::MicroserviceSystem> env_pool_;
 };
 
 /// The paper's model-free comparator: the same DDPG agent trained directly
@@ -156,7 +155,8 @@ struct ModelFreeConfig {
   std::size_t reset_interval = 25;
   std::size_t updates_per_step = 1;
 };
-rl::DdpgAgent train_model_free_ddpg(sim::Env& env, const ModelFreeConfig& config);
+rl::DdpgAgent train_model_free_ddpg(sim::MicroserviceSystem& env,
+                                    const ModelFreeConfig& config);
 
 /// Greedy policy over a DDPG agent (used for MIRAS and the model-free rl
 /// baseline alike). The agent must outlive the policy. Holds the agent

@@ -23,7 +23,7 @@ void run_collector(ByteStream& stream, const core::MirasConfig& config,
 
   // Idle environments recycled across episodes (reseed() makes the reuse
   // invisible to results, exactly as in the in-process engine).
-  common::ObjectPool<sim::Env> env_pool;
+  common::ObjectPool<sim::MicroserviceSystem> env_pool;
 
   std::optional<WeightsMsg> weights;
   std::deque<core::EpisodeSpec> queue;

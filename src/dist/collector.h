@@ -3,9 +3,9 @@
 // episode assignments, runs the episodes through the shared seed-sharded
 // runner (core/collection.h), and streams each result back as one Batch —
 // but only while it holds credit, so a stalled learner bounds the bytes in
-// flight. Runs identically in a forked process (FdStream) or a thread
-// (LoopbackStream); determinism comes from the episode specs, never from
-// where the loop runs.
+// flight. Runs identically in a forked process or a thread, over one end
+// of a socketpair either way; determinism comes from the episode specs,
+// never from where the loop runs.
 #pragma once
 
 #include <cstdint>

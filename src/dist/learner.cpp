@@ -299,7 +299,7 @@ SpawnFn make_thread_spawner(core::MirasConfig config,
   return [config = std::move(config), make_env = std::move(make_env),
           fingerprint, first_spawn_dies_after,
           spawns](std::uint32_t collector_id) -> Endpoint {
-    auto [learner_end, collector_end] = LoopbackStream::make_pair();
+    auto [learner_end, collector_end] = make_socketpair_streams();
     CollectorOptions options;
     options.collector_id = collector_id;
     options.config_fingerprint = fingerprint;
@@ -308,8 +308,8 @@ SpawnFn make_thread_spawner(core::MirasConfig config,
     Endpoint endpoint;
     endpoint.stream = std::move(learner_end);
     endpoint.thread = std::thread(
-        [stream = std::shared_ptr<LoopbackStream>(std::move(collector_end)),
-         config, make_env, options]() {
+        [stream = std::shared_ptr<FdStream>(std::move(collector_end)), config,
+         make_env, options]() {
           try {
             run_collector(*stream, config, make_env, options);
           } catch (const std::exception& error) {
@@ -355,10 +355,10 @@ SpawnFn make_fork_pipe_spawner(core::MirasConfig config,
     FdStream* parent_stream = learner_end.get();
     Endpoint endpoint;
     endpoint.pid = fork_collector([&] {
-      parent_stream->close_fds();
+      parent_stream->close_fd();
       run_collector(*child_stream, config, make_env, options);
     });
-    collector_end->close_fds();  // parent's copy of the child's end
+    collector_end->close_fd();  // parent's copy of the child's end
     endpoint.stream = std::move(learner_end);
     return endpoint;
   };

@@ -47,8 +47,8 @@ struct Endpoint {
 
 /// Spawns (or respawns) collector `collector_id` and returns the learner's
 /// end of its stream. Called once per collector up front and again after
-/// each death; respawns must produce a fresh conversation (a new socketpair
-/// or loopback pair).
+/// each death; respawns must produce a fresh conversation (a new
+/// socketpair).
 using SpawnFn = std::function<Endpoint(std::uint32_t collector_id)>;
 
 struct PoolOptions {
@@ -136,8 +136,8 @@ class CollectorPool final : public core::CollectionBackend {
 /// Spawner factories. All collectors run the same (config, make_env) as
 /// the learner; `fingerprint` must be config_fingerprint(config).
 ///
-/// Thread spawner: collector loops run as in-process threads over loopback
-/// streams — no fork, TSan-friendly, the default for tests.
+/// Thread spawner: collector loops run as in-process threads, each over its
+/// own socketpair — no fork, TSan-friendly, the default for tests.
 SpawnFn make_thread_spawner(core::MirasConfig config,
                             core::EnvFactory make_env,
                             std::uint64_t fingerprint,

@@ -1,22 +1,16 @@
-// Pluggable byte-stream transports for the distributed actor-learner
-// topology. A ByteStream is a bidirectional, reliable, ordered byte pipe
-// between the learner and one collector; the wire layer (wire.h) frames
-// persist-encoded messages over it and never cares which implementation
-// carries the bytes:
-//
-//  - FdStream:       a connected socketpair/pipe fd pair (fork-spawned
-//                    collector processes): the production transport.
-//                    EINTR-safe, poll-based timeouts.
-//  - LoopbackStream: an in-memory queue pair for thread-spawned collectors
-//                    and tests (no fork, so it is the TSan-friendly mode).
+// The byte-stream transport of the distributed actor-learner topology. A
+// ByteStream is a bidirectional, reliable, ordered byte pipe between the
+// learner and one collector; the wire layer (wire.h) frames persist-encoded
+// messages over it. There is one implementation, FdStream over one end of
+// an AF_UNIX socketpair (EINTR-safe, poll-based timeouts). Fork-spawned
+// collector processes and thread-spawned collectors (tests; no fork, so
+// TSan sees the whole protocol) both use it. ByteStream stays virtual as
+// the seam where tests can inject short writes, EINTR and half-frame peers.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 namespace miras::dist {
@@ -46,11 +40,11 @@ class ByteStream {
                                int timeout_ms) = 0;
 };
 
-/// ByteStream over a connected fd (one end of a socketpair or a pipe pair).
-/// Owns and closes the fds. `read_fd` and `write_fd` may be the same fd.
+/// ByteStream over one end of a connected socketpair. Owns and closes the
+/// fd. Ignores SIGPIPE process-wide, so a send to a closed peer throws.
 class FdStream final : public ByteStream {
  public:
-  FdStream(int read_fd, int write_fd);
+  explicit FdStream(int fd);
   ~FdStream() override;
 
   FdStream(const FdStream&) = delete;
@@ -59,53 +53,17 @@ class FdStream final : public ByteStream {
   void send(const void* data, std::size_t size) override;
   RecvResult recv_some(void* data, std::size_t max, int timeout_ms) override;
 
-  /// Closes the fds early (e.g. the parent's copy of a child's end).
-  void close_fds();
+  /// Closes the fd early (e.g. the parent's copy of a child's end).
+  void close_fd();
 
  private:
-  int read_fd_;
-  int write_fd_;
+  int fd_;
 };
 
 /// Creates a connected AF_UNIX socketpair and wraps each end. first is
 /// conventionally the learner end, second the collector end; after fork,
-/// each process close_fds()es (or destroys) the end it does not use.
+/// each process close_fd()s (or destroys) the end it does not use.
 std::pair<std::unique_ptr<FdStream>, std::unique_ptr<FdStream>>
 make_socketpair_streams();
-
-/// In-memory ByteStream pair (A's sends are B's receives and vice versa).
-/// Thread-safe; used by thread-spawned collectors and the unit tests.
-class LoopbackStream final : public ByteStream {
- public:
-  /// Two connected endpoints. Destroying either endpoint closes the
-  /// connection for the other (recv reports kClosed once drained, send
-  /// throws).
-  static std::pair<std::unique_ptr<LoopbackStream>,
-                   std::unique_ptr<LoopbackStream>>
-  make_pair();
-
-  ~LoopbackStream() override;
-
-  void send(const void* data, std::size_t size) override;
-  RecvResult recv_some(void* data, std::size_t max, int timeout_ms) override;
-
-  /// Bytes sent by this endpoint not yet received by the peer — what the
-  /// back-pressure tests bound.
-  std::size_t peer_unread_bytes() const;
-
- private:
-  struct Channel {
-    std::mutex mutex;
-    std::condition_variable ready;
-    std::deque<std::uint8_t> bytes;
-    bool writer_alive = true;
-    bool reader_alive = true;
-  };
-
-  LoopbackStream(std::shared_ptr<Channel> in, std::shared_ptr<Channel> out);
-
-  std::shared_ptr<Channel> in_;   // peer writes here, we read
-  std::shared_ptr<Channel> out_;  // we write here, peer reads
-};
 
 }  // namespace miras::dist

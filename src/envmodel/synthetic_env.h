@@ -1,9 +1,12 @@
-// The learned environment exposed through the same Env interface as the
-// real system, so the DDPG agent trains against it transparently (§IV-D:
-// "letting it interact with the learnt environment model instead of the
-// actual real environment"). Episodes start from states sampled out of the
-// real-interaction dataset, which keeps synthetic rollouts anchored to the
-// state distribution the model was trained on.
+// The learned environment (§IV-D: the agent interacts "with the learnt
+// environment model instead of the actual real environment"). Episodes
+// start from states sampled out of the real-interaction dataset, which
+// keeps synthetic rollouts anchored to the state distribution the model was
+// trained on.
+//
+// SyntheticEnvBatch is what training rolls out on. SyntheticEnv is one lane
+// stepped on its own: the sequential reference the batch is tested against
+// bit for bit, kept like ModelRefiner::predict.
 #pragma once
 
 #include <cstdint>
@@ -12,11 +15,11 @@
 #include "envmodel/dataset.h"
 #include "envmodel/dynamics_model.h"
 #include "envmodel/refiner.h"
-#include "sim/env.h"
+#include "sim/system.h"
 
 namespace miras::envmodel {
 
-class SyntheticEnv final : public sim::Env {
+class SyntheticEnv {
  public:
   /// `refiner` may be null (refinement ablation); then raw model predictions
   /// clamped at zero are used. `initial_states` supplies reset() states and
@@ -25,12 +28,12 @@ class SyntheticEnv final : public sim::Env {
                const TransitionDataset* initial_states, int consumer_budget,
                std::uint64_t seed);
 
-  std::size_t state_dim() const override;
-  std::size_t action_dim() const override;
-  int consumer_budget() const override { return consumer_budget_; }
+  std::size_t state_dim() const;
+  std::size_t action_dim() const;
+  int consumer_budget() const { return consumer_budget_; }
 
-  std::vector<double> reset() override;
-  sim::StepResult step(const std::vector<int>& allocation) override;
+  std::vector<double> reset();
+  sim::StepResult step(const std::vector<int>& allocation);
 
   const std::vector<double>& current_state() const { return state_; }
 

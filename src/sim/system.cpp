@@ -83,7 +83,7 @@ std::vector<double> MicroserviceSystem::reset() {
   return observe_wip();
 }
 
-bool MicroserviceSystem::reseed(std::uint64_t seed) {
+void MicroserviceSystem::reseed(std::uint64_t seed) {
   // Replay the constructor's seeding exactly: seed the system rng, hand the
   // workload the first split — the same draw the member initialiser made —
   // then reset. A reseeded system and a freshly constructed one are
@@ -92,7 +92,6 @@ bool MicroserviceSystem::reseed(std::uint64_t seed) {
   rng_ = Rng(seed);
   workload_.reseed(rng_.split());
   reset();
-  return true;
 }
 
 void MicroserviceSystem::dispatch(const Event& event) {

@@ -1,7 +1,11 @@
 // The emulated microservice workflow infrastructure (Figures 1 & 2 of the
 // paper): one request queue + consumer pool per task type, a dependency
 // service routing DAG successors, Poisson workload with optional bursts,
-// and a window-granular control interface (Env).
+// and a window-granular control interface: reset(), step() one window,
+// reseed(). MIRAS trains against this system or against the learned model
+// (§III, Figure 3); the swap lives in envmodel::SyntheticEnvBatch, so this
+// concrete class is the only real environment and there is no virtual
+// environment interface.
 //
 // This component substitutes for the paper's GCP/Kubernetes/RabbitMQ
 // testbed; see DESIGN.md §1 for the substitution argument, and §2's
@@ -19,7 +23,7 @@
 #include "sim/consumer_pool.h"
 #include "sim/dependency_service.h"
 #include "sim/engine.h"
-#include "sim/env.h"
+#include "sim/metrics.h"
 #include "sim/task_queue.h"
 #include "sim/workload.h"
 #include "workflows/ensemble.h"
@@ -38,6 +42,15 @@ struct SystemConfig {
   std::uint64_t seed = 1;
 };
 
+struct StepResult {
+  /// Next state s(k+1): WIP per task type.
+  std::vector<double> state;
+  /// r(k) per paper Eq. 1.
+  double reward = 0.0;
+  /// Full window detail; synthetic environments fill only wip/reward.
+  WindowStats stats;
+};
+
 /// Internal accounting counters exposed for conservation tests.
 struct SystemCounters {
   std::uint64_t workflows_arrived = 0;
@@ -46,7 +59,7 @@ struct SystemCounters {
   std::uint64_t tasks_completed = 0;
 };
 
-class MicroserviceSystem final : public Env {
+class MicroserviceSystem {
  public:
   MicroserviceSystem(workflows::Ensemble ensemble, SystemConfig config);
 
@@ -56,20 +69,29 @@ class MicroserviceSystem final : public Env {
   MicroserviceSystem& operator=(const MicroserviceSystem&) = delete;
   MicroserviceSystem(MicroserviceSystem&&) = delete;
   MicroserviceSystem& operator=(MicroserviceSystem&&) = delete;
-  ~MicroserviceSystem() override = default;
+  ~MicroserviceSystem() = default;
 
-  // Env interface -----------------------------------------------------------
-  std::size_t state_dim() const override;
-  std::size_t action_dim() const override;
-  int consumer_budget() const override { return config_.consumer_budget; }
-  std::vector<double> reset() override;
-  StepResult step(const std::vector<int>& allocation) override;
+  // Control interface -------------------------------------------------------
+  /// Dimensionality of the state vector (J, the number of task types).
+  std::size_t state_dim() const;
+  /// Dimensionality of the action vector; equals state_dim() (one consumer
+  /// count per microservice).
+  std::size_t action_dim() const;
+  /// Total consumer budget C; every action must satisfy sum(m) <= C.
+  int consumer_budget() const { return config_.consumer_budget; }
+  /// Returns the system to a low-WIP initial state and returns s(0).
+  std::vector<double> reset();
+  /// Applies the allocation m(k) for one window and returns the transition.
+  /// Requires allocation.size() == action_dim(), all entries >= 0, and
+  /// sum <= consumer_budget().
+  StepResult step(const std::vector<int>& allocation);
 
   /// Rewinds to the state a freshly constructed system with master seed
-  /// `seed` would have: replays the construction-time rng split, then
-  /// reset(). Pooled storage (slab, rings, heap) keeps its capacity, so a
-  /// reseed-reuse cycle allocates nothing. Always returns true.
-  bool reseed(std::uint64_t seed) override;
+  /// `seed` would have — bit-identically, including rng stream positions:
+  /// replays the construction-time rng split, then reset(). Pooled storage
+  /// (slab, rings, heap) keeps its capacity, so a reseed-reuse cycle
+  /// allocates nothing.
+  void reseed(std::uint64_t seed);
 
   // Extras ------------------------------------------------------------------
   /// Injects `burst.counts[i]` requests of each workflow type i at the
@@ -147,5 +169,9 @@ class MicroserviceSystem final : public Env {
   std::vector<std::size_t> window_task_arrivals_;
   std::vector<std::size_t> window_task_completions_;
 };
+
+/// perfbench still spells the environment type `sim::Env`; the next change
+/// to perfbench drops this alias.
+using Env = MicroserviceSystem;
 
 }  // namespace miras::sim

@@ -2,7 +2,7 @@
 // executing the fixed seed-sharded collection schedule must reproduce the
 // in-process parallel engine bit for bit — for any collector count, any
 // learner thread count, across repeated runs, and across checkpoint/resume.
-// Thread-spawned collectors over loopback streams (no fork), so the whole
+// Thread-spawned collectors over socketpairs (no fork), so the whole
 // suite runs under TSan.
 #include <gtest/gtest.h>
 

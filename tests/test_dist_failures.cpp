@@ -3,9 +3,11 @@
 // flight), collector death mid-round (respawn resumes the batch_seq and the
 // merged result is unchanged), a batch holding a NaN and a corrupted frame
 // thrown rather than respawned past, and the handshake refusing a collector
-// built from a different config. Thread collectors over loopback streams —
-// no fork, so the suite runs under TSan.
+// built from a different config. Thread collectors over socketpairs, the
+// production transport — no fork, so the suite runs under TSan.
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -103,7 +105,18 @@ TEST(DistFailures, StalledLearnerBoundsInFlightBatches) {
   const core::EnvFactory factory = msd_factory();
   const std::uint64_t fingerprint = core::config_fingerprint(config);
 
-  auto [learner_end, collector_end] = LoopbackStream::make_pair();
+  // Our own socketpair, so the test can ask the kernel how many bytes the
+  // collector has put in flight that the learner has not read.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int learner_fd = fds[0];
+  FdStream learner_end(fds[0]);
+  FdStream collector_end(fds[1]);
+  const auto learner_unread_bytes = [learner_fd] {
+    int bytes = -1;
+    EXPECT_EQ(::ioctl(learner_fd, FIONREAD, &bytes), 0);
+    return static_cast<std::size_t>(bytes);
+  };
   CollectorOptions collector_options;
   collector_options.collector_id = 0;
   collector_options.config_fingerprint = fingerprint;
@@ -111,10 +124,10 @@ TEST(DistFailures, StalledLearnerBoundsInFlightBatches) {
   // batch data and the in-flight bound is exact.
   collector_options.idle_timeout_ms = 10000;
   std::thread collector([&] {
-    run_collector(*collector_end, config, factory, collector_options);
+    run_collector(collector_end, config, factory, collector_options);
   });
 
-  MessageChannel learner(learner_end.get());
+  MessageChannel learner(&learner_end);
   std::vector<std::uint8_t> payload;
   ASSERT_EQ(learner.poll_payload(payload, 10000), RecvStatus::kData);
   {
@@ -173,14 +186,14 @@ TEST(DistFailures, StalledLearnerBoundsInFlightBatches) {
   // Give the collector time to run as far as it can, then require that the
   // in-flight bytes have stopped at the credit bound.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const std::size_t stalled_bytes = collector_end->peer_unread_bytes();
+  const std::size_t stalled_bytes = learner_unread_bytes();
   EXPECT_GT(stalled_bytes, 0u);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(collector_end->peer_unread_bytes(), stalled_bytes)
+  EXPECT_EQ(learner_unread_bytes(), stalled_bytes)
       << "buffered bytes kept growing while the learner was stalled";
 
   EXPECT_EQ(drain_batches(), 2u);  // exactly the credit allowance
-  EXPECT_EQ(collector_end->peer_unread_bytes(), 0u);
+  EXPECT_EQ(learner_unread_bytes(), 0u);
 
   grant_credit(3);
   std::size_t more = 0;
@@ -211,13 +224,13 @@ TEST(DistFailures, CollectorDeathPreservesResultAndRespawns) {
   expect_identical_traces(reference, with_death);
 }
 
-/// One collection round against hand-written collectors on loopback
-/// streams: each completes the handshake, waits for its assignment's
-/// credit, then sends one 3-transition Batch frame, edited by `edit` before
-/// encoding and with its byte `flip_at` flipped when nonzero, and idles
-/// until shutdown. Episodes are deterministic, so a respawn would resend
-/// the same bytes: collect() must throw an error containing `expected` and
-/// spawn nothing more.
+/// One collection round against hand-written collectors on socketpairs:
+/// each completes the handshake, waits for its assignment's credit, then
+/// sends one 3-transition Batch frame, edited by `edit` before encoding and
+/// with its byte `flip_at` flipped when nonzero, and idles until shutdown.
+/// Episodes are deterministic, so a respawn would resend the same bytes:
+/// collect() must throw an error containing `expected` and spawn nothing
+/// more.
 void expect_surfaced_not_respawned(
     const std::function<void(BatchMsg&)>& edit, std::size_t flip_at,
     const std::string& expected) {
@@ -225,11 +238,11 @@ void expect_surfaced_not_respawned(
   std::atomic<int> spawns{0};
   const SpawnFn spawn = [&](std::uint32_t collector_id) {
     ++spawns;
-    auto [learner_end, collector_end] = LoopbackStream::make_pair();
+    auto [learner_end, collector_end] = make_socketpair_streams();
     Endpoint endpoint;
     endpoint.stream = std::move(learner_end);
     endpoint.thread = std::thread(
-        [stream = std::shared_ptr<LoopbackStream>(std::move(collector_end)),
+        [stream = std::shared_ptr<FdStream>(std::move(collector_end)),
          collector_id, &edit, flip_at] {
           MessageChannel channel(stream.get());
           persist::BinaryWriter out;

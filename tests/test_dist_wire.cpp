@@ -1,9 +1,9 @@
 // Wire protocol layer (dist/wire.h): every message round-trips exactly,
 // decode_batch_into reuses its scratch buffers and rejects non-finite
 // transitions, unknown types are rejected,
-// and MessageChannel frames messages over a live ByteStream (including the
-// closed-peer and corrupted-stream behaviours the learner's failure
-// handling depends on).
+// and MessageChannel frames messages over the production socketpair
+// transport (including the closed-peer and corrupted-stream behaviours the
+// learner's failure handling depends on).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -243,8 +243,8 @@ TEST(DistWire, UnknownTypeByteThrows) {
   }
 }
 
-TEST(DistWire, MessageChannelRoundTripsOverLoopback) {
-  auto [a, b] = LoopbackStream::make_pair();
+TEST(DistWire, MessageChannelRoundTripsOverSocketpair) {
+  auto [a, b] = make_socketpair_streams();
   MessageChannel sender(a.get());
   MessageChannel receiver(b.get());
 
@@ -267,7 +267,7 @@ TEST(DistWire, MessageChannelRoundTripsOverLoopback) {
 }
 
 TEST(DistWire, MessageChannelDrainsBufferedFramesAfterClose) {
-  auto [a, b] = LoopbackStream::make_pair();
+  auto [a, b] = make_socketpair_streams();
   MessageChannel receiver(b.get());
   {
     MessageChannel sender(a.get());
@@ -282,7 +282,7 @@ TEST(DistWire, MessageChannelDrainsBufferedFramesAfterClose) {
 }
 
 TEST(DistWire, MessageChannelTreatsTornTailAsClosed) {
-  auto [a, b] = LoopbackStream::make_pair();
+  auto [a, b] = make_socketpair_streams();
   MessageChannel receiver(b.get());
   persist::BinaryWriter out;
   encode_credit(out, CreditMsg{1});
@@ -296,7 +296,7 @@ TEST(DistWire, MessageChannelTreatsTornTailAsClosed) {
 }
 
 TEST(DistWire, MessageChannelThrowsOnCorruptedStream) {
-  auto [a, b] = LoopbackStream::make_pair();
+  auto [a, b] = make_socketpair_streams();
   MessageChannel receiver(b.get());
   const std::uint8_t garbage[16] = {0x42, 0x42, 0x42, 0x42, 1, 2, 3, 4,
                                     5,    6,    7,    8,    9, 9, 9, 9};
@@ -304,6 +304,16 @@ TEST(DistWire, MessageChannelThrowsOnCorruptedStream) {
   std::vector<std::uint8_t> payload;
   EXPECT_THROW((void)receiver.poll_payload(payload, 1000),
                std::runtime_error);
+}
+
+TEST(DistWire, SendToClosedPeerThrows) {
+  // A collector that died leaves the learner writing into a closed socket:
+  // the write must fail as an exception the pool can recover from, not as
+  // a SIGPIPE that kills the process.
+  auto [a, b] = make_socketpair_streams();
+  b.reset();
+  const std::uint8_t byte = 7;
+  EXPECT_THROW(a->send(&byte, 1), std::runtime_error);
 }
 
 }  // namespace
