@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -32,6 +33,9 @@ void run_collector(ByteStream& stream, const core::MirasConfig& config,
   std::size_t credit = 0;
   std::size_t batches_sent = 0;
   std::vector<std::uint8_t> payload;
+  // One writer serves every outgoing message; it stops allocating once it
+  // has held the largest batch.
+  persist::BinaryWriter out;
 
   for (;;) {
     // Work while allowed: credit gates every send, so when the learner
@@ -39,7 +43,7 @@ void run_collector(ByteStream& stream, const core::MirasConfig& config,
     if (weights && !queue.empty() && credit > 0) {
       const core::EpisodeSpec spec = queue.front();
       queue.pop_front();
-      const core::CollectedEpisode episode =
+      core::CollectedEpisode episode =
           core::run_shard_episode(spec, weights->random_actions,
                                   weights->behavior, config, make_env,
                                   &env_pool);
@@ -49,8 +53,8 @@ void run_collector(ByteStream& stream, const core::MirasConfig& config,
       batch.batch_seq = next_seq++;
       batch.episode_index = episode.index;
       batch.constraint_violations = episode.constraint_violations;
-      batch.transitions = episode.transitions;
-      persist::BinaryWriter out;
+      batch.transitions = std::move(episode.transitions);
+      out.clear();
       encode_batch(out, batch);
       channel.send_message(out);
       --credit;
@@ -65,7 +69,7 @@ void run_collector(ByteStream& stream, const core::MirasConfig& config,
         channel.poll_payload(payload, options.idle_timeout_ms);
     if (status == RecvStatus::kClosed) return;  // learner gone
     if (status == RecvStatus::kTimeout) {
-      persist::BinaryWriter out;
+      out.clear();
       encode_heartbeat(out, HeartbeatMsg{options.collector_id});
       channel.send_message(out);
       continue;

@@ -216,10 +216,14 @@ std::vector<core::CollectedEpisode> CollectorPool::collect(
 
       // Not caught: a batch holding a NaN or Inf is thrown out of collect()
       // as decoded. A respawn would replay the same deterministic episode.
-      decode_batch_into(in, batch_scratch_);
-      in.expect_end();
+      decode_batch_key(in, batch_scratch_);
       const BatchMsg& batch = batch_scratch_;
-      if (batch.round != round_) continue;  // stale leftover: drop
+      if (batch.round != round_) {
+        // Stale leftover: checked like any batch, then dropped.
+        decode_transitions_into(in, batch_scratch_.transitions);
+        in.expect_end();
+        continue;
+      }
       if (batch.collector_id != static_cast<std::uint32_t>(k) ||
           batch.batch_seq != slot.folded)
         throw std::runtime_error(
@@ -233,10 +237,12 @@ std::vector<core::CollectedEpisode> CollectorPool::collect(
       MIRAS_EXPECTS(specs[pos].index == batch.episode_index);
       MIRAS_EXPECTS(!have_[pos]);
       core::CollectedEpisode& episode = results_[pos];
+      // The transitions decode straight into their result slot.
+      decode_transitions_into(in, episode.transitions);
+      in.expect_end();
       episode.index = batch.episode_index;
       episode.constraint_violations =
           static_cast<std::size_t>(batch.constraint_violations);
-      episode.transitions = batch.transitions;
       have_[pos] = true;
       ++slot.folded;
       --pending_;

@@ -130,7 +130,9 @@ class CollectorPool final : public core::CollectionBackend {
   std::vector<bool> have_;
   std::size_t pending_ = 0;
   std::size_t total_folded_ = 0;
-  BatchMsg batch_scratch_;  // decode target reused across every batch
+  // Decode target of every batch's key fields, and of a stale batch's
+  // transitions; a current batch's transitions decode into results_.
+  BatchMsg batch_scratch_;
 };
 
 /// Spawner factories. All collectors run the same (config, make_env) as

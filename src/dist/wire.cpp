@@ -1,23 +1,21 @@
 #include "dist/wire.h"
 
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace miras::dist {
 
 namespace {
-/// Throws naming transition `t` and the first non-finite entry of `field`.
-void require_finite(const std::vector<double>& values, const char* field,
-                    std::size_t t) {
-  for (std::size_t i = 0; i < values.size(); ++i)
-    if (!std::isfinite(values[i]))
-      throw std::runtime_error(
-          "dist: Batch transition " + std::to_string(t) + " has non-finite " +
-          field + "[" + std::to_string(i) + "] = " +
-          std::to_string(values[i]));
-}
+/// Bytes a transition takes on the wire at the least: three empty
+/// sequences' lengths and the reward.
+constexpr std::size_t kMinTransitionBytes = 4 * 8;
+/// Bytes of one EpisodeSpec in an Assign: index, length, seed.
+constexpr std::size_t kEpisodeSpecBytes = 3 * 8;
+/// Largest read of MessageChannel::poll_payload, straight into the
+/// decoder's buffer: a ~90 KB Weights frame takes a few reads, not one per
+/// 4 KB.
+constexpr std::size_t kRecvChunk = 64 * 1024;
 }  // namespace
 
 void encode_hello(persist::BinaryWriter& out, const HelloMsg& m) {
@@ -105,8 +103,7 @@ AssignMsg decode_assign(persist::BinaryReader& in) {
   AssignMsg m;
   m.round = in.u64();
   m.start_seq = in.u64();
-  const std::uint64_t count = in.u64();
-  m.episodes.resize(static_cast<std::size_t>(count));
+  m.episodes.resize(in.count(kEpisodeSpecBytes));
   for (core::EpisodeSpec& spec : m.episodes) {
     spec.index = static_cast<std::size_t>(in.u64());
     spec.length = static_cast<std::size_t>(in.u64());
@@ -127,29 +124,32 @@ HeartbeatMsg decode_heartbeat(persist::BinaryReader& in) {
   return m;
 }
 
-void decode_batch_into(persist::BinaryReader& in, BatchMsg& out) {
+void decode_batch_key(persist::BinaryReader& in, BatchMsg& out) {
   out.collector_id = in.u32();
   out.round = in.u64();
   out.batch_seq = in.u64();
   out.episode_index = in.u64();
   out.constraint_violations = in.u64();
-  const std::uint64_t count = in.u64();
+}
+
+void decode_transitions_into(persist::BinaryReader& in,
+                             std::vector<envmodel::Transition>& out) {
   // resize keeps existing elements' vector capacity; with a stable episode
   // shape no steady-state allocation happens here.
-  out.transitions.resize(static_cast<std::size_t>(count));
-  for (std::size_t k = 0; k < out.transitions.size(); ++k) {
-    envmodel::Transition& t = out.transitions[k];
+  out.resize(in.count(kMinTransitionBytes));
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    envmodel::Transition& t = out[k];
     in.vec_f64_into(t.state);
-    require_finite(t.state, "state", k);
     in.vec_i32_into(t.action);
     in.vec_f64_into(t.next_state);
-    require_finite(t.next_state, "next_state", k);
     t.reward = in.f64();
-    if (!std::isfinite(t.reward))
-      throw std::runtime_error("dist: Batch transition " + std::to_string(k) +
-                               " has non-finite reward = " +
-                               std::to_string(t.reward));
+    envmodel::require_finite(t, "dist: Batch transition", k);
   }
+}
+
+void decode_batch_into(persist::BinaryReader& in, BatchMsg& out) {
+  decode_batch_key(in, out);
+  decode_transitions_into(in, out.transitions);
 }
 
 MessageChannel::MessageChannel(ByteStream* stream) : stream_(stream) {}
@@ -185,10 +185,10 @@ RecvStatus MessageChannel::poll_payload(std::vector<std::uint8_t>& payload,
                   std::chrono::duration_cast<std::chrono::milliseconds>(
                       deadline - now)
                       .count());
-    std::uint8_t chunk[4096];
-    const RecvResult r = stream_->recv_some(chunk, sizeof chunk, remaining);
+    const RecvResult r = stream_->recv_some(decoder_.prepare(kRecvChunk),
+                                            kRecvChunk, remaining);
     if (r.status == RecvStatus::kData) {
-      decoder_.feed(chunk, r.bytes);
+      decoder_.commit(r.bytes);
       continue;
     }
     if (r.status == RecvStatus::kClosed) {

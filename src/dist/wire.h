@@ -104,12 +104,21 @@ AssignMsg decode_assign(persist::BinaryReader& in);
 CreditMsg decode_credit(persist::BinaryReader& in);
 HeartbeatMsg decode_heartbeat(persist::BinaryReader& in);
 
-/// Batch decoding into a reused message: transition vectors keep their
-/// capacity across calls, so the learner's steady-state ingest of
-/// same-shaped batches allocates nothing. Throws std::runtime_error naming
-/// the transition and index of the first NaN or +-Inf in a state,
-/// next_state or reward: a collector runs a deterministic episode, so such
-/// a batch is a fault to surface, not a death to respawn past.
+/// Batch decoding in two steps, so the learner can check a batch's merge
+/// key before choosing where its transitions land. decode_batch_key reads
+/// every field ahead of the transitions into `out`, leaving
+/// out.transitions alone. decode_transitions_into then reads the
+/// transitions into `out` (resized; each transition's vectors keep their
+/// capacity, so the steady-state ingest of same-shaped batches allocates
+/// nothing). It throws std::runtime_error naming the transition and index
+/// of the first NaN or +-Inf in a state, next_state or reward: a collector
+/// runs a deterministic episode, so such a batch is a fault to surface, not
+/// a death to respawn past.
+void decode_batch_key(persist::BinaryReader& in, BatchMsg& out);
+void decode_transitions_into(persist::BinaryReader& in,
+                             std::vector<envmodel::Transition>& out);
+
+/// Both steps into one reused message.
 void decode_batch_into(persist::BinaryReader& in, BatchMsg& out);
 
 /// Thrown by MessageChannel::poll_payload on a corrupted frame (bad

@@ -1,5 +1,6 @@
 #include "envmodel/dataset.h"
 
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,28 @@
 #include "common/contracts.h"
 
 namespace miras::envmodel {
+
+namespace {
+void require_finite_values(const std::vector<double>& values,
+                           const char* field, const char* what,
+                           std::size_t index) {
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if (!std::isfinite(values[i]))
+      throw std::runtime_error(std::string(what) + " " +
+                               std::to_string(index) + " has non-finite " +
+                               field + "[" + std::to_string(i) +
+                               "] = " + std::to_string(values[i]));
+}
+}  // namespace
+
+void require_finite(const Transition& t, const char* what, std::size_t index) {
+  require_finite_values(t.state, "state", what, index);
+  require_finite_values(t.next_state, "next_state", what, index);
+  if (!std::isfinite(t.reward))
+    throw std::runtime_error(std::string(what) + " " + std::to_string(index) +
+                             " has non-finite reward = " +
+                             std::to_string(t.reward));
+}
 
 TransitionDataset::TransitionDataset(std::size_t state_dim,
                                      std::size_t action_dim)
@@ -20,6 +43,8 @@ void TransitionDataset::add(Transition transition) {
   MIRAS_EXPECTS(transition.state.size() == state_dim_);
   MIRAS_EXPECTS(transition.action.size() == action_dim_);
   MIRAS_EXPECTS(transition.next_state.size() == state_dim_);
+  require_finite(transition, "envmodel: dataset transition",
+                 transitions_.size());
   transitions_.push_back(std::move(transition));
 }
 

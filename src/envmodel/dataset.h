@@ -17,6 +17,12 @@ struct Transition {
   double reward = 0.0;
 };
 
+/// Throws std::runtime_error "<what> <index> has non-finite <field>[i] = v"
+/// for the first NaN or +-Inf in t.state, t.next_state or t.reward (checked
+/// in that order; the reward message has no [i]). The dist Batch decoder and
+/// TransitionDataset::add share it.
+void require_finite(const Transition& t, const char* what, std::size_t index);
+
 class TransitionDataset {
  public:
   TransitionDataset(std::size_t state_dim, std::size_t action_dim);
@@ -26,7 +32,10 @@ class TransitionDataset {
   std::size_t size() const { return transitions_.size(); }
   bool empty() const { return transitions_.empty(); }
 
-  /// Appends one transition; dimensions must match.
+  /// Appends one transition; dimensions must match, and a NaN or +-Inf in
+  /// its state, next_state or reward throws std::runtime_error naming the
+  /// field and index (require_finite), so bad observations never reach the
+  /// dynamics-model fit.
   void add(Transition transition);
 
   const Transition& operator[](std::size_t i) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/contracts.h"
+#include "nn/serialize.h"
 
 namespace miras::nn {
 
@@ -61,30 +62,17 @@ void AdamOptimizer::step_scaled(std::vector<DenseLayer>& layers,
 }
 
 namespace {
+// Moments travel as nn::write_tensor does it: shape, then the values.
 void write_tensor_state(persist::BinaryWriter& out,
                         const std::vector<Tensor>& tensors) {
   out.u64(tensors.size());
-  for (const Tensor& t : tensors) {
-    out.u64(t.rows());
-    out.u64(t.cols());
-    for (std::size_t i = 0; i < t.size(); ++i) out.f64(t.data()[i]);
-  }
+  for (const Tensor& t : tensors) write_tensor(out, t);
 }
 
 std::vector<Tensor> read_tensor_state(persist::BinaryReader& in) {
   const std::uint64_t count = in.u64();
   std::vector<Tensor> tensors;
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t rows = in.u64();
-    const std::uint64_t cols = in.u64();
-    if (rows != 0 && cols > in.remaining() / 8 / rows)
-      throw std::runtime_error(
-          "persist: optimizer moment shape exceeds remaining data in " +
-          in.context());
-    Tensor t(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-    for (std::size_t i = 0; i < t.size(); ++i) t.data()[i] = in.f64();
-    tensors.push_back(std::move(t));
-  }
+  for (std::uint64_t k = 0; k < count; ++k) tensors.push_back(read_tensor(in));
   return tensors;
 }
 }  // namespace

@@ -37,7 +37,7 @@ Activation read_activation(persist::BinaryReader& in) {
 void write_tensor(persist::BinaryWriter& out, const Tensor& tensor) {
   out.u64(tensor.rows());
   out.u64(tensor.cols());
-  for (std::size_t i = 0; i < tensor.size(); ++i) out.f64(tensor.data()[i]);
+  out.f64_array(tensor.data(), tensor.size());
 }
 
 Tensor read_tensor(persist::BinaryReader& in) {
@@ -49,7 +49,7 @@ Tensor read_tensor(persist::BinaryReader& in) {
                              in.context() +
                              " exceeds remaining data — corrupted");
   Tensor tensor(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  for (std::size_t i = 0; i < tensor.size(); ++i) tensor.data()[i] = in.f64();
+  in.f64_array(tensor.data(), tensor.size());
   return tensor;
 }
 

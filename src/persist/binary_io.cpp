@@ -1,25 +1,15 @@
 #include "persist/binary_io.h"
 
-#include <bit>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 namespace miras::persist {
 
-void BinaryWriter::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
+std::uint8_t* BinaryWriter::extend(std::size_t count) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + count);
+  return buf_.data() + at;
 }
-
-void BinaryWriter::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void BinaryWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void BinaryWriter::str(std::string_view s) {
   if (s.size() > std::numeric_limits<std::uint32_t>::max())
@@ -30,17 +20,25 @@ void BinaryWriter::str(std::string_view s) {
 
 void BinaryWriter::vec_f64(const std::vector<double>& v) {
   u64(v.size());
-  for (const double x : v) f64(x);
+  f64_array(v.data(), v.size());
 }
 
 void BinaryWriter::vec_u64(const std::vector<std::uint64_t>& v) {
   u64(v.size());
-  for (const std::uint64_t x : v) u64(x);
+  detail::store_le_array(extend(8 * v.size()), v.data(), v.size());
 }
 
 void BinaryWriter::vec_i32(const std::vector<int>& v) {
   u64(v.size());
-  for (const int x : v) u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
+  std::uint8_t* out = extend(8 * v.size());
+  for (const int x : v) {
+    detail::store_le(out, static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
+    out += 8;
+  }
+}
+
+void BinaryWriter::f64_array(const double* data, std::size_t count) {
+  detail::store_le_array(extend(8 * count), data, count);
 }
 
 void BinaryWriter::raw(const void* data, std::size_t size) {
@@ -63,25 +61,6 @@ const std::uint8_t* BinaryReader::need(std::size_t count) {
   return at;
 }
 
-std::uint8_t BinaryReader::u8() { return *need(1); }
-
-std::uint32_t BinaryReader::u32() {
-  const std::uint8_t* p = need(4);
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t BinaryReader::u64() {
-  const std::uint8_t* p = need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double BinaryReader::f64() { return std::bit_cast<double>(u64()); }
-
 bool BinaryReader::boolean() {
   const std::uint8_t v = u8();
   if (v > 1)
@@ -95,52 +74,58 @@ std::string BinaryReader::str() {
   return std::string(reinterpret_cast<const char*>(p), length);
 }
 
-namespace {
-// Sequence lengths are validated against the bytes actually remaining, so a
-// corrupted length cannot drive a multi-gigabyte allocation before the
-// bounds check would fire element by element.
-std::size_t checked_count(std::uint64_t count, std::size_t element_size,
-                          std::size_t remaining, const std::string& context) {
-  if (count > remaining / element_size)
+std::size_t BinaryReader::count(std::size_t min_element_bytes) {
+  const std::uint64_t length = u64();
+  // Sequence lengths are validated against the bytes actually remaining,
+  // so a corrupted length cannot drive a multi-gigabyte allocation.
+  if (length > remaining() / min_element_bytes)
     throw std::runtime_error("persist: sequence length " +
-                             std::to_string(count) + " in " + context +
+                             std::to_string(length) + " in " + context_ +
                              " exceeds remaining data — truncated or "
                              "corrupted data");
-  return static_cast<std::size_t>(count);
+  return static_cast<std::size_t>(length);
 }
-}  // namespace
 
 std::vector<double> BinaryReader::vec_f64() {
-  const std::size_t count = checked_count(u64(), 8, remaining(), context_);
-  std::vector<double> v(count);
-  for (double& x : v) x = f64();
+  std::vector<double> v;
+  vec_f64_into(v);
   return v;
 }
 
 std::vector<std::uint64_t> BinaryReader::vec_u64() {
-  const std::size_t count = checked_count(u64(), 8, remaining(), context_);
-  std::vector<std::uint64_t> v(count);
-  for (std::uint64_t& x : v) x = u64();
+  std::vector<std::uint64_t> v(count(8));
+  detail::load_le_array(v.data(), need(8 * v.size()), v.size());
   return v;
 }
 
 std::vector<int> BinaryReader::vec_i32() {
-  const std::size_t count = checked_count(u64(), 8, remaining(), context_);
-  std::vector<int> v(count);
-  for (int& x : v) x = static_cast<int>(static_cast<std::int64_t>(u64()));
+  std::vector<int> v;
+  vec_i32_into(v);
   return v;
 }
 
 void BinaryReader::vec_f64_into(std::vector<double>& out) {
-  const std::size_t count = checked_count(u64(), 8, remaining(), context_);
-  out.resize(count);
-  for (double& x : out) x = f64();
+  out.resize(count(8));
+  f64_array(out.data(), out.size());
 }
 
 void BinaryReader::vec_i32_into(std::vector<int>& out) {
-  const std::size_t count = checked_count(u64(), 8, remaining(), context_);
-  out.resize(count);
-  for (int& x : out) x = static_cast<int>(static_cast<std::int64_t>(u64()));
+  out.resize(count(8));
+  const std::uint8_t* p = need(8 * out.size());
+  for (int& x : out) {
+    x = static_cast<int>(
+        static_cast<std::int64_t>(detail::load_le<std::uint64_t>(p)));
+    p += 8;
+  }
+}
+
+void BinaryReader::f64_array(double* out, std::size_t count) {
+  if (count > remaining() / 8)
+    throw std::runtime_error("persist: read past end of " + context_ +
+                             " (wanted " + std::to_string(count) +
+                             " doubles, have " + std::to_string(remaining()) +
+                             " bytes) — truncated or corrupted data");
+  detail::load_le_array(out, need(8 * count), count);
 }
 
 void BinaryReader::expect_end() const {

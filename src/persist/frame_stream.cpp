@@ -7,23 +7,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/contracts.h"
 #include "persist/crc32.h"
+#include "persist/little_endian.h"
 
 namespace miras::persist {
 
 namespace {
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
 std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+  return detail::load_le<std::uint32_t>(p);
 }
 }  // namespace
 
@@ -49,41 +41,50 @@ void append_frame(std::vector<std::uint8_t>& out, const void* payload,
     throw std::runtime_error("persist: frame payload of " +
                              std::to_string(size) +
                              " bytes exceeds the frame size cap");
-  const auto* bytes = static_cast<const std::uint8_t*>(payload);
-  put_u32(out, kFrameMagic);
-  put_u32(out, static_cast<std::uint32_t>(size));
-  put_u32(out, crc32_of(bytes, size));
-  out.insert(out.end(), bytes, bytes + size);
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderSize + size);
+  std::uint8_t* frame = out.data() + at;
+  detail::store_le(frame, kFrameMagic);
+  detail::store_le(frame + 4, static_cast<std::uint32_t>(size));
+  detail::store_le(frame + 8, crc32_of(payload, size));
+  if (size > 0) std::memcpy(frame + kFrameHeaderSize, payload, size);
 }
 
 void FrameDecoder::feed(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buffer_.insert(buffer_.end(), bytes, bytes + size);
+  std::uint8_t* at = prepare(size);
+  if (size > 0) std::memcpy(at, data, size);
+  commit(size);
+}
+
+std::uint8_t* FrameDecoder::prepare(std::size_t size) {
+  compact();
+  if (buffer_.size() - end_ < size) buffer_.resize(end_ + size);
+  return buffer_.data() + end_;
+}
+
+void FrameDecoder::commit(std::size_t size) {
+  MIRAS_EXPECTS(size <= buffer_.size() - end_);
+  end_ += size;
   finished_ = false;
 }
 
-bool FrameDecoder::header_at(std::size_t pos,
-                             std::uint32_t& payload_len) const {
-  if (buffer_.size() - pos < kFrameHeaderSize) return false;
-  if (get_u32(buffer_.data() + pos) != kFrameMagic) return false;
-  payload_len = get_u32(buffer_.data() + pos + 4);
-  return true;
-}
-
 void FrameDecoder::compact() {
-  // Reclaim the consumed prefix once it dominates the buffer, so a
-  // long-lived decoder's memory stays bounded by the high-water frame size
-  // instead of growing with total stream volume.
-  if (head_ > 4096 && head_ * 2 >= buffer_.size()) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+  // Reclaim the consumed prefix: free when nothing is buffered, else once
+  // it dominates the live bytes, so a long-lived decoder's memory stays
+  // bounded by the high-water frame size instead of growing with total
+  // stream volume.
+  if (head_ == end_) {
+    head_ = end_ = 0;
+  } else if (head_ > 4096 && head_ >= end_ - head_) {
+    std::memmove(buffer_.data(), buffer_.data() + head_, end_ - head_);
+    end_ -= head_;
     head_ = 0;
   }
 }
 
 bool FrameDecoder::next(std::vector<std::uint8_t>& payload) {
   if (error_ != FrameError::kNone) return false;
-  const std::size_t available = buffer_.size() - head_;
+  const std::size_t available = end_ - head_;
   if (available < kFrameHeaderSize) {
     if (finished_ && available > 0) error_ = FrameError::kTruncated;
     return false;
@@ -107,10 +108,8 @@ bool FrameDecoder::next(std::vector<std::uint8_t>& payload) {
     error_ = FrameError::kBadCrc;
     return false;
   }
-  payload.resize(payload_len);
-  std::memcpy(payload.data(), body, payload_len);
+  payload.assign(body, body + payload_len);
   head_ += kFrameHeaderSize + payload_len;
-  compact();
   return true;
 }
 

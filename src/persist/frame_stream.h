@@ -64,6 +64,12 @@ class FrameDecoder {
   /// Buffers `size` incoming bytes (any chunking).
   void feed(const void* data, std::size_t size);
 
+  /// The zero-copy form of feed(): returns room for `size` more bytes at
+  /// the end of the buffer, valid until the next call on the decoder. A
+  /// reader writes n <= size bytes there, then calls commit(n).
+  std::uint8_t* prepare(std::size_t size);
+  void commit(std::size_t size);
+
   /// Extracts the next complete frame's payload into `payload` (resized,
   /// capacity reused). Returns true when a frame was produced; false when
   /// more bytes are needed *or* the decoder is in an error state — check
@@ -77,16 +83,16 @@ class FrameDecoder {
   FrameError error() const { return error_; }
 
   /// True when no partial frame is buffered (a clean stream boundary).
-  bool at_boundary() const { return buffer_.size() == head_; }
+  bool at_boundary() const { return end_ == head_; }
 
-  std::size_t buffered_bytes() const { return buffer_.size() - head_; }
+  std::size_t buffered_bytes() const { return end_ - head_; }
 
  private:
-  bool header_at(std::size_t pos, std::uint32_t& payload_len) const;
   void compact();
 
   std::vector<std::uint8_t> buffer_;
   std::size_t head_ = 0;  // consumed prefix of buffer_
+  std::size_t end_ = 0;   // bytes of buffer_ holding received data
   FrameError error_ = FrameError::kNone;
   bool finished_ = false;
 };

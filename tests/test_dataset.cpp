@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/contracts.h"
 
@@ -48,6 +52,42 @@ TEST(TransitionDataset, DimensionsValidated) {
   Transition bad_next = make_transition(0.0);
   bad_next.next_state.clear();
   EXPECT_THROW(data.add(bad_next), ContractViolation);
+}
+
+TEST(TransitionDataset, NonFiniteValuesRejectedNamingFieldAndIndex) {
+  // One case per field: a NaN or +-Inf throws its own error naming the
+  // dataset position, the field and the index, and the dataset is
+  // unchanged.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::size_t index;
+    double value;
+    std::string expected;
+  };
+  const std::vector<Case> cases = {
+      {"state", 1, kNan, "dataset transition 1 has non-finite state[1]"},
+      {"next_state", 0, kInf,
+       "dataset transition 1 has non-finite next_state[0]"},
+      {"reward", 0, -kInf, "dataset transition 1 has non-finite reward"},
+  };
+  for (const Case& c : cases) {
+    TransitionDataset data(2, 2);
+    data.add(make_transition(1.0));
+    Transition bad = make_transition(2.0);
+    if (std::string(c.field) == "state") bad.state[c.index] = c.value;
+    if (std::string(c.field) == "next_state") bad.next_state[c.index] = c.value;
+    if (std::string(c.field) == "reward") bad.reward = c.value;
+    try {
+      data.add(bad);
+      ADD_FAILURE() << "accepted " << c.expected;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.expected), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(data.size(), 1u);
+  }
 }
 
 TEST(TransitionDataset, StateDimensionExtraction) {

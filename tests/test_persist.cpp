@@ -130,6 +130,43 @@ TEST(Crc32, ChunkedEqualsOneShot) {
   EXPECT_EQ(crc32_final(crc), crc32_of(data.data(), data.size()));
 }
 
+// The definition of CRC-32, one bit at a time, with no table: the oracle
+// the sliced implementation is checked against.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseReference) {
+  Rng rng(77);
+  std::vector<std::uint8_t> data(300 + 8);
+  for (std::uint8_t& b : data)
+    b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  // Every length 0-300 at every offset 0-7, so each 8-byte block and each
+  // tail length is read at every alignment.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 300; ++length)
+      ASSERT_EQ(crc32_of(data.data() + offset, length),
+                bitwise_crc32(data.data() + offset, length))
+          << "offset " << offset << " length " << length;
+  // Chunked updates whose split points fall inside 8-byte blocks.
+  for (std::size_t first = 0; first <= 24; ++first)
+    for (std::size_t second = 0; second <= 24; ++second) {
+      std::uint32_t crc = crc32_init();
+      crc = crc32_update(crc, data.data(), first);
+      crc = crc32_update(crc, data.data() + first, second);
+      crc = crc32_update(crc, data.data() + first + second,
+                         300 - first - second);
+      ASSERT_EQ(crc32_final(crc), bitwise_crc32(data.data(), 300))
+          << "split at " << first << " and " << first + second;
+    }
+}
+
 TEST(Checkpoint, RoundtripsSectionsInMemory) {
   CheckpointWriter writer;
   BinaryWriter a;
