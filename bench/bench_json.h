@@ -1,48 +1,29 @@
-// Shared plumbing for the google-benchmark micro benches: a heap byte
-// counter (the replaceable global operator new below feeds it), the
+// Shared plumbing for the google-benchmark micro benches: the heap byte
+// counter (alloc_counter.h) behind a bytes_per_op counter, the
 // `--json <path>` writer, and `JsonCapturingReporter`, which captures every
 // run for it. bench/check_gates.py reads the files and enforces the bounds.
 //
-// Include from exactly ONE translation unit per binary: this header defines
-// the replaceable global operator new/delete so that allocation counts need
-// no instrumentation in the measured code. Each micro bench is a single-file
-// executable, which satisfies that by construction.
+// Include from exactly ONE translation unit per binary: through
+// alloc_counter.h this header defines the replaceable global operator
+// new/delete. Each micro bench is a single-file executable, which satisfies
+// that by construction.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
+
 namespace miras::bench {
-
-/// Total bytes ever requested through global operator new. Monotonic;
-/// benchmarks record a delta around their timed loop and divide by the
-/// iteration count. Relaxed atomics: the counter is read single-threadedly
-/// between runs, never used for synchronisation.
-inline std::atomic<std::uint64_t>& allocated_bytes() {
-  static std::atomic<std::uint64_t> bytes{0};
-  return bytes;
-}
-
-/// Attaches a "bytes_per_op" user counter covering the benchmark's timed
-/// loop. Usage:
-///   const std::uint64_t alloc0 = bench::allocation_mark();
-///   for (auto _ : state) { ... }
-///   bench::record_bytes_per_op(state, alloc0);
-inline std::uint64_t allocation_mark() {
-  return allocated_bytes().load(std::memory_order_relaxed);
-}
 
 struct BenchRecord {
   std::string op;
@@ -84,9 +65,13 @@ inline bool write_bench_json(const std::string& path,
   return out.good();
 }
 
+/// Attaches a "bytes_per_op" user counter covering the benchmark's timed
+/// loop. Usage:
+///   const std::uint64_t alloc0 = bench::allocation_mark();
+///   for (auto _ : state) { ... }
+///   bench::record_bytes_per_op(state, alloc0);
 inline void record_bytes_per_op(benchmark::State& state, std::uint64_t mark) {
-  const std::uint64_t delta =
-      allocated_bytes().load(std::memory_order_relaxed) - mark;
+  const std::uint64_t delta = allocation_mark() - mark;
   state.counters["bytes_per_op"] = benchmark::Counter(
       state.iterations() > 0
           ? static_cast<double>(delta) / static_cast<double>(state.iterations())
@@ -206,30 +191,3 @@ inline int run_benchmarks(int argc, char** argv) {
 }
 
 }  // namespace miras::bench
-
-// Replaceable global allocation functions feeding the byte counter. Sized
-// and unsized deletes both forward to free; the count tracks requests, not
-// live bytes, which is what a "did this path allocate at all" check needs.
-// new/delete pair up malloc/free consistently here, so the compiler's
-// mismatch heuristic (which only sees the free) is a false positive.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  miras::bench::allocated_bytes().fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif

@@ -42,6 +42,7 @@ envmodel::TransitionDataset collect_random_trace(
   Rng rng(seed);
   std::vector<double> state = system.reset();
   std::vector<int> action;
+  sim::WindowStats window;
   for (std::size_t step = 0; step < entries; ++step) {
     if (step % 4 == 0) {  // actions change every 4 steps (§VI-B)
       std::vector<double> weights(system.action_dim());
@@ -54,9 +55,9 @@ envmodel::TransitionDataset collect_random_trace(
       action = rl::allocation_from_weights(weights, system.consumer_budget(),
                                            rl::RoundingMode::kLargestRemainder);
     }
-    const sim::StepResult result = system.step(action);
-    data.add(envmodel::Transition{state, action, result.state, result.reward});
-    state = result.state;
+    system.step(action, window);
+    data.add(envmodel::Transition{state, action, window.wip, window.reward});
+    state = window.wip;
     if ((step + 1) % 25 == 0) state = system.reset();  // reset cadence (§VI-A3)
   }
   return data;

@@ -1,7 +1,7 @@
 // Microbenchmarks of the neural-network substrate (google-benchmark):
-// matmul, gradient-block forward/backward passes at the paper's network
-// sizes, the batched vs per-sample inference paths, and the Adam step. The
-// full DDPG update is micro_train's BM_DdpgUpdateSharded.
+// matmul and the allocating vs workspace forward passes at the paper's
+// network sizes. The full DDPG update is micro_train's
+// BM_DdpgUpdateSharded.
 // Every benchmark reports a bytes_per_op counter (heap bytes requested per
 // timed iteration) — the workspace-based hot paths are expected to sit at
 // zero after warmup. Pass `--json <path>` to dump {op, ns_per_op,
@@ -12,10 +12,7 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
-#include "nn/loss.h"
 #include "nn/network.h"
-#include "nn/optimizer.h"
-#include "nn/train_shards.h"
 #include "nn/workspace.h"
 
 namespace miras {
@@ -77,78 +74,6 @@ void BM_ActorForwardBatched(benchmark::State& state) {
   bench::record_bytes_per_op(state, alloc0);
 }
 BENCHMARK(BM_ActorForwardBatched)->Arg(64)->Arg(256);
-
-// The same 64 samples pushed through one at a time (64 GEMVs per layer
-// instead of one GEMM) — what the lockstep rollout batching removes.
-void BM_ActorForwardPerSample(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  nn::Network net = make_mlp(width, 4, 4, rng);
-  const std::vector<double> x(4, 0.5);
-  std::vector<double> y;
-  nn::Workspace ws;
-  net.predict_one(x, ws, y);  // warmup sizes the workspace
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      net.predict_one(x, ws, y);
-      benchmark::DoNotOptimize(y.data());
-    }
-  }
-  bench::record_bytes_per_op(state, alloc0);
-}
-BENCHMARK(BM_ActorForwardPerSample)->Arg(64)->Arg(256);
-
-// Forward + mean-squared loss + backward of the whole batch, one
-// gradient block (kRowsPerBlock rows) per TrainPass; the block gradients
-// are left in the passes.
-void forward_backward(const nn::Network& net, const nn::Tensor& batch,
-                      const nn::Tensor& target,
-                      std::vector<nn::TrainPass>& passes) {
-  for (std::size_t m = 0; m < passes.size(); ++m) {
-    const nn::RowRange rows = nn::row_block(batch.rows(), m);
-    nn::TrainPass& pass = passes[m];
-    nn::prepare_pass(net.layers(), pass);
-    nn::copy_rows(batch, rows, pass.in);
-    nn::copy_rows(target, rows, pass.target);
-    pass.loss = nn::mse_loss_partial_into(net.forward_shard(pass.in, pass),
-                                          pass.target, target.size(),
-                                          pass.loss_grad);
-    benchmark::DoNotOptimize(
-        net.backward_shard(pass.in, pass.loss_grad, pass).data());
-  }
-}
-
-void BM_ActorForwardBackward(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  nn::Network net = make_mlp(width, 4, 4, rng);
-  nn::Tensor batch(64, 4, 0.5);
-  nn::Tensor target(64, 4, 0.25);
-  std::vector<nn::TrainPass> passes(nn::num_row_blocks(batch.rows()));
-  // Warmup sizes every pass's caches, accumulators and loss gradient.
-  forward_backward(net, batch, target, passes);
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) forward_backward(net, batch, target, passes);
-  bench::record_bytes_per_op(state, alloc0);
-}
-BENCHMARK(BM_ActorForwardBackward)->Arg(64)->Arg(256);
-
-void BM_AdamStep(benchmark::State& state) {
-  Rng rng(4);
-  nn::Network net = make_mlp(256, 4, 4, rng);
-  nn::Tensor batch(64, 4, 0.5);
-  nn::Tensor target(64, 4, 0.25);
-  std::vector<nn::TrainPass> passes(nn::num_row_blocks(batch.rows()));
-  forward_backward(net, batch, target, passes);
-  nn::reduce_gradients(passes, passes.size(), net.layers());
-  nn::AdamOptimizer adam(1e-3);
-  adam.step_scaled(net.layers(), 1.0);  // warmup allocates the moments
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) adam.step_scaled(net.layers(), 1.0);
-  bench::record_bytes_per_op(state, alloc0);
-}
-BENCHMARK(BM_AdamStep);
 
 }  // namespace
 }  // namespace miras

@@ -23,9 +23,9 @@
 //
 // Fields: decisions_per_sec, p50_ns, p99_ns (per-request completion
 // latency), bytes_per_op (heap bytes allocated per decision over the
-// steady-state measurement window — this TU replaces the global allocator
-// to count them; 0 is the contract for the direct, admission, and lane
-// arms), served, swaps, dropped, clients, max_batch, lanes, cpus.
+// steady-state measurement window — alloc_counter.h replaces the global
+// allocator to count them; 0 is the contract for the direct, admission, and
+// lane arms), served, swaps, dropped, clients, max_batch, lanes, cpus.
 //
 // This harness owns its timing loop (throughput and percentiles are
 // cross-thread quantities) and links no google-benchmark.
@@ -41,50 +41,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/rng.h"
 #include "rl/ddpg.h"
 #include "serve/admission.h"
 #include "serve/servable.h"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_bytes{0};
-}  // namespace
-
-// new/delete pair up malloc/free consistently here; GCC's mismatch
-// heuristic only sees the free.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace miras::serve {
 namespace {
@@ -223,14 +188,14 @@ ArmResult run_clients(std::string op, std::size_t clients, double warmup_ms,
 
   std::this_thread::sleep_for(
       std::chrono::microseconds(static_cast<long>(warmup_ms * 1000)));
-  const std::uint64_t bytes_before = g_heap_bytes.load();
+  const std::uint64_t bytes_before = bench::allocation_mark();
   const std::uint64_t t_begin = now_ns();
   measuring = true;
   std::this_thread::sleep_for(
       std::chrono::microseconds(static_cast<long>(measure_ms * 1000)));
   measuring = false;
   const std::uint64_t t_end = now_ns();
-  const std::uint64_t bytes_after = g_heap_bytes.load();
+  const std::uint64_t bytes_after = bench::allocation_mark();
   stop = true;
   for (auto& t : threads) t.join();
 

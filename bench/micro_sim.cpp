@@ -120,31 +120,49 @@ std::unique_ptr<sim::MicroserviceSystem> make_generated_system(
 // feeds them, so their rings would still grow on rare steady-state peaks
 // long after the warm-up. Here a type gets no consumers until its queue
 // reaches `depth`, so work piles up at the first unfilled type on every
-// DAG path; from the next window on it is served at twice its steady
-// allocation, so its pile drains fast. The piles also push the dependency
-// slab and the event heap past their steady watermarks. The system must be
-// fresh (no consumers yet, so WIP is queue length), with a budget of at
-// least twice `steady`'s total and short windows.
+// DAG path; from the next window on it is served at `serve_factor` times
+// its steady allocation, so its pile drains. The piles also push the
+// dependency slab and the event heap past their steady watermarks. The
+// backlog drains until no more tasks are live than `steady` has consumers.
+// The system must be fresh (no consumers yet, so WIP is queue length),
+// with a budget of at least `serve_factor` times `steady`'s total.
 void fill_every_queue(sim::MicroserviceSystem& system,
-                      const std::vector<int>& steady, double depth) {
+                      const std::vector<int>& steady, double depth,
+                      int serve_factor) {
   std::vector<int> allocation(steady.size(), 0);
   std::vector<bool> filled(steady.size());
-  for (std::size_t j = 0; j < steady.size(); ++j) filled[j] = steady[j] == 0;
+  sim::WindowStats stats;
+  std::uint64_t steady_total = 0;
+  for (std::size_t j = 0; j < steady.size(); ++j) {
+    filled[j] = steady[j] == 0;
+    steady_total += static_cast<std::uint64_t>(steady[j]);
+  }
   for (int window = 0;; ++window) {
     MIRAS_EXPECTS(window < 1000);  // every loaded type is reachable
     const std::vector<double> wip = system.observe_wip();
     bool all_filled = true;
     for (std::size_t j = 0; j < steady.size(); ++j) {
       filled[j] = filled[j] || wip[j] >= depth;
-      allocation[j] = filled[j] ? 2 * steady[j] : 0;
+      allocation[j] = filled[j] ? serve_factor * steady[j] : 0;
       all_filled = all_filled && filled[j];
     }
     if (all_filled) break;
-    (void)system.step(allocation);
+    system.step(allocation, stats);
   }
-  while (system.live_tasks() > static_cast<std::uint64_t>(kGeneratedBudget))
-    (void)system.step(allocation);
-  (void)system.step(steady);
+  while (system.live_tasks() > steady_total) system.step(allocation, stats);
+  system.step(steady, stats);
+}
+
+// Warm-up for window stepping under `allocation` (fresh system, budget
+// `allocation`'s total): every ring past depth 64, then a 200-per-type
+// burst drained with every consumer busy at once, which pushes the event
+// heap past anything the steady arrival stream reaches.
+void warm_for_windows(sim::MicroserviceSystem& system,
+                      const std::vector<int>& allocation) {
+  fill_every_queue(system, allocation, 64.0, 1);
+  system.inject_burst(sim::BurstSpec{std::vector<std::size_t>(
+      system.ensemble().num_workflows(), 200)});
+  system.run_for(5000.0);
 }
 
 // Typed queue on a fixed schedule/run pattern: 1000 POD events per
@@ -178,7 +196,8 @@ void BM_SimEventThroughput(benchmark::State& state) {
   // Warm up: allocate consumers, then push the slab, rings, and heap past
   // any watermark the steady arrival stream can reach (a 200-per-type
   // burst), and drain it. After this nothing on the stepping path grows.
-  (void)system->step(std::vector<int>{4, 4, 3, 3});
+  sim::WindowStats window;
+  system->step({4, 4, 3, 3}, window);
   system->inject_burst(sim::BurstSpec{{200, 200, 200}});
   system->run_for(5000.0);
   std::uint64_t executed = system->executed_events();
@@ -212,7 +231,7 @@ void BM_GeneratedEventThroughput(benchmark::State& state) {
   fill_every_queue(*system,
                    proportional_allocation(system->ensemble(),
                                            kGeneratedBudget),
-                   128.0);
+                   128.0, 2);
   system->run_for(200.0);
   std::uint64_t executed = system->executed_events();
   const std::uint64_t alloc0 = bench::allocation_mark();
@@ -235,10 +254,14 @@ void BM_GeneratedWindowStep(benchmark::State& state) {
   auto system = make_generated_system(generated_config());
   const std::vector<int> allocation =
       proportional_allocation(system->ensemble(), kGeneratedBudget);
-  (void)system->step(allocation);  // warm the pools
+  sim::WindowStats window;
+  system->step(allocation, window);  // warm the pools and the record
   const std::uint64_t alloc0 = bench::allocation_mark();
   std::uint64_t executed = system->executed_events();
-  for (auto _ : state) benchmark::DoNotOptimize(system->step(allocation));
+  for (auto _ : state) {
+    system->step(allocation, window);
+    benchmark::DoNotOptimize(window.reward);
+  }
   bench::record_bytes_per_op(state, alloc0);
   const auto events =
       static_cast<std::int64_t>(system->executed_events() - executed);
@@ -248,12 +271,19 @@ void BM_GeneratedWindowStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratedWindowStep)->Unit(benchmark::kMillisecond);
 
+// Window steps into one reused record on a system whose rings, slab and
+// heap are warmed past their watermarks: bytes_per_op must be exactly 0.
 void BM_MsdWindowStep(benchmark::State& state) {
   auto system = make_msd_system(1);
-  system->reset();
   const std::vector<int> allocation{4, 4, 3, 3};
+  warm_for_windows(*system, allocation);
+  sim::WindowStats window;
+  system->step(allocation, window);  // shapes the record
   const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) benchmark::DoNotOptimize(system->step(allocation));
+  for (auto _ : state) {
+    system->step(allocation, window);
+    benchmark::DoNotOptimize(window.reward);
+  }
   bench::record_bytes_per_op(state, alloc0);
   state.SetItemsProcessed(state.iterations());
 }
@@ -264,10 +294,15 @@ void BM_LigoWindowStep(benchmark::State& state) {
   config.consumer_budget = workflows::kLigoConsumerBudget;
   config.seed = 1;
   sim::MicroserviceSystem system(workflows::make_ligo_ensemble(), config);
-  system.reset();
   const std::vector<int> allocation{4, 3, 4, 3, 3, 3, 4, 3, 3};
+  warm_for_windows(system, allocation);
+  sim::WindowStats window;
+  system.step(allocation, window);  // shapes the record
   const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) benchmark::DoNotOptimize(system.step(allocation));
+  for (auto _ : state) {
+    system.step(allocation, window);
+    benchmark::DoNotOptimize(window.reward);
+  }
   bench::record_bytes_per_op(state, alloc0);
   state.SetItemsProcessed(state.iterations());
 }
@@ -276,14 +311,17 @@ BENCHMARK(BM_LigoWindowStep);
 void BM_MsdBurstDrain(benchmark::State& state) {
   auto system = make_msd_system(1);
   const std::vector<int> allocation{4, 4, 3, 3};
+  sim::WindowStats window;
   const std::uint64_t alloc0 = bench::allocation_mark();
   for (auto _ : state) {
     state.PauseTiming();
     system->reset();
     system->inject_burst(sim::BurstSpec{{100, 100, 100}});
     state.ResumeTiming();
-    for (int k = 0; k < 10; ++k)
-      benchmark::DoNotOptimize(system->step(allocation));
+    for (int k = 0; k < 10; ++k) {
+      system->step(allocation, window);
+      benchmark::DoNotOptimize(window.reward);
+    }
   }
   bench::record_bytes_per_op(state, alloc0);
   state.SetItemsProcessed(state.iterations() * 10);
@@ -296,9 +334,10 @@ void BM_SystemReset(benchmark::State& state) {
   config.seed = 1;
   sim::MicroserviceSystem system(workflows::make_ligo_ensemble(), config);
   const std::vector<int> allocation(9, 3);
+  sim::WindowStats window;
   const std::uint64_t alloc0 = bench::allocation_mark();
   for (auto _ : state) {
-    for (int k = 0; k < 3; ++k) (void)system.step(allocation);
+    for (int k = 0; k < 3; ++k) system.step(allocation, window);
     benchmark::DoNotOptimize(system.reset());
   }
   bench::record_bytes_per_op(state, alloc0);
@@ -310,7 +349,8 @@ BENCHMARK(BM_SystemReset);
 // stays off the allocator.
 void BM_ResetReuse(benchmark::State& state) {
   auto system = make_msd_system(1);
-  (void)system->step(std::vector<int>{4, 4, 3, 3});  // warm the pools
+  sim::WindowStats window;
+  system->step({4, 4, 3, 3}, window);  // warm the pools
   const std::uint64_t alloc0 = bench::allocation_mark();
   for (auto _ : state) {
     benchmark::DoNotOptimize(system->reset());
@@ -340,9 +380,10 @@ void BM_PooledEpisodes(benchmark::State& state) {
       } else {
         system = make_msd_system(shard_seed(7, i));
       }
-      std::vector<double> wip = system->reset();
-      for (int step = 0; step < 20; ++step) wip = system->step(hold).state;
-      benchmark::DoNotOptimize(wip.data());
+      system->reset();
+      sim::WindowStats window;
+      for (int step = 0; step < 20; ++step) system->step(hold, window);
+      benchmark::DoNotOptimize(window.wip.data());
       systems.release(std::move(system));
     });
   }

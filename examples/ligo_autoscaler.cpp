@@ -53,23 +53,22 @@ int main() {
   for (int k = 0; k < 40; ++k) {
     const auto allocation =
         policy->decide(last, eval_system.consumer_budget());
-    const sim::StepResult result = eval_system.step(allocation);
+    eval_system.step(allocation, last);
     int upstream_alloc = 0;
     for (std::size_t j = 0; j < allocation.size(); ++j)
       if (j != workflows::LigoTasks::kCoire)
         upstream_alloc += allocation[j];
     double total_wip = 0.0;
     std::size_t completed = 0;
-    for (const double w : result.state) total_wip += w;
-    for (const std::size_t c : result.stats.completed) completed += c;
+    for (const double w : last.wip) total_wip += w;
+    for (const std::size_t c : last.completed) completed += c;
     std::cout << std::setw(3) << k << " | " << std::setw(11)
               << allocation[workflows::LigoTasks::kCoire] << " "
               << std::setw(9)
-              << static_cast<int>(result.state[workflows::LigoTasks::kCoire])
+              << static_cast<int>(last.wip[workflows::LigoTasks::kCoire])
               << " | " << std::setw(14) << upstream_alloc << " "
               << std::setw(9) << static_cast<int>(total_wip) << " | "
               << std::setw(9) << completed << "\n";
-    last = result.stats;
   }
   std::cout << "\nLook for: small Coire share while upstream queues are\n"
                "loaded, then a larger share once the pipeline drains.\n";

@@ -38,16 +38,15 @@ void narrate(const std::string& name, miras::rl::Policy& policy,
   double aggregate = 0.0;
   for (std::size_t k = 0; k < scenario.steps; ++k) {
     const auto allocation = policy.decide(last, system.consumer_budget());
-    const sim::StepResult result = system.step(allocation);
-    aggregate += result.reward;
+    system.step(allocation, last);
+    aggregate += last.reward;
     std::cout << std::setw(3) << k << " |       ";
     for (const int m : allocation) std::cout << std::setw(3) << m;
     std::cout << " |     ";
-    for (const double w : result.state)
+    for (const double w : last.wip)
       std::cout << std::setw(4) << static_cast<int>(w);
     std::cout << " | " << std::fixed << std::setprecision(1)
-              << result.stats.overall_mean_response_time << " s\n";
-    last = result.stats;
+              << last.overall_mean_response_time << " s\n";
   }
   std::cout << name << " aggregate reward: " << aggregate << "\n";
 }

@@ -95,6 +95,7 @@ CollectedEpisode run_shard_episode(
   CollectedEpisode episode;
   episode.index = spec.index;
   episode.transitions.reserve(spec.length);
+  sim::WindowStats window;
   for (std::size_t step = 0; step < spec.length; ++step) {
     const std::vector<double> weights =
         behavior_weights(chosen, state, env->action_dim(), ep_rng,
@@ -102,10 +103,10 @@ CollectedEpisode run_shard_episode(
     const std::vector<int> allocation = rl::guarded_allocation(
         weights, env->consumer_budget(), config.ddpg.rounding,
         config.ddpg.min_consumers_per_type);
-    const sim::StepResult result = env->step(allocation);
+    env->step(allocation, window);
     episode.transitions.push_back(
-        envmodel::Transition{state, allocation, result.state, result.reward});
-    state = result.state;
+        envmodel::Transition{state, allocation, window.wip, window.reward});
+    state = window.wip;
   }
   if (snapshot)
     episode.constraint_violations = snapshot->constraint_violations();

@@ -164,15 +164,14 @@ EvaluationTrace run_scenario(sim::MicroserviceSystem& env, rl::Policy& policy,
       env.observe_wip(), env.ensemble().num_workflows(),
       env.ensemble().num_task_types());
 
-  // Each window's stats are moved into the trace and the next decide()
-  // reads them there: no per-window copy.
+  // Each window steps straight into its slot of the reserved trace, and
+  // the next decide() reads it there: no per-window copy.
   for (std::size_t step = 0; step < scenario.steps; ++step) {
     const sim::WindowStats& last_window =
         step == 0 ? initial : trace.windows.back();
     const std::vector<int> allocation =
         policy.decide(last_window, env.consumer_budget());
-    sim::StepResult result = env.step(allocation);
-    trace.windows.push_back(std::move(result.stats));
+    env.step(allocation, trace.windows.emplace_back());
   }
   return trace;
 }

@@ -217,12 +217,13 @@ void MirasAgent::train_policy_on_model() {
 double MirasAgent::evaluate_on_real(std::size_t steps) {
   std::vector<double> state = env_->reset();
   double aggregate = 0.0;
+  sim::WindowStats window;
   for (std::size_t step = 0; step < steps; ++step) {
     const std::vector<int> allocation =
         agent_.act_allocation(state, /*explore=*/false);
-    const sim::StepResult result = env_->step(allocation);
-    aggregate += result.reward;
-    state = result.state;
+    env_->step(allocation, window);
+    aggregate += window.reward;
+    state = window.wip;
   }
   return aggregate;
 }
@@ -385,16 +386,16 @@ rl::DdpgAgent train_model_free_ddpg(sim::MicroserviceSystem& env,
                       env.consumer_budget(), config.ddpg);
   std::vector<double> state = env.reset();
   agent.resample_exploration();
+  sim::WindowStats window;
   for (std::size_t step = 0; step < config.total_steps; ++step) {
     const std::vector<double> weights = agent.act(state, /*explore=*/true);
     const std::vector<int> allocation = rl::guarded_allocation(
         weights, env.consumer_budget(), config.ddpg.rounding,
         config.ddpg.min_consumers_per_type);
-    const sim::StepResult result = env.step(allocation);
-    agent.observe(state, weights, result.reward * kRewardScale,
-                  result.state);
+    env.step(allocation, window);
+    agent.observe(state, weights, window.reward * kRewardScale, window.wip);
     agent.update(config.updates_per_step);
-    state = result.state;
+    state = window.wip;
     if ((step + 1) % config.reset_interval == 0 &&
         step + 1 < config.total_steps) {
       state = env.reset();

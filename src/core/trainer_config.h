@@ -75,8 +75,7 @@ struct MirasConfig {
   /// requests). The evaluation scenarios (§VI-D) hit the system with bursts
   /// of hundreds of requests; without burst exposure during collection the
   /// dataset never covers that state region and both the dynamics model and
-  /// the policy extrapolate blindly there. Only effective when the real
-  /// environment is a MicroserviceSystem (ignored for other Envs).
+  /// the policy extrapolate blindly there.
   double collection_burst_probability = 0.3;
   std::size_t collection_burst_max = 250;
 

@@ -32,7 +32,7 @@ std::vector<double> SyntheticEnv::reset() {
   return state_;
 }
 
-sim::StepResult SyntheticEnv::step(const std::vector<int>& allocation) {
+void SyntheticEnv::step(const std::vector<int>& allocation) {
   MIRAS_EXPECTS(allocation.size() == action_dim());
   int total = 0;
   for (const int m : allocation) {
@@ -41,19 +41,10 @@ sim::StepResult SyntheticEnv::step(const std::vector<int>& allocation) {
   }
   MIRAS_EXPECTS(total <= consumer_budget_);
 
-  std::vector<double> next_state =
-      refiner_ != nullptr ? refiner_->predict(state_, allocation)
-                          : model_->predict(state_, allocation);
-  for (double& w : next_state) w = std::max(w, 0.0);
-
-  sim::StepResult result;
-  result.state = next_state;
-  result.reward = DynamicsModel::reward_of(next_state);
-  result.stats.wip = next_state;
-  result.stats.reward = result.reward;
-  result.stats.allocation = allocation;
-  state_ = std::move(next_state);
-  return result;
+  state_ = refiner_ != nullptr ? refiner_->predict(state_, allocation)
+                               : model_->predict(state_, allocation);
+  for (double& w : state_) w = std::max(w, 0.0);
+  last_reward_ = DynamicsModel::reward_of(state_);
 }
 
 SyntheticEnvBatch::SyntheticEnvBatch(const DynamicsModel* model,

@@ -15,7 +15,6 @@
 #include "envmodel/dataset.h"
 #include "envmodel/dynamics_model.h"
 #include "envmodel/refiner.h"
-#include "sim/system.h"
 
 namespace miras::envmodel {
 
@@ -33,9 +32,12 @@ class SyntheticEnv {
   int consumer_budget() const { return consumer_budget_; }
 
   std::vector<double> reset();
-  sim::StepResult step(const std::vector<int>& allocation);
+  /// Advances one step with `allocation`; the next state and its reward
+  /// are read back via current_state()/last_reward(), as on the batch.
+  void step(const std::vector<int>& allocation);
 
   const std::vector<double>& current_state() const { return state_; }
+  double last_reward() const { return last_reward_; }
 
  private:
   DynamicsModel* model_;
@@ -44,6 +46,7 @@ class SyntheticEnv {
   int consumer_budget_;
   Rng rng_;
   std::vector<double> state_;
+  double last_reward_ = 0.0;
 };
 
 /// A batch of SyntheticEnv lanes advancing in lockstep: step_all() runs the

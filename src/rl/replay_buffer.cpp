@@ -12,21 +12,12 @@ ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity) {
   storage_.reserve(capacity);
 }
 
-void ReplayBuffer::add(Experience experience) {
-  if (storage_.size() < capacity_) {
-    storage_.push_back(std::move(experience));
-  } else {
-    storage_[write_index_] = std::move(experience);
-  }
-  write_index_ = (write_index_ + 1) % capacity_;
-}
-
 void ReplayBuffer::append_copy(const std::vector<double>& state,
                                const std::vector<double>& action,
                                double reward,
                                const std::vector<double>& next_state,
                                double discount) {
-  // Below capacity the write cursor always points just past the end (add()
+  // Below capacity the write cursor always points just past the end (this
   // keeps them in lockstep), so the freshly grown slot *is* the cursor slot.
   if (storage_.size() < capacity_) storage_.emplace_back();
   Experience& slot = storage_[write_index_];
@@ -36,13 +27,6 @@ void ReplayBuffer::append_copy(const std::vector<double>& state,
   slot.next_state.assign(next_state.begin(), next_state.end());
   slot.discount = discount;
   write_index_ = (write_index_ + 1) % capacity_;
-}
-
-std::vector<const Experience*> ReplayBuffer::sample(std::size_t count,
-                                                    Rng& rng) const {
-  std::vector<const Experience*> batch;
-  sample_into(count, rng, batch);
-  return batch;
 }
 
 void ReplayBuffer::sample_into(std::size_t count, Rng& rng,

@@ -32,27 +32,21 @@ class ReplayBuffer {
   std::size_t size() const { return storage_.size(); }
   bool empty() const { return storage_.empty(); }
 
-  /// Appends, overwriting the oldest entry once at capacity.
-  void add(Experience experience);
-
-  /// add() by copying fields into the target slot's existing buffers: once
-  /// the ring is at capacity (and transition shapes are stable) appending
-  /// allocates nothing. The ingest paths that fold streamed transitions
-  /// into the ring use this instead of building a temporary Experience.
+  /// Appends, overwriting the oldest entry once at capacity. Fields are
+  /// copied into the target slot's existing buffers: once the ring is at
+  /// capacity (and transition shapes are stable) appending allocates
+  /// nothing.
   void append_copy(const std::vector<double>& state,
                    const std::vector<double>& action, double reward,
                    const std::vector<double>& next_state, double discount);
 
-  /// Uniform sample *with replacement* of `count` experiences: indices are
-  /// drawn independently, so the batch may repeat entries, and `count` may
-  /// exceed size() (useful while the buffer is still warming up).
-  /// Requires count > 0 and !empty() — an empty batch is never meaningful
-  /// to callers, which divide by the batch size.
-  std::vector<const Experience*> sample(std::size_t count, Rng& rng) const;
-
-  /// sample() writing into a caller-owned buffer (cleared and refilled):
-  /// the same rng draw sequence, zero steady-state allocations across
-  /// update steps.
+  /// Uniform sample *with replacement* of `count` experiences into `out`
+  /// (cleared and refilled; its capacity is reused, so update steps
+  /// allocate nothing at steady state): indices are drawn independently,
+  /// so the batch may repeat entries, and `count` may exceed size() (useful
+  /// while the buffer is still warming up). Requires count > 0 and
+  /// !empty() — an empty batch is never meaningful to callers, which
+  /// divide by the batch size.
   void sample_into(std::size_t count, Rng& rng,
                    std::vector<const Experience*>& out) const;
 

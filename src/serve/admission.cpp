@@ -33,8 +33,7 @@ std::uint64_t mix64(std::uint64_t x) {
 /// and the worker — already awake — would admit ragged 1-2 request
 /// batches, forfeiting the coalescing the queue exists for. After a
 /// NON-full pass the worker admits immediately, so a lightly loaded lane
-/// (the GEMV fast path) never pays the window even while another lane
-/// saturates.
+/// never pays the window even while another lane saturates.
 constexpr std::chrono::microseconds kBatchWindow{50};
 
 }  // namespace
@@ -46,8 +45,6 @@ BatchServer::BatchServer(const ActorServable& servable, AdmissionConfig config)
   MIRAS_EXPECTS(config_.lanes >= 1);
   lanes_.reserve(config_.lanes);
   const std::shared_ptr<const ActorSnapshot> snap = servable_.acquire();
-  const std::vector<double> zero_state(servable_.state_dim(), 0.0);
-  std::vector<double> warm_out;
   for (std::size_t l = 0; l < config_.lanes; ++l) {
     lanes_.push_back(std::make_unique<Lane>(config_.telemetry_capacity));
     Lane& lane = *lanes_.back();
@@ -58,14 +55,13 @@ BatchServer::BatchServer(const ActorServable& servable, AdmissionConfig config)
     lane.pending.resize(config_.queue_capacity);
     lane.batch_idx.reserve(config_.max_batch);
     // Warm each lane's pass scratch to its maximum shape once so run_pass
-    // never grows a buffer at steady state: dry-run both pass shapes so
-    // the workspace and scratch buffers reach their steady-state sizes
-    // before the first real request.
+    // never grows a buffer at steady state: a dry run at max_batch rows
+    // sizes the workspace before the first real request, and every smaller
+    // pass reuses that capacity.
     lane.batch_in.resize(config_.max_batch, servable_.state_dim());
     lane.batch_out.resize(config_.max_batch, servable_.action_dim());
     lane.batch_in.fill(0.0);
     snap->policy.predict_batch(lane.batch_in, lane.ws, lane.batch_out);
-    snap->decide(zero_state, lane.scratch, warm_out);
   }
   // Workers start only after every lane is fully built: a lane worker
   // never touches another lane, but stop() walks the whole vector.
@@ -162,7 +158,7 @@ void BatchServer::worker_loop(Lane& lane) {
         // Under sustained load, give the clients just released by the last
         // pass a bounded moment to re-enqueue so the batch forms fully.
         // Per-lane state: a saturated lane waits here while a light lane
-        // stays on the immediate GEMV path.
+        // admits immediately.
         const auto deadline = std::chrono::steady_clock::now() + kBatchWindow;
         lane.work_ready.wait_until(lock, deadline, [this, &lane] {
           return lane.pending_count >= config_.max_batch ||
@@ -203,27 +199,19 @@ void BatchServer::run_pass(Lane& lane, std::size_t take, std::uint32_t depth) {
   const ActorSnapshot& snap = *lane.pin;
   const std::uint64_t oldest_ns = lane.slots[lane.batch_idx[0]].enqueue_ns;
 
-  if (take == 1) {
-    // Single-request fast path: GEMV through the lane's scratch. decide()
-    // already checked the observation, so this is the unchecked path.
-    RequestSlot& slot = lane.slots[lane.batch_idx[0]];
-    rl::greedy_weights(snap.policy, snap.normalizer, *slot.state,
-                       lane.scratch, *slot.out);
+  // One path for every batch size: a one-row product is the GEMV
+  // (nn/tensor.h), so a lone request gets the bits greedy_weights would.
+  // decide() already checked each observation.
+  lane.batch_in.resize(take, snap.state_dim());
+  for (std::size_t i = 0; i < take; ++i)
+    snap.normalizer.apply(lane.slots[lane.batch_idx[i]].state->data(),
+                          &lane.batch_in(i, 0));
+  snap.policy.predict_batch(lane.batch_in, lane.ws, lane.batch_out);
+  for (std::size_t i = 0; i < take; ++i) {
+    RequestSlot& slot = lane.slots[lane.batch_idx[i]];
+    const double* row = &lane.batch_out(i, 0);
+    slot.out->assign(row, row + snap.action_dim);
     slot.version = snap.version;
-  } else {
-    const std::size_t state_dim = snap.state_dim();
-    const std::size_t action_dim = snap.action_dim;
-    lane.batch_in.resize(take, state_dim);
-    for (std::size_t i = 0; i < take; ++i)
-      snap.normalizer.apply(lane.slots[lane.batch_idx[i]].state->data(),
-                            &lane.batch_in(i, 0));
-    snap.policy.predict_batch(lane.batch_in, lane.ws, lane.batch_out);
-    for (std::size_t i = 0; i < take; ++i) {
-      RequestSlot& slot = lane.slots[lane.batch_idx[i]];
-      const double* row = &lane.batch_out(i, 0);
-      slot.out->assign(row, row + action_dim);
-      slot.version = snap.version;
-    }
   }
 
   const std::uint64_t now = steady_now_ns();

@@ -6,8 +6,9 @@
 // whatever is queued (up to max_batch) into ONE lockstep forward pass per
 // lane: a lane worker normalises the admitted states into rows of a reused
 // input tensor and runs predict_batch — one GEMM that streams the weights
-// once for the whole batch. With exactly one request queued a lane degrades
-// to the GEMV fast path (predict_one), so light load pays no batching tax.
+// once for the whole batch. A pass of one request is the same code on one
+// row, and a one-row product is the GEMV (nn/tensor.h), so light load pays
+// no batching tax.
 //
 // Lanes are the throughput axis: one worker thread owns one GEMM stream,
 // so a single lane pins decisions/sec to single-core throughput no matter
@@ -167,7 +168,6 @@ class BatchServer {
     std::vector<std::size_t> batch_idx;
     nn::Tensor batch_in;
     nn::Tensor batch_out;
-    DecisionScratch scratch;
     nn::Workspace ws;
     /// Worker-cached snapshot pin, refreshed (version check, no lock on
     /// the unchanged path) once per pass and released when the lane goes

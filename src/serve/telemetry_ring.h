@@ -1,11 +1,11 @@
 // Fixed-capacity structured binary telemetry ring for the serving path.
 //
-// One POD record per admission pass (batched GEMM or single-request GEMV):
-// completion timestamp, decision latency of the oldest request in the pass,
-// snapshot version, queue depth at admission, batch size. The ring is
-// single-writer (one BatchServer lane's worker — each lane owns its own
-// ring; merge_snapshots() below interleaves several rings by timestamp
-// into one timeline) and wait-free on the write side:
+// One POD record per admission pass: completion timestamp, decision
+// latency of the oldest request in the pass, snapshot version, queue depth
+// at admission, batch size. The ring is single-writer (one BatchServer
+// lane's worker — each lane owns its own ring; snapshot_append() plus
+// sort_merged_telemetry() below interleave several rings by timestamp into
+// one timeline) and wait-free on the write side:
 // record() touches a fixed slot array and allocates nothing, so telemetry
 // can stay on in production serving without perturbing latency. Readers
 // drain by snapshot() from any thread, concurrently with the writer.
@@ -49,7 +49,7 @@ struct TelemetryRecord {
   std::uint64_t snapshot_version = 0;
   /// Requests waiting when the pass was admitted (including this pass's).
   std::uint32_t queue_depth = 0;
-  /// Rows in the pass: 1 = single-request GEMV fallback, >1 = batched GEMM.
+  /// Rows in the pass (1 when a lone request was admitted).
   std::uint32_t batch_size = 0;
 };
 
@@ -160,20 +160,6 @@ inline void sort_merged_telemetry(std::vector<TelemetryRecord>& records) {
                    [](const TelemetryRecord& a, const TelemetryRecord& b) {
                      return a.timestamp_ns < b.timestamp_ns;
                    });
-}
-
-/// Drains `count` rings (each possibly wrapped at a different rate, each
-/// with its own live writer) and merges the surviving windows into `out`
-/// by timestamp, ties broken by ring index. Every returned record is
-/// internally consistent (the per-slot seqlock discards torn reads); like
-/// snapshot(), the window is best-effort under an active writer lap.
-inline std::size_t merge_snapshots(const TelemetryRing* const* rings,
-                                   std::size_t count,
-                                   std::vector<TelemetryRecord>& out) {
-  out.clear();
-  for (std::size_t i = 0; i < count; ++i) rings[i]->snapshot_append(out);
-  sort_merged_telemetry(out);
-  return out.size();
 }
 
 }  // namespace miras::serve

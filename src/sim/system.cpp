@@ -215,7 +215,8 @@ void MicroserviceSystem::run_for(double seconds) {
                     [this](Event&& event) { dispatch(event); });
 }
 
-StepResult MicroserviceSystem::step(const std::vector<int>& allocation) {
+void MicroserviceSystem::step(const std::vector<int>& allocation,
+                              WindowStats& out) {
   std::fill(window_arrivals_.begin(), window_arrivals_.end(), 0);
   std::fill(window_completed_.begin(), window_completed_.end(), 0);
   std::fill(window_response_sum_.begin(), window_response_sum_.end(), 0.0);
@@ -230,39 +231,41 @@ StepResult MicroserviceSystem::step(const std::vector<int>& allocation) {
   events_.schedule(window_end, make_event(EventType::kWindowBoundary, 0));
   events_.run_until(window_end, [this](Event&& event) { dispatch(event); });
 
-  StepResult result;
-  result.state = observe_wip();
-  result.reward = reward_from_wip(result.state);
-
-  WindowStats& stats = result.stats;
-  stats.wip = result.state;
-  stats.reward = result.reward;
-  stats.allocation = allocation;
-  stats.arrivals = window_arrivals_;
-  stats.completed = window_completed_;
-  stats.task_arrivals = window_task_arrivals_;
-  stats.task_completions = window_task_completions_;
-  stats.mean_response_time.resize(ensemble_.num_workflows(), 0.0);
+  // Every field is assigned, none accumulated: `out` may hold the previous
+  // window, and copy-assignment keeps its vectors' capacity.
+  write_wip(out.wip);
+  out.reward = reward_from_wip(out.wip);
+  out.allocation = allocation;
+  out.arrivals = window_arrivals_;
+  out.completed = window_completed_;
+  out.task_arrivals = window_task_arrivals_;
+  out.task_completions = window_task_completions_;
+  out.mean_response_time.resize(ensemble_.num_workflows());
   double response_sum = 0.0;
   std::size_t completed_total = 0;
   for (std::size_t w = 0; w < ensemble_.num_workflows(); ++w) {
-    if (window_completed_[w] > 0) {
-      stats.mean_response_time[w] =
-          window_response_sum_[w] / static_cast<double>(window_completed_[w]);
-    }
+    out.mean_response_time[w] =
+        window_completed_[w] > 0
+            ? window_response_sum_[w] /
+                  static_cast<double>(window_completed_[w])
+            : 0.0;
     response_sum += window_response_sum_[w];
     completed_total += window_completed_[w];
   }
-  stats.overall_mean_response_time =
+  out.overall_mean_response_time =
       completed_total > 0 ? response_sum / static_cast<double>(completed_total)
                           : 0.0;
-  return result;
+}
+
+void MicroserviceSystem::write_wip(std::vector<double>& wip) const {
+  wip.resize(ensemble_.num_task_types());
+  for (std::size_t j = 0; j < wip.size(); ++j)
+    wip[j] = static_cast<double>(queues_[j].size() + pools_[j].busy());
 }
 
 std::vector<double> MicroserviceSystem::observe_wip() const {
-  std::vector<double> wip(ensemble_.num_task_types());
-  for (std::size_t j = 0; j < wip.size(); ++j)
-    wip[j] = static_cast<double>(queues_[j].size() + pools_[j].busy());
+  std::vector<double> wip;
+  write_wip(wip);
   return wip;
 }
 

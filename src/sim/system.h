@@ -42,15 +42,6 @@ struct SystemConfig {
   std::uint64_t seed = 1;
 };
 
-struct StepResult {
-  /// Next state s(k+1): WIP per task type.
-  std::vector<double> state;
-  /// r(k) per paper Eq. 1.
-  double reward = 0.0;
-  /// Full window detail; synthetic environments fill only wip/reward.
-  WindowStats stats;
-};
-
 /// Internal accounting counters exposed for conservation tests.
 struct SystemCounters {
   std::uint64_t workflows_arrived = 0;
@@ -81,10 +72,13 @@ class MicroserviceSystem {
   int consumer_budget() const { return config_.consumer_budget; }
   /// Returns the system to a low-WIP initial state and returns s(0).
   std::vector<double> reset();
-  /// Applies the allocation m(k) for one window and returns the transition.
-  /// Requires allocation.size() == action_dim(), all entries >= 0, and
-  /// sum <= consumer_budget().
-  StepResult step(const std::vector<int>& allocation);
+  /// Applies the allocation m(k) for one window and writes what it observed
+  /// into `out`: the next state s(k+1) is out.wip and r(k) is out.reward.
+  /// Overwrites every field of `out` and keeps its vectors' capacity, so a
+  /// caller that steps into one record per loop allocates nothing once the
+  /// record has its shape. Requires allocation.size() == action_dim(), all
+  /// entries >= 0, and sum <= consumer_budget().
+  void step(const std::vector<int>& allocation, WindowStats& out);
 
   /// Rewinds to the state a freshly constructed system with master seed
   /// `seed` would have — bit-identically, including rng stream positions:
@@ -99,8 +93,8 @@ class MicroserviceSystem {
   void inject_burst(const BurstSpec& burst);
 
   /// Advances the clock `seconds` forward, processing every due event, with
-  /// no window accounting or StepResult packing — the raw event-stepping
-  /// path (used by the event-throughput benchmark and warm-up loops).
+  /// no window accounting — the raw event-stepping path (used by the
+  /// event-throughput benchmark and warm-up loops).
   void run_for(double seconds);
 
   /// Current WIP per task type (queued + in service).
@@ -146,6 +140,9 @@ class MicroserviceSystem {
                             std::size_t node);
   void handle_consumer_ready(std::size_t task_type);
   void apply_allocation(const std::vector<int>& allocation);
+  /// Writes the current WIP per task type into `wip` (resized): the one
+  /// place the state formula lives, shared by observe_wip() and step().
+  void write_wip(std::vector<double>& wip) const;
 
   workflows::Ensemble ensemble_;
   // Per-task-type service-time models, copied out of the ensemble so that

@@ -314,10 +314,10 @@ TEST(BatchedInference, SyntheticEnvBatchMatchesStandaloneEnv) {
   for (std::size_t t = 0; t < kSteps; ++t) {
     batch.step_all(allocations);
     for (std::size_t r = 0; r < kLanes; ++r) {
-      const sim::StepResult result = envs[r].step(allocations[r]);
-      EXPECT_EQ(batch.state(r), result.state)
+      envs[r].step(allocations[r]);
+      EXPECT_EQ(batch.state(r), envs[r].current_state())
           << "lane " << r << " at step " << t;
-      EXPECT_EQ(batch.last_reward(r), result.reward)
+      EXPECT_EQ(batch.last_reward(r), envs[r].last_reward())
           << "lane " << r << " at step " << t;
     }
   }
@@ -350,10 +350,9 @@ TEST(BatchedInference, SyntheticEnvBatchWithoutRefinerMatchesStandaloneEnv) {
     envmodel::SyntheticEnv env(&model, nullptr, &data, kBudget,
                                shard_seed(8, r));
     (void)env.reset();
-    sim::StepResult result;
-    for (std::size_t t = 0; t < 4; ++t) result = env.step(allocations[r]);
-    EXPECT_EQ(batch.state(r), result.state) << "lane " << r;
-    EXPECT_EQ(batch.last_reward(r), result.reward) << "lane " << r;
+    for (std::size_t t = 0; t < 4; ++t) env.step(allocations[r]);
+    EXPECT_EQ(batch.state(r), env.current_state()) << "lane " << r;
+    EXPECT_EQ(batch.last_reward(r), env.last_reward()) << "lane " << r;
   }
 }
 

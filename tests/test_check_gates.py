@@ -29,6 +29,7 @@ PASSING = {
     "BENCH_sim.json": [
         rec("BM_PooledEpisodes/1/real_time", ns_per_op=13.0),
         rec("BM_PooledEpisodes/8/real_time", ns_per_op=10.0),
+        rec("BM_MsdWindowStep"), rec("BM_LigoWindowStep"),
         rec("BM_GeneratedEventThroughput")],
     "BENCH_dist.json": [
         rec("BM_ReplayFoldDirect"), rec("BM_ReplayFoldFramed", ns_per_op=12.0),
@@ -83,7 +84,7 @@ class CheckGates(unittest.TestCase):
     def test_fixtures_on_every_bound_pass(self):
         code, out = self.run_checker(PASSING)
         self.assertEqual(code, 0, out)
-        self.assertIn("all 13 gates passed", out)
+        self.assertIn("all 15 gates passed", out)
 
     def test_each_rule_kind_fails_just_past_its_bound(self):
         for gate, name, op, field, pushed in PUSHES:

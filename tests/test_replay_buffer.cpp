@@ -3,14 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/contracts.h"
 
 namespace miras::rl {
 namespace {
 
-Experience make_experience(double tag) {
-  return Experience{{tag}, {tag}, tag, {tag + 1.0}};
+// Appends an experience whose every field is derived from `tag`.
+void add_tagged(ReplayBuffer& buffer, double tag) {
+  buffer.append_copy({tag}, {tag}, tag, {tag + 1.0}, 0.0);
 }
 
 TEST(ReplayBuffer, StartsEmpty) {
@@ -26,78 +28,86 @@ TEST(ReplayBuffer, ZeroCapacityRejected) {
 
 TEST(ReplayBuffer, GrowsUntilCapacity) {
   ReplayBuffer buffer(3);
-  for (int i = 0; i < 3; ++i) buffer.add(make_experience(i));
+  for (int i = 0; i < 3; ++i) add_tagged(buffer, i);
   EXPECT_EQ(buffer.size(), 3u);
-  buffer.add(make_experience(99));
+  add_tagged(buffer, 99);
   EXPECT_EQ(buffer.size(), 3u);  // capped
 }
 
 TEST(ReplayBuffer, OverwritesOldestFirst) {
   ReplayBuffer buffer(3);
-  for (int i = 0; i < 3; ++i) buffer.add(make_experience(i));
-  buffer.add(make_experience(100));  // overwrites index 0 (oldest)
+  for (int i = 0; i < 3; ++i) add_tagged(buffer, i);
+  add_tagged(buffer, 100);  // overwrites index 0 (oldest)
   EXPECT_DOUBLE_EQ(buffer[0].reward, 100.0);
   EXPECT_DOUBLE_EQ(buffer[1].reward, 1.0);
   EXPECT_DOUBLE_EQ(buffer[2].reward, 2.0);
-  buffer.add(make_experience(101));  // then index 1
+  add_tagged(buffer, 101);  // then index 1
   EXPECT_DOUBLE_EQ(buffer[1].reward, 101.0);
 }
 
 TEST(ReplayBuffer, SampleFromEmptyThrows) {
   ReplayBuffer buffer(4);
   Rng rng(1);
-  EXPECT_THROW(buffer.sample(1, rng), ContractViolation);
+  std::vector<const Experience*> batch;
+  EXPECT_THROW(buffer.sample_into(1, rng, batch), ContractViolation);
 }
 
 TEST(ReplayBuffer, SampleOfZeroThrows) {
   // An empty batch is never meaningful — downstream update code divides by
   // the batch size — so count == 0 is a contract violation, not a no-op.
   ReplayBuffer buffer(4);
-  buffer.add(make_experience(1));
+  add_tagged(buffer, 1);
   Rng rng(1);
-  EXPECT_THROW(buffer.sample(0, rng), ContractViolation);
+  std::vector<const Experience*> batch;
+  EXPECT_THROW(buffer.sample_into(0, rng, batch), ContractViolation);
 }
 
 TEST(ReplayBuffer, SampleReturnsRequestedCount) {
   ReplayBuffer buffer(8);
-  for (int i = 0; i < 5; ++i) buffer.add(make_experience(i));
+  for (int i = 0; i < 5; ++i) add_tagged(buffer, i);
   Rng rng(2);
-  EXPECT_EQ(buffer.sample(3, rng).size(), 3u);
-  EXPECT_EQ(buffer.sample(20, rng).size(), 20u);  // with replacement
+  std::vector<const Experience*> batch;
+  buffer.sample_into(3, rng, batch);
+  EXPECT_EQ(batch.size(), 3u);
+  buffer.sample_into(20, rng, batch);
+  EXPECT_EQ(batch.size(), 20u);  // with replacement
 }
 
 TEST(ReplayBuffer, SampleCoversAllEntriesEventually) {
   ReplayBuffer buffer(5);
-  for (int i = 0; i < 5; ++i) buffer.add(make_experience(i));
+  for (int i = 0; i < 5; ++i) add_tagged(buffer, i);
   Rng rng(3);
+  std::vector<const Experience*> batch;
+  buffer.sample_into(500, rng, batch);
   std::set<double> seen;
-  for (const Experience* e : buffer.sample(500, rng)) seen.insert(e->reward);
+  for (const Experience* e : batch) seen.insert(e->reward);
   EXPECT_EQ(seen.size(), 5u);
 }
 
 TEST(ReplayBuffer, SampleDeterministicPerSeed) {
   ReplayBuffer buffer(6);
-  for (int i = 0; i < 6; ++i) buffer.add(make_experience(i));
+  for (int i = 0; i < 6; ++i) add_tagged(buffer, i);
   Rng a(7), b(7);
-  const auto sa = buffer.sample(10, a);
-  const auto sb = buffer.sample(10, b);
+  std::vector<const Experience*> sa, sb;
+  buffer.sample_into(10, a, sa);
+  buffer.sample_into(10, b, sb);
   for (std::size_t i = 0; i < 10; ++i)
     EXPECT_DOUBLE_EQ(sa[i]->reward, sb[i]->reward);
 }
 
 TEST(ReplayBuffer, IndexBoundsChecked) {
   ReplayBuffer buffer(4);
-  buffer.add(make_experience(1));
+  add_tagged(buffer, 1);
   EXPECT_THROW(buffer[1], ContractViolation);
 }
 
 TEST(ReplayBuffer, ClearResets) {
   ReplayBuffer buffer(4);
-  for (int i = 0; i < 6; ++i) buffer.add(make_experience(i));
+  for (int i = 0; i < 6; ++i) add_tagged(buffer, i);
   buffer.clear();
   EXPECT_TRUE(buffer.empty());
   // After clear, insertion starts from the beginning again.
-  buffer.add(make_experience(42));
+  add_tagged(buffer, 42);
   EXPECT_DOUBLE_EQ(buffer[0].reward, 42.0);
 }
 

@@ -203,7 +203,7 @@ TEST(BatchServer, BatchedResultsMatchDirectDecisionsBitwise) {
   EXPECT_TRUE(any_batched) << "8 concurrent clients never coalesced";
 }
 
-TEST(BatchServer, SingleClientTakesTheGemvFastPath) {
+TEST(BatchServer, SingleClientPassesMatchDirectDecide) {
   const rl::DdpgAgent agent = make_seeded_agent();
   ActorServable servable(ActorSnapshot::from_agent(agent));
   BatchServer server(servable, AdmissionConfig{});

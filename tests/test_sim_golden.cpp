@@ -55,12 +55,14 @@ void expect_matches_golden(MicroserviceSystem& system, std::uint64_t seed,
   system.reset();
   system.inject_burst(BurstSpec{std::vector<std::size_t>(
       system.ensemble().num_workflows(), burst_per_type)});
+  WindowStats window;
   for (std::size_t k = 0; k < golden.size(); ++k) {
-    const StepResult result = system.step(golden_allocation(
-        alloc_rng, system.action_dim(), system.consumer_budget()));
-    EXPECT_EQ(result.state, golden[k].wip) << "window " << k;
-    EXPECT_EQ(result.reward, golden[k].reward) << "window " << k;
-    EXPECT_EQ(result.stats.overall_mean_response_time,
+    system.step(golden_allocation(alloc_rng, system.action_dim(),
+                                  system.consumer_budget()),
+                window);
+    EXPECT_EQ(window.wip, golden[k].wip) << "window " << k;
+    EXPECT_EQ(window.reward, golden[k].reward) << "window " << k;
+    EXPECT_EQ(window.overall_mean_response_time,
               golden[k].overall_mean_response_time)
         << "window " << k;
   }
@@ -134,8 +136,9 @@ TEST(SimGolden, ReseedReplaysTheGoldenTrace) {
   config.seed = 777;
   config.consumer_budget = workflows::kMsdConsumerBudget;
   MicroserviceSystem system(workflows::make_msd_ensemble(), config);
+  WindowStats window;
   for (int k = 0; k < 4; ++k)
-    (void)system.step(std::vector<int>(system.action_dim(), 3));
+    system.step(std::vector<int>(system.action_dim(), 3), window);
   system.reseed(21);
   expect_matches_golden(system, 21, 40, kMsdGolden,
                         GoldenCounters{204, 139, 612, 544});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/contracts.h"
@@ -70,27 +71,31 @@ TEST_F(SyntheticEnvTest, StepUsesModelPrediction) {
   const auto state = env.reset();
   const std::vector<int> action{2, 2};
   const auto predicted = model_.predict(state, action);
-  const sim::StepResult result = env.step(action);
+  env.step(action);
+  const std::vector<double>& next = env.current_state();
   for (std::size_t j = 0; j < 2; ++j)
-    EXPECT_DOUBLE_EQ(result.state[j], std::max(predicted[j], 0.0));
-  EXPECT_DOUBLE_EQ(result.reward, DynamicsModel::reward_of(result.state));
+    EXPECT_DOUBLE_EQ(next[j], std::max(predicted[j], 0.0));
+  EXPECT_DOUBLE_EQ(env.last_reward(), DynamicsModel::reward_of(next));
 }
 
 TEST_F(SyntheticEnvTest, StateAdvancesAcrossSteps) {
   SyntheticEnv env(&model_, nullptr, &data_, 10, 3);
-  env.reset();
-  const auto s1 = env.step({1, 1}).state;
-  EXPECT_EQ(env.current_state(), s1);
-  const auto s2 = env.step({1, 1}).state;
-  EXPECT_EQ(env.current_state(), s2);
+  // Each step feeds the previous step's clamped prediction back in.
+  std::vector<double> expected = env.reset();
+  for (int t = 0; t < 2; ++t) {
+    expected = model_.predict(expected, {1, 1});
+    for (double& w : expected) w = std::max(w, 0.0);
+    env.step({1, 1});
+    EXPECT_EQ(env.current_state(), expected) << "step " << t;
+  }
 }
 
 TEST_F(SyntheticEnvTest, StatesNeverNegative) {
   SyntheticEnv env(&model_, nullptr, &data_, 10, 4);
   env.reset();
   for (int t = 0; t < 50; ++t) {
-    const auto result = env.step({5, 5});
-    for (const double w : result.state) EXPECT_GE(w, 0.0);
+    env.step({5, 5});
+    for (const double w : env.current_state()) EXPECT_GE(w, 0.0);
   }
 }
 
@@ -116,9 +121,9 @@ TEST_F(SyntheticEnvTest, RefinerIsUsedWhenProvided) {
   for (int i = 0; i < 30; ++i) {
     with.reset();
     without.reset();
-    const auto a = with.step({0, 0}).state;
-    const auto b = without.step({0, 0}).state;
-    if (a != b) ++diverged;
+    with.step({0, 0});
+    without.step({0, 0});
+    if (with.current_state() != without.current_state()) ++diverged;
   }
   EXPECT_GT(diverged, 0);
 }
@@ -127,8 +132,12 @@ TEST_F(SyntheticEnvTest, DeterministicGivenSeed) {
   SyntheticEnv a(&model_, nullptr, &data_, 10, 7);
   SyntheticEnv b(&model_, nullptr, &data_, 10, 7);
   EXPECT_EQ(a.reset(), b.reset());
-  for (int t = 0; t < 10; ++t)
-    EXPECT_EQ(a.step({2, 1}).state, b.step({2, 1}).state);
+  for (int t = 0; t < 10; ++t) {
+    a.step({2, 1});
+    b.step({2, 1});
+    EXPECT_EQ(a.current_state(), b.current_state());
+    EXPECT_EQ(a.last_reward(), b.last_reward());
+  }
 }
 
 TEST_F(SyntheticEnvTest, NullPointersRejected) {

@@ -51,9 +51,10 @@ TEST(System, ResetReturnsZeroWip) {
 TEST(System, StepAdvancesClockByWindow) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
-  (void)system.step({3, 3, 3, 3});
+  WindowStats window;
+  system.step({3, 3, 3, 3}, window);
   EXPECT_DOUBLE_EQ(system.now(), 30.0);
-  (void)system.step({3, 3, 3, 3});
+  system.step({3, 3, 3, 3}, window);
   EXPECT_DOUBLE_EQ(system.now(), 60.0);
 }
 
@@ -68,7 +69,8 @@ TEST(System, RunForAdvancesClockWithoutWindowAccounting) {
             system.counters().tasks_completed + system.live_tasks());
 
   // With consumers up, raw stepping completes tasks and still conserves.
-  (void)system.step({4, 4, 3, 3});
+  WindowStats window;
+  system.step({4, 4, 3, 3}, window);
   const std::uint64_t events_before = system.executed_events();
   const std::uint64_t completed_before = system.counters().tasks_completed;
   system.run_for(50.0);
@@ -86,36 +88,40 @@ TEST(System, RunForAdvancesClockWithoutWindowAccounting) {
 TEST(System, RewardIsOneMinusTotalWip) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
-  const StepResult result = system.step({0, 0, 0, 0});
-  EXPECT_DOUBLE_EQ(result.reward, 1.0 - sum_of(result.state));
+  WindowStats window;
+  system.step({0, 0, 0, 0}, window);
+  EXPECT_DOUBLE_EQ(window.reward, 1.0 - sum_of(window.wip));
 }
 
 TEST(System, ZeroConsumersQueuesEverything) {
   MicroserviceSystem system(single_queue_ensemble(0.5, 2.0), fast_config(10));
   system.reset();
-  const StepResult result = system.step({0});
+  WindowStats window;
+  system.step({0}, window);
   // ~15 arrivals expected in 30 s; none can be served.
-  EXPECT_GT(result.state[0], 5.0);
+  EXPECT_GT(window.wip[0], 5.0);
   EXPECT_EQ(system.counters().tasks_completed, 0u);
 }
 
 TEST(System, AmpleConsumersKeepWipLow) {
   MicroserviceSystem system(single_queue_ensemble(0.5, 2.0), fast_config(10));
   system.reset();
-  std::vector<double> state;
-  for (int k = 0; k < 10; ++k) state = system.step({10}).state;
+  WindowStats window;
+  for (int k = 0; k < 10; ++k) system.step({10}, window);
   // Offered load is 1 Erlang; with 10 consumers WIP stays near steady state.
-  EXPECT_LT(state[0], 6.0);
+  EXPECT_LT(window.wip[0], 6.0);
   EXPECT_GT(system.counters().workflows_completed, 50u);
 }
 
 TEST(System, BudgetEnforced) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
-  EXPECT_THROW(system.step({14, 14, 14, 14}), ContractViolation);
-  EXPECT_THROW(system.step({-1, 5, 5, 5}), ContractViolation);
-  EXPECT_THROW(system.step({5, 5, 5}), ContractViolation);  // wrong arity
-  EXPECT_NO_THROW(system.step({14, 0, 0, 0}));
+  WindowStats window;
+  EXPECT_THROW(system.step({14, 14, 14, 14}, window), ContractViolation);
+  EXPECT_THROW(system.step({-1, 5, 5, 5}, window), ContractViolation);
+  EXPECT_THROW(system.step({5, 5, 5}, window),
+               ContractViolation);  // wrong arity
+  EXPECT_NO_THROW(system.step({14, 0, 0, 0}, window));
 }
 
 TEST(System, BurstInjectionCountsArrivals) {
@@ -148,13 +154,14 @@ TEST(System, StartupDelayGatesService) {
   MicroserviceSystem system(std::move(ensemble), config);
   system.reset();
   system.inject_burst(BurstSpec{{5}});
-  const StepResult result = system.step({5});
-  EXPECT_DOUBLE_EQ(result.state[0], 0.0);
+  WindowStats window;
+  system.step({5}, window);
+  EXPECT_DOUBLE_EQ(window.wip[0], 0.0);
   EXPECT_EQ(system.counters().workflows_completed, 5u);
   // Response times must include the startup delay: every request waited at
   // least 5 s + 1 s service.
-  EXPECT_GE(result.stats.mean_response_time[0], 6.0);
-  EXPECT_LE(result.stats.mean_response_time[0], 11.0);
+  EXPECT_GE(window.mean_response_time[0], 6.0);
+  EXPECT_LE(window.mean_response_time[0], 11.0);
 }
 
 TEST(System, ResponseTimeOfUncontendedChain) {
@@ -172,11 +179,12 @@ TEST(System, ResponseTimeOfUncontendedChain) {
 
   MicroserviceSystem system(std::move(ensemble), fast_config(4));
   system.reset();
-  (void)system.step({2, 2});  // warm the pools
+  WindowStats window;
+  system.step({2, 2}, window);  // warm the pools
   system.inject_burst(BurstSpec{{1}});
-  const StepResult result = system.step({2, 2});
-  EXPECT_EQ(result.stats.completed[0], 1u);
-  EXPECT_NEAR(result.stats.mean_response_time[0], 5.0, 1e-9);
+  system.step({2, 2}, window);
+  EXPECT_EQ(window.completed[0], 1u);
+  EXPECT_NEAR(window.mean_response_time[0], 5.0, 1e-9);
 }
 
 TEST(System, FanInJoinGatesDownstream) {
@@ -202,25 +210,26 @@ TEST(System, FanInJoinGatesDownstream) {
   config.window_length = 15.0;  // B (20 s) cannot finish within one window
   MicroserviceSystem system(std::move(ensemble), config);
   system.reset();
-  (void)system.step({2, 2, 2, 2});  // warm pools
+  WindowStats window;
+  system.step({2, 2, 2, 2}, window);  // warm pools
   system.inject_burst(BurstSpec{{1}});
-  const StepResult mid = system.step({2, 2, 2, 2});
+  system.step({2, 2, 2, 2}, window);
   // A and C done, B still running, D not yet published.
-  EXPECT_DOUBLE_EQ(mid.state[3], 0.0);
-  EXPECT_DOUBLE_EQ(mid.state[1], 1.0);
-  const StepResult after = system.step({2, 2, 2, 2});
+  EXPECT_DOUBLE_EQ(window.wip[3], 0.0);
+  EXPECT_DOUBLE_EQ(window.wip[1], 1.0);
+  system.step({2, 2, 2, 2}, window);
   EXPECT_EQ(system.counters().workflows_completed, 1u);
-  (void)after;
 }
 
 TEST(System, ScaleDownDoesNotLoseTasks) {
   MicroserviceSystem system(single_queue_ensemble(0.0, 5.0), fast_config(10));
   system.reset();
   system.inject_burst(BurstSpec{{20}});
-  (void)system.step({10});  // start serving
-  (void)system.step({0});   // brutal scale-down mid-flight
-  (void)system.step({10});
-  for (int i = 0; i < 10; ++i) (void)system.step({10});
+  WindowStats window;
+  system.step({10}, window);  // start serving
+  system.step({0}, window);   // brutal scale-down mid-flight
+  system.step({10}, window);
+  for (int i = 0; i < 10; ++i) system.step({10}, window);
   // Every injected workflow eventually completes; none lost.
   EXPECT_EQ(system.counters().workflows_completed, 20u);
   EXPECT_EQ(system.counters().tasks_enqueued,
@@ -230,17 +239,18 @@ TEST(System, ScaleDownDoesNotLoseTasks) {
 TEST(System, ObserveWipMatchesStepState) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
-  const StepResult result = system.step({4, 4, 3, 3});
-  EXPECT_EQ(result.state, system.observe_wip());
+  WindowStats window;
+  system.step({4, 4, 3, 3}, window);
+  EXPECT_EQ(window.wip, system.observe_wip());
 }
 
 TEST(System, WindowStatsInternallyConsistent) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
-  const StepResult result = system.step({4, 4, 3, 3});
-  const WindowStats& stats = result.stats;
-  EXPECT_EQ(stats.wip, result.state);
-  EXPECT_DOUBLE_EQ(stats.reward, result.reward);
+  WindowStats stats;
+  system.step({4, 4, 3, 3}, stats);
+  EXPECT_EQ(stats.wip.size(), 4u);
+  EXPECT_EQ(stats.reward, reward_from_wip(stats.wip));
   EXPECT_EQ(stats.allocation, (std::vector<int>{4, 4, 3, 3}));
   EXPECT_EQ(stats.arrivals.size(), 3u);
   EXPECT_EQ(stats.completed.size(), 3u);
@@ -259,7 +269,8 @@ TEST(System, ResetClearsEverything) {
   MicroserviceSystem system(workflows::make_msd_ensemble(), fast_config(14));
   system.reset();
   system.inject_burst(BurstSpec{{50, 50, 50}});
-  (void)system.step({4, 4, 3, 3});
+  WindowStats window;
+  system.step({4, 4, 3, 3}, window);
   const auto state = system.reset();
   for (const double w : state) EXPECT_DOUBLE_EQ(w, 0.0);
   EXPECT_DOUBLE_EQ(system.now(), 0.0);
@@ -274,9 +285,13 @@ TEST(System, LittlesLawOnSingleQueue) {
   config.seed = 7;
   MicroserviceSystem system(single_queue_ensemble(0.4, 2.0), config);
   system.reset();
-  (void)system.step({2});  // warm-up
+  WindowStats window;
+  system.step({2}, window);  // warm-up
   RunningStats wip;
-  for (int k = 0; k < 400; ++k) wip.add(system.step({2}).state[0]);
+  for (int k = 0; k < 400; ++k) {
+    system.step({2}, window);
+    wip.add(window.wip[0]);
+  }
   // End-of-window sampling of L; Erlang-C for (0.4, 0.5, 2) gives ~0.95.
   EXPECT_NEAR(wip.mean(), 0.95, 0.35);
 }

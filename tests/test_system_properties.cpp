@@ -2,7 +2,9 @@
 // seeds, ensembles, and random allocation sequences.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "rl/action.h"
@@ -39,15 +41,44 @@ class SystemPropertyTest : public ::testing::TestWithParam<PropertyCase> {
   }
 };
 
+// Bitwise equality: == would let -0.0 match 0.0.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i], b[i])) return false;
+  return true;
+}
+
+void expect_same_window(const WindowStats& a, const WindowStats& b, int k) {
+  EXPECT_TRUE(same_bits(a.wip, b.wip)) << "window " << k;
+  EXPECT_TRUE(same_bits(a.reward, b.reward)) << "window " << k;
+  EXPECT_EQ(a.arrivals, b.arrivals) << "window " << k;
+  EXPECT_EQ(a.completed, b.completed) << "window " << k;
+  EXPECT_TRUE(same_bits(a.mean_response_time, b.mean_response_time))
+      << "window " << k;
+  EXPECT_TRUE(
+      same_bits(a.overall_mean_response_time, b.overall_mean_response_time))
+      << "window " << k;
+  EXPECT_EQ(a.task_arrivals, b.task_arrivals) << "window " << k;
+  EXPECT_EQ(a.task_completions, b.task_completions) << "window " << k;
+  EXPECT_EQ(a.allocation, b.allocation) << "window " << k;
+}
+
 TEST_P(SystemPropertyTest, ConservationHoldsEveryWindow) {
   MicroserviceSystem system = make_system(GetParam());
   Rng rng(GetParam().seed ^ 0xabcdef);
   system.reset();
   system.inject_burst(
       BurstSpec{std::vector<std::size_t>(system.ensemble().num_workflows(), 5)});
+  WindowStats window;
   for (int k = 0; k < 40; ++k) {
-    (void)system.step(random_allocation(rng, system.action_dim(),
-                                        system.consumer_budget()));
+    system.step(random_allocation(rng, system.action_dim(),
+                                  system.consumer_budget()),
+                window);
     // Every enqueued task is either live (queued/in service) or completed.
     EXPECT_EQ(system.counters().tasks_enqueued,
               system.counters().tasks_completed + system.live_tasks());
@@ -61,14 +92,16 @@ TEST_P(SystemPropertyTest, WipNonNegativeAndFinite) {
   MicroserviceSystem system = make_system(GetParam());
   Rng rng(GetParam().seed ^ 0x123456);
   system.reset();
+  WindowStats window;
   for (int k = 0; k < 30; ++k) {
-    const StepResult result = system.step(random_allocation(
-        rng, system.action_dim(), system.consumer_budget()));
-    for (const double w : result.state) {
+    system.step(random_allocation(rng, system.action_dim(),
+                                  system.consumer_budget()),
+                window);
+    for (const double w : window.wip) {
       EXPECT_GE(w, 0.0);
       EXPECT_TRUE(std::isfinite(w));
     }
-    EXPECT_TRUE(std::isfinite(result.reward));
+    EXPECT_TRUE(std::isfinite(window.reward));
   }
 }
 
@@ -78,18 +111,19 @@ TEST_P(SystemPropertyTest, IdenticalSeedsGiveIdenticalTrajectories) {
   Rng rng_a(99), rng_b(99);
   a.reset();
   b.reset();
+  WindowStats ra, rb;
   for (int k = 0; k < 20; ++k) {
     const auto alloc_a =
         random_allocation(rng_a, a.action_dim(), a.consumer_budget());
     const auto alloc_b =
         random_allocation(rng_b, b.action_dim(), b.consumer_budget());
     ASSERT_EQ(alloc_a, alloc_b);
-    const StepResult ra = a.step(alloc_a);
-    const StepResult rb = b.step(alloc_b);
-    EXPECT_EQ(ra.state, rb.state);
+    a.step(alloc_a, ra);
+    b.step(alloc_b, rb);
+    EXPECT_EQ(ra.wip, rb.wip);
     EXPECT_DOUBLE_EQ(ra.reward, rb.reward);
-    EXPECT_EQ(ra.stats.completed, rb.stats.completed);
-    EXPECT_EQ(ra.stats.task_arrivals, rb.stats.task_arrivals);
+    EXPECT_EQ(ra.completed, rb.completed);
+    EXPECT_EQ(ra.task_arrivals, rb.task_arrivals);
   }
 }
 
@@ -99,18 +133,17 @@ TEST_P(SystemPropertyTest, ResetIsReproducible) {
   // subsequent allocations stay internally consistent (no stale events).
   MicroserviceSystem system = make_system(GetParam());
   system.reset();
-  for (int k = 0; k < 5; ++k) (void)system.step(
-      std::vector<int>(system.action_dim(), 1));
+  WindowStats window;
+  for (int k = 0; k < 5; ++k)
+    system.step(std::vector<int>(system.action_dim(), 1), window);
   const auto state = system.reset();
   for (const double w : state) EXPECT_DOUBLE_EQ(w, 0.0);
   EXPECT_EQ(system.live_tasks(), 0u);
   // Events from before the reset must not fire afterwards: run a window
   // with zero consumers; the only WIP must come from fresh arrivals, and
   // completions must be zero.
-  const StepResult result =
-      system.step(std::vector<int>(system.action_dim(), 0));
+  system.step(std::vector<int>(system.action_dim(), 0), window);
   EXPECT_EQ(system.counters().tasks_completed, 0u);
-  (void)result;
 }
 
 TEST_P(SystemPropertyTest, ReseedMatchesFreshConstruction) {
@@ -126,9 +159,11 @@ TEST_P(SystemPropertyTest, ReseedMatchesFreshConstruction) {
   MicroserviceSystem reused = make_system(other);
   Rng warm_rng(7);
   reused.reset();
+  WindowStats ra, rb;
   for (int k = 0; k < 8; ++k)  // dirty the slab, rings, heap, and counters
-    (void)reused.step(random_allocation(warm_rng, reused.action_dim(),
-                                        reused.consumer_budget()));
+    reused.step(random_allocation(warm_rng, reused.action_dim(),
+                                  reused.consumer_budget()),
+                rb);
   reused.reseed(param.seed);
 
   // Both now replay the factory path: reset() then identical allocations.
@@ -139,13 +174,13 @@ TEST_P(SystemPropertyTest, ReseedMatchesFreshConstruction) {
                                          fresh.consumer_budget());
     ASSERT_EQ(alloc, random_allocation(rng_b, reused.action_dim(),
                                        reused.consumer_budget()));
-    const StepResult ra = fresh.step(alloc);
-    const StepResult rb = reused.step(alloc);
-    EXPECT_EQ(ra.state, rb.state);
+    fresh.step(alloc, ra);
+    reused.step(alloc, rb);
+    EXPECT_EQ(ra.wip, rb.wip);
     EXPECT_EQ(ra.reward, rb.reward);  // exact bits, not near-equality
-    EXPECT_EQ(ra.stats.arrivals, rb.stats.arrivals);
-    EXPECT_EQ(ra.stats.completed, rb.stats.completed);
-    EXPECT_EQ(ra.stats.mean_response_time, rb.stats.mean_response_time);
+    EXPECT_EQ(ra.arrivals, rb.arrivals);
+    EXPECT_EQ(ra.completed, rb.completed);
+    EXPECT_EQ(ra.mean_response_time, rb.mean_response_time);
   }
   EXPECT_EQ(fresh.counters().workflows_arrived,
             reused.counters().workflows_arrived);
@@ -162,14 +197,65 @@ TEST_P(SystemPropertyTest, MoreConsumersNeverHurtThroughputOnAverage) {
   starved.reset();
   rich.reset();
   const std::size_t j_count = starved.action_dim();
+  WindowStats window;
   for (int k = 0; k < 30; ++k) {
-    (void)starved.step(std::vector<int>(j_count, 0));
-    (void)rich.step(std::vector<int>(
-        j_count, rich.consumer_budget() / static_cast<int>(j_count)));
+    starved.step(std::vector<int>(j_count, 0), window);
+    rich.step(std::vector<int>(
+                  j_count, rich.consumer_budget() / static_cast<int>(j_count)),
+              window);
   }
   EXPECT_GE(rich.counters().workflows_completed,
             starved.counters().workflows_completed);
   EXPECT_EQ(starved.counters().workflows_completed, 0u);
+}
+
+TEST_P(SystemPropertyTest, ReusedRecordMatchesFreshRecord) {
+  // step() overwrites every field of the caller's record: stepping into one
+  // reused record equals stepping into a fresh one each window, bit for
+  // bit. A burst drains under an even split, then the consumers go, so a
+  // window with completions is followed by windows without any — where a
+  // stale per-type or overall mean response time would survive.
+  const PropertyCase param = GetParam();
+  MicroserviceSystem fresh_system = make_system(param);
+  MicroserviceSystem reused_system = make_system(param);
+  const BurstSpec burst{
+      std::vector<std::size_t>(fresh_system.ensemble().num_workflows(), 20)};
+  for (MicroserviceSystem* system : {&fresh_system, &reused_system}) {
+    system->reset();
+    system->inject_burst(burst);
+  }
+  const std::size_t j_count = fresh_system.action_dim();
+  const std::vector<int> drain(
+      j_count, fresh_system.consumer_budget() / static_cast<int>(j_count));
+  const std::vector<int> idle(j_count, 0);
+
+  // Start from a record of the wrong shape and stale values throughout.
+  WindowStats reused;
+  reused.wip.assign(j_count + 3, -1.0);
+  reused.reward = -1.0;
+  reused.arrivals.assign(11, 7);
+  reused.completed.assign(11, 7);
+  reused.mean_response_time.assign(11, 123.0);
+  reused.overall_mean_response_time = 123.0;
+  reused.task_arrivals.assign(1, 7);
+  reused.task_completions.assign(1, 7);
+  reused.allocation.assign(2, 7);
+
+  bool completions_then_none = false;
+  std::size_t previous_completed = 0;
+  for (int k = 0; k < 14; ++k) {
+    const std::vector<int>& allocation = k < 10 ? drain : idle;
+    WindowStats fresh;
+    fresh_system.step(allocation, fresh);
+    reused_system.step(allocation, reused);
+    expect_same_window(fresh, reused, k);
+    std::size_t completed = 0;
+    for (const std::size_t c : fresh.completed) completed += c;
+    completions_then_none =
+        completions_then_none || (previous_completed > 0 && completed == 0);
+    previous_completed = completed;
+  }
+  EXPECT_TRUE(completions_then_none);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -81,6 +81,16 @@ bool is_derived(const TelemetryRecord& rec) {
          rec.queue_depth == i % 1000 && rec.batch_size == i % 64 + 1;
 }
 
+// The cross-ring drain BatchServer::telemetry_snapshot runs: every ring's
+// window appended in ring order, then one stable sort by timestamp.
+std::size_t merged_drain(const TelemetryRing* const* rings, std::size_t count,
+                         std::vector<TelemetryRecord>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < count; ++i) rings[i]->snapshot_append(out);
+  sort_merged_telemetry(out);
+  return out.size();
+}
+
 TEST(TelemetryRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(TelemetryRing(1).capacity(), 2u);
   EXPECT_EQ(TelemetryRing(2).capacity(), 2u);
@@ -161,7 +171,7 @@ TEST(TelemetryRing, MergedSnapshotInterleavesRingsByTimestamp) {
   for (std::uint64_t i = 0; i < 5; ++i) b.record(derived_record(2 * i + 1));
   const TelemetryRing* rings[] = {&a, &b};
   std::vector<TelemetryRecord> merged;
-  ASSERT_EQ(merge_snapshots(rings, 2, merged), 10u);
+  ASSERT_EQ(merged_drain(rings, 2, merged), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(merged[i].timestamp_ns, i);
     EXPECT_TRUE(is_derived(merged[i]));
@@ -172,7 +182,7 @@ TEST(TelemetryRing, MergedSnapshotInterleavesRingsByTimestamp) {
   c.record(derived_record(100));
   d.record(derived_record(100));
   const TelemetryRing* tied[] = {&c, &d};
-  ASSERT_EQ(merge_snapshots(tied, 2, merged), 2u);
+  ASSERT_EQ(merged_drain(tied, 2, merged), 2u);
   EXPECT_EQ(merged[0].timestamp_ns, 100u);
   EXPECT_EQ(merged[1].timestamp_ns, 100u);
 }
@@ -189,7 +199,7 @@ TEST(TelemetryRing, MergedSnapshotSurvivesPerRingWraparoundAtDifferentRates) {
     light.record(derived_record(2 * (total - 3 + i) + 1));  // odd, recent
   const TelemetryRing* rings[] = {&busy, &light};
   std::vector<TelemetryRecord> merged;
-  ASSERT_EQ(merge_snapshots(rings, 2, merged), 8u + 3u);
+  ASSERT_EQ(merged_drain(rings, 2, merged), 8u + 3u);
   // All survivors intact and globally timestamp-ordered...
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(is_derived(merged[i]));
@@ -238,7 +248,7 @@ TEST(TelemetryRing, MergedSnapshotWithOneWriterPerRingNeverTearsOrReorders) {
   merged.reserve(kRings * 16);
   std::uint64_t drained = 0;
   for (int round = 0; round < 1000; ++round) {
-    merge_snapshots(ring_ptrs, kRings, merged);
+    merged_drain(ring_ptrs, kRings, merged);
     std::uint64_t last_stamp[kRings];
     bool seen[kRings] = {};
     for (const TelemetryRecord& rec : merged) {
