@@ -6,6 +6,7 @@
 #include "workflows/service_time.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -440,6 +441,39 @@ TEST(RngNormal, FirstSixteenDrawsOfSeed42AreFixed) {
   Rng rng(42);
   for (std::size_t i = 0; i < golden.size(); ++i)
     EXPECT_EQ(rng.normal(), golden[i]) << "draw " << i;
+}
+
+TEST(RngNormal, MillionDrawStreamThroughBothSlowPathsIsFixed) {
+  // Pins a stream long enough that the rare wedge and tail branches run
+  // many times, so moving any branch of normal() cannot change a bit
+  // unnoticed. A draw that consumed more than one raw word left the fast
+  // path: beyond R it came from the tail, inside R from the wedge.
+  constexpr int kDraws = 1'000'000;
+  Rng rng(20240611);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over the bits
+  int wedge = 0;
+  int tail = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    Rng shadow = rng;
+    const double x = rng.normal();
+    int words = 0;
+    while (shadow.state() != rng.state()) {
+      shadow.next_u64();
+      ASSERT_LT(++words, 64) << "draw " << i;
+    }
+    if (words > 1) ++(std::abs(x) >= ziggurat::kTailStart ? tail : wedge);
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (bits >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_GT(wedge, 1000);
+  EXPECT_GT(tail, 100);
+  EXPECT_EQ(digest, 0x7f986f42280b136aULL);
+  const RngState golden{{0x88975e56e43b433aULL, 0xa05885f644f35702ULL,
+                        0x6c90395408c86e79ULL, 0xb3c9663258cb3916ULL}};
+  EXPECT_EQ(rng.state(), golden);
 }
 
 TEST(ShardSeed, DerivedStreamsAreDecorrelated) {
