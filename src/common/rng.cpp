@@ -252,28 +252,6 @@ RngState Rng::state() const { return RngState{state_}; }
 
 void Rng::set_state(const RngState& state) { state_ = state.words; }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  MIRAS_EXPECTS(lo <= hi);
-  return lo + (hi - lo) * uniform();
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   MIRAS_EXPECTS(lo <= hi);
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -285,46 +263,37 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(x % range);
 }
 
-double Rng::normal() {
+Rng::SlowDraw Rng::normal_slow(std::array<std::uint64_t, 4> state,
+                               std::uint64_t bits, double x) {
   using ziggurat::kF;
   using ziggurat::kX;
-  static_assert(ziggurat::kLayers == 256, "the layer takes bits 0-7");
-  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  Rng rng;
+  rng.state_ = state;
+  const auto accept = [&rng](double value, std::uint64_t sign_bits) {
+    return SlowDraw{with_sign(value, sign_bits), rng.state_};
+  };
   for (;;) {
-    const std::uint64_t bits = next_u64();
     const std::size_t layer = bits & (ziggurat::kLayers - 1);
-    const double u =
-        static_cast<double>((bits >> 11) & ((std::uint64_t{1} << 52) - 1)) *
-        0x1.0p-52;
-    double x = u * kX[layer];
-    // Left of kX[layer + 1] the point lies under the density for certain:
-    // the ~98.5% path.
-    if (x >= kX[layer + 1]) {
-      if (layer == 0) {
-        // The base strip's overhang stands for the tail beyond R, sampled
-        // by Marsaglia (1964). 1 - uniform() lies in (0, 1], so neither
-        // log sees zero.
-        double excess = 0.0;
-        double y = 0.0;
-        do {
-          excess = -std::log(1.0 - uniform()) / ziggurat::kTailStart;
-          y = -std::log(1.0 - uniform());
-        } while (2.0 * y < excess * excess);
-        x = ziggurat::kTailStart + excess;
-      } else if (kF[layer] + uniform() * (kF[layer + 1] - kF[layer]) >=
-                 std::exp(-0.5 * x * x)) {
-        continue;  // in the wedge but above the density: draw again
-      }
+    if (layer == 0) {
+      // The base strip's overhang stands for the tail beyond R, sampled
+      // by Marsaglia (1964). 1 - uniform() lies in (0, 1], so neither
+      // log sees zero.
+      double excess = 0.0;
+      double y = 0.0;
+      do {
+        excess = -std::log(1.0 - rng.uniform()) / ziggurat::kTailStart;
+        y = -std::log(1.0 - rng.uniform());
+      } while (2.0 * y < excess * excess);
+      return accept(ziggurat::kTailStart + excess, bits);
     }
-    // Bit 63 is the sign; or-ing it in keeps a branch off the sign.
-    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) |
-                                 (bits & kSignBit));
+    if (kF[layer] + rng.uniform() * (kF[layer + 1] - kF[layer]) <
+        std::exp(-0.5 * x * x))
+      return accept(x, bits);
+    // In the wedge but above the density: draw again, from the top.
+    bits = rng.next_u64();
+    x = ziggurat_x(bits);
+    if (x < kX[(bits & (ziggurat::kLayers - 1)) + 1]) return accept(x, bits);
   }
-}
-
-double Rng::normal(double mean, double stddev) {
-  MIRAS_EXPECTS(stddev >= 0.0);
-  return mean + stddev * normal();
 }
 
 double Rng::exponential(double rate) {
@@ -332,11 +301,6 @@ double Rng::exponential(double rate) {
   double u = uniform();
   while (u <= 0.0) u = uniform();
   return -std::log(u) / rate;
-}
-
-double Rng::lognormal(double mu, double sigma) {
-  MIRAS_EXPECTS(sigma >= 0.0);
-  return std::exp(normal(mu, sigma));
 }
 
 Rng Rng::split() {

@@ -20,9 +20,13 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/contracts.h"
 
 namespace miras {
 
@@ -64,6 +68,12 @@ extern const std::array<double, kLayers + 1> kF;
 }  // namespace ziggurat
 
 /// Deterministic xoshiro256++ generator with portable distributions.
+///
+/// The hot draws (next_u64, uniform, the ziggurat's fast path, the scaled
+/// normal and lognormal) are inline here, so a loop of draws, such as a
+/// per-episode parameter perturbation or the simulator's service times,
+/// keeps the four state words in registers. The ziggurat's rare wedge and
+/// tail rejections stay out of line in rng.cpp.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -76,13 +86,29 @@ class Rng {
   void set_state(const RngState& state);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    MIRAS_EXPECTS(lo <= hi);
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -91,16 +117,32 @@ class Rng {
   /// layer (bits 0-7) and the position within it (bits 11-62, sign bit 63),
   /// so the two are independent (Doornik 2005). Wedge and tail rejections
   /// draw further uniforms.
-  double normal();
+  double normal() {
+    const std::uint64_t bits = next_u64();
+    const double x = ziggurat_x(bits);
+    // Left of kX[layer + 1] the point lies under the density for certain:
+    // the ~98.5% path.
+    if (x < ziggurat::kX[(bits & (ziggurat::kLayers - 1)) + 1]) [[likely]]
+      return with_sign(x, bits);
+    const SlowDraw slow = normal_slow(state_, bits, x);
+    state_ = slow.state;
+    return slow.value;
+  }
 
   /// Normal with the given mean and standard deviation (stddev >= 0).
-  double normal(double mean, double stddev);
+  double normal(double mean, double stddev) {
+    MIRAS_EXPECTS(stddev >= 0.0);
+    return mean + stddev * normal();
+  }
 
   /// Exponential with the given rate (rate > 0). Mean is 1/rate.
   double exponential(double rate);
 
   /// Lognormal: exp(N(mu, sigma)).
-  double lognormal(double mu, double sigma);
+  double lognormal(double mu, double sigma) {
+    MIRAS_EXPECTS(sigma >= 0.0);
+    return std::exp(normal(mu, sigma));
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -117,6 +159,37 @@ class Rng {
   Rng split();
 
  private:
+  static_assert(ziggurat::kLayers == 256, "the layer takes bits 0-7");
+
+  /// The point u * kX[layer] that draw `bits` names, u from bits 11-62.
+  static double ziggurat_x(std::uint64_t bits) {
+    const double u =
+        static_cast<double>((bits >> 11) & ((std::uint64_t{1} << 52) - 1)) *
+        0x1.0p-52;
+    return u * ziggurat::kX[bits & (ziggurat::kLayers - 1)];
+  }
+
+  /// `x` with the sign of bit 63 of `bits`; or-ing it in keeps a branch off
+  /// the sign.
+  static double with_sign(double x, std::uint64_t bits) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) |
+                                 (bits & (std::uint64_t{1} << 63)));
+  }
+
+  /// A normal_slow result: the draw and the generator state after it.
+  struct SlowDraw {
+    double value;
+    std::array<std::uint64_t, 4> state;
+  };
+
+  /// The rest of normal() once draw `bits` (point `x`) left the fast path:
+  /// the tail or a wedge test, then fresh draws from `state` until one is
+  /// accepted. The state goes in and out by value, so no generator's
+  /// address leaves the hot path and a loop of draws on a local Rng keeps
+  /// the four words in registers.
+  [[gnu::cold]] static SlowDraw normal_slow(std::array<std::uint64_t, 4> state,
+                                            std::uint64_t bits, double x);
+
   std::array<std::uint64_t, 4> state_;
 };
 

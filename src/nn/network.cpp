@@ -113,15 +113,39 @@ void Network::set_parameters(const std::vector<double>& flat) {
 }
 
 void Network::perturb_parameters(double stddev, Rng& rng) {
+  assign_perturbed(*this, stddev, rng);
+}
+
+void Network::assign_perturbed(const Network& source, double stddev,
+                               Rng& rng) {
   MIRAS_EXPECTS(stddev >= 0.0);
-  for (auto& layer : layers_) {
-    Tensor& w = layer.weights();
-    for (std::size_t i = 0; i < w.size(); ++i)
-      w.data()[i] += rng.normal(0.0, stddev);
-    Tensor& b = layer.bias();
-    for (std::size_t i = 0; i < b.size(); ++i)
-      b.data()[i] += rng.normal(0.0, stddev);
+  const auto same_shape = [](const DenseLayer& a, const DenseLayer& b) {
+    return a.in_dim() == b.in_dim() && a.out_dim() == b.out_dim() &&
+           a.activation() == b.activation();
+  };
+  if (!std::equal(layers_.begin(), layers_.end(), source.layers_.begin(),
+                  source.layers_.end(), same_shape)) {
+    layers_.clear();
+    layers_.reserve(source.layers_.size());
+    for (const DenseLayer& layer : source.layers_)
+      layers_.emplace_back(Tensor(layer.in_dim(), layer.out_dim()),
+                           Tensor(1, layer.out_dim()), layer.activation());
   }
+  // Layer by layer, weights then bias: the flat parameter order. The draws
+  // come from a local copy of `rng` so its state can live in registers.
+  Rng local = rng;
+  const auto add_noise = [stddev, &local](const Tensor& from, Tensor& to) {
+    const double* src = from.data();
+    double* dst = to.data();
+    const std::size_t n = to.size();
+    for (std::size_t i = 0; i < n; ++i)
+      dst[i] = src[i] + local.normal(0.0, stddev);
+  };
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    add_noise(source.layers_[l].weights(), layers_[l].weights());
+    add_noise(source.layers_[l].bias(), layers_[l].bias());
+  }
+  rng = local;
 }
 
 void Network::soft_update_from(const Network& source, double tau) {

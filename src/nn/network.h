@@ -107,6 +107,12 @@ class Network {
   /// exploration, Plappert et al. 2018).
   void perturb_parameters(double stddev, Rng& rng);
 
+  /// Becomes `source` plus independent N(0, stddev) noise on every
+  /// parameter, in one pass over this network's own storage (kept when the
+  /// architecture matches): the draws and bits of copying `source` and then
+  /// calling perturb_parameters. `source` may be this network.
+  void assign_perturbed(const Network& source, double stddev, Rng& rng);
+
   /// Polyak update: theta <- tau * source.theta + (1 - tau) * theta.
   /// Requires identical architecture.
   void soft_update_from(const Network& source, double tau);

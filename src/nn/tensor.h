@@ -15,7 +15,7 @@
 // row-at-a-time passes (see DESIGN.md §5) — blocked kernels may reorder
 // *across* output elements but never within one.
 //
-// matmul_into runs nn/kernels.h's one kernel family, which keeps the
+// The three products run nn/kernels.h's one kernel family, which keeps the
 // ascending order for every shape: a one-row product (the single-request
 // inference shape) is the GEMV, and every GEMM row is bit-identical to it.
 #pragma once

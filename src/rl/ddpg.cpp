@@ -101,19 +101,17 @@ double StateNormalizer::feature(double raw, bool log_features) {
   return log_features ? std::log1p(std::max(raw, 0.0)) : raw;
 }
 
-StateNormalizer StateNormalizer::resolve(
-    const std::vector<RunningStats>& stats, bool log_features) {
-  StateNormalizer normalizer;
-  normalizer.log_features = log_features;
-  normalizer.shift.assign(stats.size(), 0.0);
-  normalizer.scale.assign(stats.size(), 1.0);
+void StateNormalizer::resolve(const std::vector<RunningStats>& stats,
+                              bool log_features_on) {
+  log_features = log_features_on;
+  shift.assign(stats.size(), 0.0);
+  scale.assign(stats.size(), 1.0);
   const double floor = log_features ? kMinStddevLog : kMinStddevRaw;
   for (std::size_t j = 0; j < stats.size(); ++j) {
     if (stats[j].count() < 2) continue;  // no statistics yet: pass through
-    normalizer.shift[j] = stats[j].mean();
-    normalizer.scale[j] = std::max(stats[j].stddev(), floor);
+    shift[j] = stats[j].mean();
+    scale[j] = std::max(stats[j].stddev(), floor);
   }
-  return normalizer;
 }
 
 void StateNormalizer::apply(const double* raw, double* out) const {
@@ -186,10 +184,11 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   critic_target_ = critic_;
   critic2_ = nn::CriticNetwork(critic_spec, rng_);  // independent init
   critic2_target_ = critic2_;
+  refresh_normalizer();
 }
 
-StateNormalizer DdpgAgent::normalizer() const {
-  return StateNormalizer::resolve(state_stats_, config_.log_state_features);
+void DdpgAgent::refresh_normalizer() {
+  normalizer_.resolve(state_stats_, config_.log_state_features);
 }
 
 std::vector<double> DdpgAgent::act(const std::vector<double>& state,
@@ -261,9 +260,18 @@ BehaviorSnapshot DdpgAgent::behavior_snapshot() const {
 
 ExplorationSnapshot BehaviorSnapshot::instantiate(Rng& rng) const {
   ExplorationSnapshot snapshot;
-  snapshot.behavior_ = *this;
-  if (exploration == ExplorationMode::kParameterNoise)
-    snapshot.behavior_.policy.perturb_parameters(parameter_noise_stddev, rng);
+  if (exploration != ExplorationMode::kParameterNoise) {
+    snapshot.behavior_ = *this;
+    return snapshot;
+  }
+  // Every field but the policy by value; the policy's parameters are
+  // written once, already perturbed, instead of copied and then perturbed.
+  snapshot.behavior_ = BehaviorSnapshot{
+      exploration,     epsilon_random, epsilon_demo, action_noise_stddev,
+      parameter_noise_stddev, consumer_budget, action_dim,  nn::Network{},
+      normalizer};
+  snapshot.behavior_.policy.assign_perturbed(policy, parameter_noise_stddev,
+                                             rng);
   return snapshot;
 }
 
@@ -332,6 +340,7 @@ void DdpgAgent::observe(const std::vector<double>& state,
   for (std::size_t j = 0; j < state_dim_; ++j)
     state_stats_[j].add(
         StateNormalizer::feature(state[j], config_.log_state_features));
+  refresh_normalizer();
   if (!any_reward_seen_) {
     min_reward_seen_ = reward;
     max_reward_seen_ = reward;
@@ -379,6 +388,7 @@ void DdpgAgent::observe_state_only(const std::vector<double>& state) {
   for (std::size_t j = 0; j < state_dim_; ++j)
     state_stats_[j].add(
         StateNormalizer::feature(state[j], config_.log_state_features));
+  refresh_normalizer();
 }
 
 void DdpgAgent::enable_parallel_training(common::ThreadPool* pool) {
@@ -389,8 +399,7 @@ double DdpgAgent::update(std::size_t count) {
   if (replay_.size() < std::max(config_.warmup, config_.batch_size))
     return 0.0;
 
-  // The statistics cannot move during update(): resolve them once.
-  const StateNormalizer norm = normalizer();
+  const StateNormalizer& norm = normalizer();
   double critic_loss_sum = 0.0;
   std::size_t ran = 0;
   for (std::size_t step = 0; step < count; ++step) {
@@ -551,8 +560,7 @@ void DdpgAgent::adapt_parameter_noise(const StateNormalizer& norm) {
 }
 
 void DdpgAgent::refresh_perturbed_actor() {
-  perturbed_actor_ = actor_;
-  perturbed_actor_.perturb_parameters(parameter_noise_.stddev(), rng_);
+  perturbed_actor_.assign_perturbed(actor_, parameter_noise_.stddev(), rng_);
 }
 
 void DdpgAgent::resample_exploration() {
@@ -669,6 +677,7 @@ void DdpgAgent::restore_state(persist::BinaryReader& in) {
     s = RunningStats::from_moments(static_cast<std::size_t>(count), mean, m2,
                                    min, max);
   }
+  refresh_normalizer();
 
   min_reward_seen_ = in.f64();
   max_reward_seen_ = in.f64();

@@ -106,10 +106,10 @@ struct StateNormalizer {
   /// The feature of one raw state entry (what the running statistics see).
   static double feature(double raw, bool log_features);
 
-  /// Resolves running feature statistics into the affine map; the stddev
-  /// floors live here and nowhere else.
-  static StateNormalizer resolve(const std::vector<RunningStats>& stats,
-                                 bool log_features);
+  /// Overwrites this map with the one resolved from running feature
+  /// statistics, reusing its storage; the stddev floors live here and
+  /// nowhere else.
+  void resolve(const std::vector<RunningStats>& stats, bool log_features);
 
   /// Normalises dim() raw entries into `out` (dim() entries, caller-sized).
   void apply(const double* raw, double* out) const;
@@ -326,7 +326,9 @@ class DdpgAgent {
   }
   void mature_front_transition();
   /// The normaliser resolved from the current state statistics.
-  StateNormalizer normalizer() const;
+  const StateNormalizer& normalizer() const { return normalizer_; }
+  /// Re-resolves normalizer_; called wherever state_stats_ changes.
+  void refresh_normalizer();
   void adapt_parameter_noise(const StateNormalizer& norm);
   void refresh_perturbed_actor();
 
@@ -360,6 +362,10 @@ class DdpgAgent {
   AdaptiveParameterNoise parameter_noise_;
 
   std::vector<RunningStats> state_stats_;
+  // state_stats_ resolved, kept current by refresh_normalizer() so that no
+  // act, update or snapshot resolves (and allocates) a normaliser. Not a
+  // lazy cache: concurrent const readers (the evaluation grid) only read it.
+  StateNormalizer normalizer_;
   // Observed reward bounds; Bellman targets are clamped to
   // [min_reward/(1-gamma), max_reward/(1-gamma)], the tight bounds on any
   // true Q value, which prevents bootstrapping divergence.
