@@ -72,8 +72,9 @@ extern const std::array<double, kLayers + 1> kF;
 /// The hot draws (next_u64, uniform, the ziggurat's fast path, the scaled
 /// normal and lognormal) are inline here, so a loop of draws, such as a
 /// per-episode parameter perturbation or the simulator's service times,
-/// keeps the four state words in registers. The ziggurat's rare wedge and
-/// tail rejections stay out of line in rng.cpp.
+/// makes no call per draw, and a loop on a local generator keeps the four
+/// state words in registers. The ziggurat's rare wedge and tail rejections
+/// stay out of line in rng.cpp.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -87,7 +88,8 @@ class Rng {
 
   /// Next raw 64-bit value.
   std::uint64_t next_u64() {
-    const std::uint64_t result = std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t result =
+        std::rotl(state_[0] + state_[3], 23) + state_[0];
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];
     state_[3] ^= state_[1];

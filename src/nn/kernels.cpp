@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <cstring>
 
-// The AVX2 clone needs GCC/Clang function multiversioning on x86.
+// The AVX2 clone needs GCC's target attribute and cpuid builtins on x86.
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define MIRAS_KERNELS_AVX2 1
 #else
@@ -297,8 +297,9 @@ template <class V>
       }
       for (; p < k; ++p) {
         for (std::size_t g = 0; g < kG; ++g) {
-          V t;
-          for (std::size_t q = 0; q < kL; ++q) t[q] = b[(j + g * kL + q) * k + p];
+          V t{};
+          for (std::size_t q = 0; q < kL; ++q)
+            t[q] = b[(j + g * kL + q) * k + p];
           for (std::size_t r = 0; r < 4; ++r) c[r][g] += a_rows[r][p] * t;
         }
       }

@@ -266,10 +266,15 @@ ExplorationSnapshot BehaviorSnapshot::instantiate(Rng& rng) const {
   }
   // Every field but the policy by value; the policy's parameters are
   // written once, already perturbed, instead of copied and then perturbed.
-  snapshot.behavior_ = BehaviorSnapshot{
-      exploration,     epsilon_random, epsilon_demo, action_noise_stddev,
-      parameter_noise_stddev, consumer_budget, action_dim,  nn::Network{},
-      normalizer};
+  snapshot.behavior_ = BehaviorSnapshot{exploration,
+                                        epsilon_random,
+                                        epsilon_demo,
+                                        action_noise_stddev,
+                                        parameter_noise_stddev,
+                                        consumer_budget,
+                                        action_dim,
+                                        nn::Network{},
+                                        normalizer};
   snapshot.behavior_.policy.assign_perturbed(policy, parameter_noise_stddev,
                                              rng);
   return snapshot;

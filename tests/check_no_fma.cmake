@@ -15,6 +15,6 @@ if(fma)
   message(FATAL_ERROR "fused multiply-add in ${OBJECTS}: ${fma}")
 endif()
 if(NOT disassembly MATCHES "%ymm")
-  message(FATAL_ERROR "no AVX register in ${OBJECTS}: the AVX2 clone is missing")
+  message(FATAL_ERROR "no AVX register in ${OBJECTS}: no AVX2 clone built")
 endif()
 message(STATUS "no fused multiply-add in ${OBJECTS}")
