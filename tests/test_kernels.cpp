@@ -151,6 +151,8 @@ std::vector<const kern::KernelSet*> host_kernel_sets() {
 }
 
 const std::size_t kDims[] = {1, 3, 4, 5, 9, 96, 97};
+// Reduction lengths add 257: three of the kernels' 128-step skip chunks.
+const std::size_t kDepths[] = {1, 3, 4, 5, 9, 96, 97, 257};
 const std::size_t kRows[] = {1, 3, 6, 17};  // no multiple of 4: a row tail
 
 /// k x n operand with normal entries, every third column zeroed, and,
@@ -181,7 +183,7 @@ TEST(KernelBuilds, AllFourContractionsMatchThePlainLoopBitwise) {
   Rng rng(31);
   for (const kern::KernelSet* set : host_kernel_sets()) {
     for (const std::size_t m : kRows) {
-      for (const std::size_t k : kDims) {
+      for (const std::size_t k : kDepths) {
         for (const std::size_t n : kDims) {
           // gemm and gemv: out = a * b, a m x k, b k x n.
           const auto a = ragged_matrix(m, k, 1, rng);
